@@ -1,139 +1,23 @@
 """Cover-free families: construction, verification, size bounds, and
 non-adaptive group testing on the resulting pooling matrices."""
 
-from .bounds import (
-    BoundEntry,
-    BoundReport,
-    DEFAULT_C,
-    RateComparison,
-    bound_2d_T,
-    drr_rate,
-    existence_threshold_N,
-    full_report,
-    gbound_T,
-    lower_bounds_N,
-    min_N_bruteforce,
-    rate_asymptotic,
-    rate_compare,
-    sperner_T,
-    uniform_T,
-)
-from .codes import Code, code_to_set_system
-from .construct import (
-    ConstructionFailedError,
-    DEFAULT_MAX_BLOCKS,
-    OrthogonalArray,
-    PackingDesign,
-    SHFTable,
-    check_orthogonal_array,
-    check_packing,
-    check_separating,
-    oa_construct,
-    oa_to_packing,
-    packing_to_cff,
-    random_cff,
-    random_uniform_cff,
-    recursive_cff,
-    rs_cff,
-    shf_compose,
-    shf_modular,
-    sperner_cff,
-    trivial_ds,
-)
-from .core import (
-    CFFParams,
-    IncidenceMatrix,
-    format_matrix,
-    parse_matrix,
-    read_matrix_file,
-    write_matrix_file,
-)
-from .gf import FiniteField, field, is_prime_power
-from .grouptest import (
-    SimulationStats,
-    TestOutcome,
-    decode,
-    encode,
-    inject_errors,
-    simulate,
-)
-from .verify import (
-    BudgetExceededError,
-    CheckResult,
-    DEFAULT_BUDGET,
-    ViolationWitness,
-    check_claim,
-    is_cff,
-    is_cff_sampled,
-    is_disjunct,
-    is_k_uniform,
-    max_r,
-    pair_count,
-)
+from . import bounds, codes, construct, core, gf, grouptest, verify
+from .bounds import *
+from .codes import *
+from .construct import *
+from .core import *
+from .gf import *
+from .grouptest import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundEntry",
-    "BoundReport",
-    "BudgetExceededError",
-    "CFFParams",
-    "CheckResult",
-    "Code",
-    "ConstructionFailedError",
-    "DEFAULT_BUDGET",
-    "DEFAULT_C",
-    "DEFAULT_MAX_BLOCKS",
-    "FiniteField",
-    "IncidenceMatrix",
-    "OrthogonalArray",
-    "PackingDesign",
-    "RateComparison",
-    "SHFTable",
-    "SimulationStats",
-    "TestOutcome",
-    "ViolationWitness",
-    "bound_2d_T",
-    "check_claim",
-    "check_orthogonal_array",
-    "check_packing",
-    "check_separating",
-    "code_to_set_system",
-    "decode",
-    "drr_rate",
-    "encode",
-    "existence_threshold_N",
-    "field",
-    "format_matrix",
-    "full_report",
-    "gbound_T",
-    "inject_errors",
-    "is_cff",
-    "is_cff_sampled",
-    "is_disjunct",
-    "is_k_uniform",
-    "is_prime_power",
-    "lower_bounds_N",
-    "max_r",
-    "min_N_bruteforce",
-    "oa_construct",
-    "oa_to_packing",
-    "packing_to_cff",
-    "pair_count",
-    "parse_matrix",
-    "random_cff",
-    "random_uniform_cff",
-    "rate_asymptotic",
-    "rate_compare",
-    "read_matrix_file",
-    "recursive_cff",
-    "rs_cff",
-    "shf_compose",
-    "shf_modular",
-    "simulate",
-    "sperner_T",
-    "sperner_cff",
-    "trivial_ds",
-    "uniform_T",
-    "write_matrix_file",
+    *bounds.__all__,
+    *codes.__all__,
+    *construct.__all__,
+    *core.__all__,
+    *gf.__all__,
+    *grouptest.__all__,
+    *verify.__all__,
 ]

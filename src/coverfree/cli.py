@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import bounds as bnd
 from . import construct as cons
-from .core import CFFParams, read_matrix_file, write_matrix_file
+from .core import CFFParams, IncidenceMatrix, read_matrix_file, write_matrix_file
 from .grouptest import simulate
 from .verify import (
     DEFAULT_BUDGET,
@@ -56,96 +57,88 @@ def _print_witness(witness: ViolationWitness | None) -> None:
     )
 
 
-def _require(args: argparse.Namespace, names: list[str], method: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise UsageError(f"method {method} requires {flags}")
-
-
 # ---------------------------------------------------------------------------
 # construct
 
-def _build_matrix(args: argparse.Namespace):
-    method = args.method
-    if method == "trivial":
-        _require(args, ["n", "w", "r"], method)
-        base = cons.trivial_ds(args.n, args.w, args.r)
-        m = base.transpose()
-        claim = CFFParams(w=args.w, r=args.r, d=0, N=m.num_points, T=m.num_blocks)
-        echo = [("n", args.n), ("w", args.w), ("r", args.r)]
-    elif method == "sperner":
-        _require(args, ["n"], method)
-        m, claim = cons.sperner_cff(args.n)
-        echo = [("n", args.n)]
-    elif method == "oa":
-        _require(args, ["q", "t"], method)
-        oa = cons.oa_construct(args.q, args.t)
-        m, claim = cons.packing_to_cff(cons.oa_to_packing(oa), args.d)
-        echo = [("q", args.q), ("t", args.t), ("d", args.d)]
-    elif method == "rs":
-        _require(args, ["q", "r"], method)
-        if args.n is None and args.s == 0:
-            raise UsageError("method rs requires --n (or --s for a shortened code)")
-        m, claim = cons.rs_cff(args.q, args.n, args.r, args.d, args.s)
-        echo = [("q", args.q), ("n", claim.k), ("r", args.r), ("d", args.d), ("s", args.s)]
-    elif method == "shf-recursive":
-        _require(args, ["w", "r"], method)
-        m, claim = cons.recursive_cff(args.w, args.r, args.d, args.levels)
-        echo = [("w", args.w), ("r", args.r), ("d", args.d), ("levels", args.levels)]
-    elif method == "random":
-        _require(args, ["w", "r", "T"], method)
-        m, claim = cons.random_cff(
-            args.w,
-            args.r,
-            args.d,
-            args.T,
-            seed=args.seed,
-            max_attempts=args.max_attempts,
-            N=args.n,
-            budget=args.budget,
-            trials=args.trials,
-        )
-        echo = [
-            ("w", args.w),
-            ("r", args.r),
-            ("d", args.d),
-            ("T", args.T),
-            ("N", claim.N),
-            ("max-attempts", args.max_attempts),
-        ]
-    elif method == "random-uniform":
-        _require(args, ["ell", "w", "r", "T"], method)
-        m, claim = cons.random_uniform_cff(
-            args.ell,
-            args.w,
-            args.r,
-            args.T,
-            seed=args.seed,
-            max_attempts=args.max_attempts,
-            budget=args.budget,
-            trials=args.trials,
-        )
-        echo = [
-            ("ell", args.ell),
-            ("w", args.w),
-            ("r", args.r),
-            ("T", args.T),
-            ("max-attempts", args.max_attempts),
-        ]
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown method {method}")
-    return m, claim, echo
+class _Method(NamedTuple):
+    """A construction method: the flags it needs ("n/s" is met by either
+    one), one builder call, and the parameters its run echoes, read after
+    the builder has resolved its defaults into the claim."""
+
+    requires: tuple[str, ...]
+    build: Callable[[argparse.Namespace], tuple[IncidenceMatrix, CFFParams]]
+    echo: Callable[[argparse.Namespace, CFFParams], list[tuple[str, object]]]
+
+
+_METHODS: dict[str, _Method] = {
+    "trivial": _Method(
+        ("n", "w", "r"),
+        lambda a: cons.trivial_cff(a.n, a.w, a.r),
+        lambda a, c: [("n", a.n), ("w", a.w), ("r", a.r)],
+    ),
+    "sperner": _Method(
+        ("n",),
+        lambda a: cons.sperner_cff(a.n),
+        lambda a, c: [("n", a.n)],
+    ),
+    "oa": _Method(
+        ("q", "t"),
+        lambda a: cons.packing_to_cff(cons.oa_to_packing(cons.oa_construct(a.q, a.t)), a.d),
+        lambda a, c: [("q", a.q), ("t", a.t), ("d", a.d)],
+    ),
+    "rs": _Method(
+        ("q", "r", "n/s"),
+        lambda a: cons.rs_cff(a.q, a.n, a.r, a.d, a.s or 0),
+        lambda a, c: [("q", a.q), ("n", c.k), ("r", a.r), ("d", a.d), ("s", a.s or 0)],
+    ),
+    "shf-recursive": _Method(
+        ("w", "r"),
+        lambda a: cons.recursive_cff(a.w, a.r, a.d, a.levels),
+        lambda a, c: [("w", a.w), ("r", a.r), ("d", a.d), ("levels", a.levels)],
+    ),
+    "random": _Method(
+        ("w", "r", "T"),
+        lambda a: cons.random_cff(
+            a.w, a.r, a.d, a.T, a.seed, a.max_attempts,
+            N=a.n, budget=a.budget, trials=a.trials,
+        ),
+        lambda a, c: [
+            ("w", a.w), ("r", a.r), ("d", a.d), ("T", a.T), ("N", c.N),
+            ("max-attempts", a.max_attempts),
+        ],
+    ),
+    "random-uniform": _Method(
+        ("ell", "w", "r", "T"),
+        lambda a: cons.random_uniform_cff(
+            a.ell, a.w, a.r, a.T, a.seed, a.max_attempts, budget=a.budget, trials=a.trials
+        ),
+        lambda a, c: [
+            ("ell", a.ell), ("w", a.w), ("r", a.r), ("T", a.T),
+            ("max-attempts", a.max_attempts),
+        ],
+    ),
+}
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    m, claim, echo = _build_matrix(args)
-    echo = [("method", args.method)] + echo + [
-        ("seed", args.seed),
-        ("budget", args.budget),
-        ("trials", args.trials),
+    method = _METHODS[args.method]
+    missing = [
+        f for f in method.requires if all(getattr(args, g) is None for g in f.split("/"))
     ]
-    _echo("construct", echo)
+    if missing:
+        flags = ", ".join("--" + f.replace("/", " or --") for f in missing)
+        raise UsageError(f"method {args.method} requires {flags}")
+    m, claim = method.build(args)
+    _echo(
+        "construct",
+        [
+            ("method", args.method),
+            *method.echo(args, claim),
+            ("seed", args.seed),
+            ("budget", args.budget),
+            ("trials", args.trials),
+        ],
+    )
     _echo(
         "claim",
         [("w", claim.w), ("r", claim.r), ("d", claim.d), ("N", claim.N), ("T", claim.T)],
@@ -307,17 +300,33 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int no smaller than ``low``, so a bad budget or
+    trial count is refused as bad usage instead of changing the check."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
+
+
 def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_BUDGET,
         help="max (B, A) evaluations for exhaustive checking",
     )
     p.add_argument(
         "--trials",
-        type=int,
+        type=_int_at_least(1),
         default=100_000,
         help="sample count when checking falls back to sampling",
     )
@@ -331,11 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a family, check it, write it to a file")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["trivial", "sperner", "oa", "rs", "shf-recursive", "random", "random-uniform"],
-    )
+    p.add_argument("--method", required=True, choices=list(_METHODS))
     p.add_argument("--out", required=True, help="output matrix file")
     p.add_argument("--n", type=int, help="points (trivial/sperner) or code length (rs)")
     p.add_argument("--w", type=int, help="intersected-block count of the claim")
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=0, help="claimed residual slack (default 0)")
     p.add_argument("--q", type=int, help="field order (oa/rs)")
     p.add_argument("--t", type=int, help="orthogonal-array strength (oa)")
-    p.add_argument("--s", type=int, default=0, help="shortening amount (rs, default 0)")
+    p.add_argument("--s", type=int, help="shortening amount (rs, default 0)")
     p.add_argument("--levels", type=int, default=1, help="composition rounds (shf-recursive)")
     p.add_argument("--T", type=int, help="block count (random methods)")
     p.add_argument("--ell", type=int, help="group size (random-uniform)")
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo group testing on a matrix file")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--errors", type=int, help="max injected outcome flips per trial")
     p.set_defaults(func=_cmd_simulate)

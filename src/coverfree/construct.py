@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, gcd, log2
+from typing import Callable
 
 from .codes import Code, code_to_set_system
 from .core import CFFParams, IncidenceMatrix
@@ -21,6 +22,7 @@ from .verify import BudgetExceededError, DEFAULT_BUDGET, check_claim
 
 __all__ = [
     "ConstructionFailedError",
+    "DEFAULT_MAX_BLOCKS",
     "OrthogonalArray",
     "PackingDesign",
     "SHFTable",
@@ -37,6 +39,7 @@ __all__ = [
     "shf_compose",
     "shf_modular",
     "sperner_cff",
+    "trivial_cff",
     "trivial_ds",
 ]
 
@@ -64,6 +67,13 @@ def trivial_ds(n: int, i: int, j: int) -> IncidenceMatrix:
         raise ValueError(f"need i + j <= n, got {i} + {j} > {n}")
     size = i if comb(n, i) <= comb(n, j) else n - j
     return IncidenceMatrix.from_blocks(n, combinations(range(n), size))
+
+
+def trivial_cff(n: int, w: int, r: int) -> tuple[IncidenceMatrix, CFFParams]:
+    """The transpose of :func:`trivial_ds`: a (w, r; 0)-cover-free family
+    with n blocks over min(C(n,w), C(n,r)) points."""
+    m = trivial_ds(n, w, r).transpose()
+    return m, CFFParams(w=w, r=r, d=0, N=m.num_points, T=n)
 
 
 def sperner_cff(N: int) -> tuple[IncidenceMatrix, CFFParams]:
@@ -385,8 +395,7 @@ def recursive_cff(
         raise BudgetExceededError(
             f"{n0}^(2^{k}) blocks exceed the cap of {max_blocks}"
         )
-    m = trivial_ds(n0, w, r).transpose()
-    claim = CFFParams(w=w, r=r, d=0, N=m.num_points, T=n0)
+    m, claim = trivial_cff(n0, w, r)
     if d > 0:
         m = m.replicate_points(d + 1)
         claim = CFFParams(w=w, r=r, d=d, N=m.num_points, T=n0)
@@ -397,6 +406,30 @@ def recursive_cff(
 
 # ---------------------------------------------------------------------------
 # probabilistic constructions
+
+def _verified_attempts(
+    claim: CFFParams,
+    tag: str,
+    seed: int,
+    max_attempts: int,
+    draw_block: Callable[[random.Random], int],
+    budget: int,
+    trials: int,
+) -> tuple[IncidenceMatrix, CFFParams]:
+    """Draw T blocks with ``draw_block`` until ``check_claim`` accepts the
+    matrix. Attempt a draws from the stream ``tag:seed:a`` and is checked
+    with seed a, so results do not depend on how attempts are scheduled."""
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be positive")
+    for attempt in range(max_attempts):
+        rng = random.Random(f"{tag}:{seed}:{attempt}")
+        m = IncidenceMatrix(claim.N, tuple(draw_block(rng) for _ in range(claim.T)))
+        if check_claim(m, claim, budget=budget, trials=trials, seed=attempt):
+            return m, claim
+    raise ConstructionFailedError(
+        max_attempts, f"no verified family in {max_attempts} attempts (seed={seed})"
+    )
+
 
 def random_cff(
     w: int,
@@ -423,25 +456,19 @@ def random_cff(
     """
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be positive")
     if N is None:
         p = 1.0 - (w**w * r**r) / float((w + r) ** (w + r))
         threshold = (w + r) * log2(T) / (-(d + 1) * log2(p))
         N = int(threshold) + 1
-    claim = CFFParams(w=w, r=r, d=d, N=N, T=T)
     density = w / (w + r)
-    for attempt in range(max_attempts):
-        rng = random.Random(f"cff-random:{seed}:{attempt}")
-        rows = tuple(
-            sum(1 << j for j in range(N) if rng.random() < density)
-            for _ in range(T)
-        )
-        m = IncidenceMatrix(N, rows)
-        if check_claim(m, claim, budget=budget, trials=trials, seed=attempt):
-            return m, claim
-    raise ConstructionFailedError(
-        max_attempts, f"no verified family in {max_attempts} attempts (seed={seed})"
+    return _verified_attempts(
+        CFFParams(w=w, r=r, d=d, N=N, T=T),
+        "cff-random",
+        seed,
+        max_attempts,
+        lambda rng: sum(1 << j for j in range(N) if rng.random() < density),
+        budget,
+        trials,
     )
 
 
@@ -468,22 +495,15 @@ def random_uniform_cff(
         raise ValueError("ell must be at least 2")
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be positive")
     p = (ell - 1) ** r / float(ell ** (w + r - 1))
     k = int((8.0 / p) * ((w + r) * log2(T) - log2(factorial(w)) - log2(factorial(r)))) + 1
     d = int(p * k / 2) + 1
-    N = k * ell
-    claim = CFFParams(w=w, r=r, d=d, N=N, T=T, k=k)
-    for attempt in range(max_attempts):
-        rng = random.Random(f"cff-uniform:{seed}:{attempt}")
-        rows = tuple(
-            sum(1 << (g * ell + rng.randrange(ell)) for g in range(k))
-            for _ in range(T)
-        )
-        m = IncidenceMatrix(N, rows)
-        if check_claim(m, claim, budget=budget, trials=trials, seed=attempt):
-            return m, claim
-    raise ConstructionFailedError(
-        max_attempts, f"no verified family in {max_attempts} attempts (seed={seed})"
+    return _verified_attempts(
+        CFFParams(w=w, r=r, d=d, N=k * ell, T=T, k=k),
+        "cff-uniform",
+        seed,
+        max_attempts,
+        lambda rng: sum(1 << (g * ell + rng.randrange(ell)) for g in range(k)),
+        budget,
+        trials,
     )

@@ -9,6 +9,7 @@ are popcounts.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -191,8 +192,15 @@ def format_matrix(m: IncidenceMatrix, claim: CFFParams | None = None) -> str:
     return "\n".join([header, *m.row_strings()]) + "\n"
 
 
+# the only spelling format_matrix writes: int() would also take "+2", "02",
+# "-0", "0_0" and non-ASCII digits, none of which format back to the input
+_HEADER_NUMBER = re.compile(r"0|[1-9][0-9]*")
+
+
 def parse_matrix(text: str) -> tuple[IncidenceMatrix, CFFParams | None]:
-    """Parse the exchange format back; strict about shape and characters."""
+    """Parse the exchange format back; strict about shape and characters, so
+    any text it accepts is exactly what :func:`format_matrix` writes for the
+    result."""
     if not text.endswith("\n"):
         raise ValueError("matrix file must end with a newline")
     lines = text.split("\n")
@@ -202,12 +210,13 @@ def parse_matrix(text: str) -> tuple[IncidenceMatrix, CFFParams | None]:
     if not lines:
         raise ValueError("empty matrix file")
     fields = lines[0].split(" ")
-    if len(fields) != 6 or fields[0] != "CFF":
+    if (
+        len(fields) != 6
+        or fields[0] != "CFF"
+        or not all(_HEADER_NUMBER.fullmatch(x) for x in fields[1:])
+    ):
         raise ValueError(f"bad header {lines[0]!r}")
-    try:
-        n, t, w, r, d = (int(x) for x in fields[1:])
-    except ValueError as exc:
-        raise ValueError(f"bad header {lines[0]!r}") from exc
+    n, t, w, r, d = map(int, fields[1:])
     if n < 1 or t < 1:
         raise ValueError(f"bad dimensions N={n}, T={t}")
     if len(lines) - 1 != t:

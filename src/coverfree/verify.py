@@ -48,13 +48,18 @@ class ViolationWitness:
     residual: int
 
     def replay(self, m: IncidenceMatrix) -> int:
-        inter = m.rows[self.b_rows[0]]
-        for i in self.b_rows[1:]:
-            inter &= m.rows[i]
-        union = 0
-        for i in self.a_rows:
-            union |= m.rows[i]
-        return (inter & ~union).bit_count()
+        return _residual(m, self.b_rows, self.a_rows)
+
+
+def _residual(m: IncidenceMatrix, b_rows: Sequence[int], a_rows: Sequence[int]) -> int:
+    """|intersection(B) \\ union(A)|; an empty B intersects to every point."""
+    inter = (1 << m.num_points) - 1
+    for i in b_rows:
+        inter &= m.rows[i]
+    union = 0
+    for i in a_rows:
+        union |= m.rows[i]
+    return (inter & ~union).bit_count()
 
 
 @dataclass(frozen=True)
@@ -140,20 +145,13 @@ def is_cff_sampled(
     if trials < 1:
         raise ValueError("trials must be positive")
     w, r, d = params.w, params.r, params.d
-    rows = m.rows
     rng = random.Random(f"cff-sample:{seed}")
     T = m.num_blocks
     for _ in range(trials):
         chosen = rng.sample(range(T), w + r)
         b_set = tuple(sorted(chosen[:w]))
         a_set = tuple(sorted(chosen[w:]))
-        inter = rows[b_set[0]]
-        for i in b_set[1:]:
-            inter &= rows[i]
-        union = 0
-        for i in a_set:
-            union |= rows[i]
-        residual = (inter & ~union).bit_count()
+        residual = _residual(m, b_set, a_set)
         if residual <= d:
             return CheckResult(False, ViolationWitness(b_set, a_set, residual), "sampled")
     return CheckResult(True, method="sampled")

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -108,6 +109,110 @@ class TestConstruct:
         )
         assert rc == 1
         assert err.startswith("construction failed:")
+
+
+# Recorded before the construct methods moved into one table: stdout with the
+# output path written as OUT, and the sha256 of the written file.
+CHECK_AND_WRITE = "check exhaustive ok\nwrote OUT\n"
+GOLDEN_RUNS = {
+    "trivial": (
+        ["--method", "trivial", "--n", "5", "--w", "2", "--r", "2"],
+        "construct method=trivial n=5 w=2 r=2 seed=0 budget=1000000000 trials=100000\n"
+        "claim w=2 r=2 d=0 N=10 T=5\n",
+        "bc6d0dc1336c1ed3c11c20df91d2045c08d638235967f9690ce162ce3343fa2b",
+    ),
+    "sperner": (
+        ["--method", "sperner", "--n", "5"],
+        "construct method=sperner n=5 seed=0 budget=1000000000 trials=100000\n"
+        "claim w=1 r=1 d=0 N=5 T=10\n",
+        "fdf1b58ed0ed2bd354a2c8a8439dda315ce5ee25259b728eeaf87942c44b3d1b",
+    ),
+    "oa": (
+        ["--method", "oa", "--q", "3", "--t", "2"],
+        "construct method=oa q=3 t=2 d=0 seed=0 budget=1000000000 trials=100000\n"
+        "claim w=1 r=3 d=0 N=12 T=9\n",
+        "e92ea37995399bff7b404e95b6deb823d93973600c8ec04e2948b7d47c953bba",
+    ),
+    "rs": (
+        ["--method", "rs", "--q", "3", "--n", "4", "--r", "3"],
+        "construct method=rs q=3 n=4 r=3 d=0 s=0 seed=0 budget=1000000000 trials=100000\n"
+        "claim w=1 r=3 d=0 N=12 T=9\n",
+        "e92ea37995399bff7b404e95b6deb823d93973600c8ec04e2948b7d47c953bba",
+    ),
+    "rs-shortened": (
+        ["--method", "rs", "--q", "5", "--s", "2", "--r", "1", "--d", "1"],
+        "construct method=rs q=5 n=4 r=1 d=1 s=2 seed=0 budget=1000000000 trials=100000\n"
+        "claim w=1 r=1 d=1 N=20 T=125\n",
+        "0c42f7091649a06ef7d97d20b81e2a28f1b8a13d59a984ab188136ad6507dd19",
+    ),
+    "shf-recursive": (
+        ["--method", "shf-recursive", "--w", "1", "--r", "2"],
+        "construct method=shf-recursive w=1 r=2 d=0 levels=1 seed=0 budget=1000000000 "
+        "trials=100000\nclaim w=1 r=2 d=0 N=9 T=9\n",
+        "6a54603685d5a775392834f222532b49bbde78cdf47b643790392f08a1bc4f84",
+    ),
+    "random": (
+        ["--method", "random", "--w", "1", "--r", "1", "--T", "4"],
+        "construct method=random w=1 r=1 d=0 T=4 N=10 max-attempts=50 seed=0 "
+        "budget=1000000000 trials=100000\nclaim w=1 r=1 d=0 N=10 T=4\n",
+        "1c10ba7c3b858e6a0a73822498cd24f66cf5c734aacb98ebb8845ee0b9ba4ea8",
+    ),
+    "random-uniform": (
+        ["--method", "random-uniform", "--ell", "2", "--w", "1", "--r", "1", "--T", "4"],
+        "construct method=random-uniform ell=2 w=1 r=1 T=4 max-attempts=50 seed=0 "
+        "budget=1000000000 trials=100000\nclaim w=1 r=1 d=17 N=130 T=4\n",
+        "4c4e1c71059eae9a840b6f5bf242e4aabe0e5a1b0231ed862006d53c884919fb",
+    ),
+    # argparse quotes the choices on some Python versions only, so quotes are dropped
+    "bogus": (
+        ["--method", "bogus"],
+        "coverfree construct: error: argument --method: invalid choice: bogus (choose "
+        "from trivial, sperner, oa, rs, shf-recursive, random, random-uniform)",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_construct_output_is_pinned(capsys, tmp_path, name):
+    argv, expected, digest = GOLDEN_RUNS[name]
+    out_file = tmp_path / "golden.cff"
+    rc, out, err = run_cli(capsys, "construct", "--out", str(out_file), *argv)
+    if digest is None:
+        assert rc == 2 and out == ""
+        assert err.splitlines()[-1].replace("'", "") == expected
+        return
+    assert rc == 0 and err == ""
+    assert out.replace(str(out_file), "OUT") == expected + CHECK_AND_WRITE
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+TRIVIAL = ["construct", "--method", "trivial", "--n", "5", "--w", "2", "--r", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,expected_rc",
+    [
+        ([*TRIVIAL, "--out", "{out}", "--budget", "-1"], 2),
+        ([*TRIVIAL, "--out", "{out}", "--trials", "0"], 2),
+        (["verify", "{rs}", "--budget", "-5"], 2),
+        (["verify", "{rs}", "--trials", "-1"], 2),
+        (["simulate", "{rs}", "--trials", "0"], 2),
+        (["simulate", "{rs}", "--trials", "x"], 2),
+        (["verify", "{rs}", "--budget", "0", "--trials", "50"], 0),  # 0 means sample
+    ],
+)
+def test_check_flags_at_the_boundary(capsys, tmp_path, argv, expected_rc):
+    rs_path = tmp_path / "rs.cff"
+    write_matrix_file(rs_path, *rs_cff(3, 4, 3))
+    out_file = tmp_path / "out.cff"
+    rc, out, err = run_cli(capsys, *(a.format(out=out_file, rs=rs_path) for a in argv))
+    assert rc == expected_rc
+    if expected_rc == 0:
+        assert "check sampled ok" in out
+    else:
+        assert out == "" and "error: argument --" in err
+        assert not out_file.exists()
 
 
 class TestVerify:

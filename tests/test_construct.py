@@ -23,6 +23,7 @@ from coverfree.construct import (
     shf_compose,
     shf_modular,
     sperner_cff,
+    trivial_cff,
     trivial_ds,
 )
 from coverfree.verify import BudgetExceededError, is_cff, is_disjunct, is_k_uniform
@@ -35,9 +36,10 @@ class TestTrivialDS:
     def test_transpose_is_cover_free(self):
         m = trivial_ds(5, 2, 2)
         assert m.num_blocks == 10 and m.block_sizes() == (2,) * 10
-        t = m.transpose()
         claim = CFFParams(w=2, r=2, d=0, N=10, T=5)
-        assert is_cff(t, claim).ok
+        assert trivial_cff(5, 2, 2) == (m.transpose(), claim)
+        for t in (m.transpose(), trivial_cff(5, 2, 2)[0]):
+            assert is_cff(t, claim).ok
 
     def test_tie_prefers_i_subsets(self):
         m = trivial_ds(4, 3, 1)

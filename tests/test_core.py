@@ -161,6 +161,11 @@ class TestFileFormat:
             "CFF 2 1 0 0 0\n10\r\n",  # CR smuggled in
             "CFF 2 1 1 0 0\n10\n",  # half-claimed header
             "CFF 2 1 0 0 3\n10\n",  # d without w, r
+            "CFF +2 1 0 0 0\n10\n",  # non-canonical numbers below
+            "CFF \u0662 1 0 0 0\n10\n",
+            "CFF 02 1 0 0 0\n10\n",
+            "CFF 2 1 -0 0 0\n10\n",
+            "CFF 2 1 0_0 0 0\n10\n",
         ],
     )
     def test_parse_rejects(self, text):
@@ -187,3 +192,35 @@ class TestFileFormat:
             return
         claim = CFFParams(w=w, r=r, d=d, N=m.num_points, T=m.num_blocks)
         assert parse_matrix(format_matrix(m, claim)) == (m, claim)
+
+
+MUTATION_ALPHABET = "0123456789 +-_\n\r\u0662CFx"
+
+
+@st.composite
+def mutated_files(draw):
+    """A formatted file with a few characters replaced, inserted or deleted."""
+    m = draw(small_matrices(max_points=4, max_blocks=4))
+    w, r = draw(st.sampled_from([(0, 0), (1, 1), (1, 2)]))
+    claim = None
+    if w and m.num_blocks >= w + r:
+        claim = CFFParams(w=w, r=r, d=draw(st.integers(0, 12)), N=m.num_points, T=m.num_blocks)
+    text = format_matrix(m, claim)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        ch = draw(st.sampled_from(MUTATION_ALPHABET))
+        if op == "insert":
+            text = text[:at] + ch + text[at:]
+        elif at < len(text):
+            text = text[:at] + (ch if op == "replace" else "") + text[at + 1:]
+    return text
+
+
+@given(mutated_files())
+def test_parse_accepts_only_canonical_text(text):
+    try:
+        parsed = parse_matrix(text)
+    except ValueError:
+        return
+    assert format_matrix(*parsed) == text

@@ -113,6 +113,7 @@ class TestIsDisjunct:
         assert not res.ok
         assert res.witness.b_rows == ()
         assert res.witness.a_rows == (0,)
+        assert res.witness.replay(m.transpose()) == 0
 
     def test_preconditions(self):
         m = IncidenceMatrix.identity(3)
