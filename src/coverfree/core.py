@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 __all__ = [
@@ -65,7 +66,8 @@ class IncidenceMatrix:
     """Immutable bit-packed block/point incidence matrix.
 
     ``rows[i]`` is the bitmask of block i; bit j set means point j belongs
-    to the block.
+    to the block. ``columns`` is the same matrix read by point, built on
+    first use and kept; it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     num_points: int
@@ -81,9 +83,24 @@ class IncidenceMatrix:
             if not 0 <= row < limit:
                 raise ValueError(f"row {i} does not fit in {self.num_points} points")
 
+    def __repr__(self) -> str:
+        # hex, because int -> decimal str refuses rows wider than ~14k bits
+        rows = ", ".join(map(hex, self.rows)) + ("," if len(self.rows) == 1 else "")
+        return f"IncidenceMatrix(num_points={self.num_points}, rows=({rows}))"
+
     @property
     def num_blocks(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Bit i of ``columns[j]`` is entry (i, j): the blocks containing
+        point j, as a mask over the blocks."""
+        n = self.num_points
+        # row T-1 first, each written bit N-1 first, so every stride-N
+        # slice reads one column with block T-1 as its leading digit
+        flat = "".join(format(row, f"0{n}b") for row in reversed(self.rows))
+        return tuple(int(flat[n - 1 - j :: n], 2) for j in range(n))
 
     @classmethod
     def from_rows(cls, num_points: int, rows: Iterable[Iterable[int]]) -> "IncidenceMatrix":
@@ -134,14 +151,7 @@ class IncidenceMatrix:
 
     def transpose(self) -> "IncidenceMatrix":
         """Swap the roles of blocks and points."""
-        cols = [0] * self.num_points
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= bit
-                row ^= low
-        return IncidenceMatrix(self.num_blocks, tuple(cols))
+        return IncidenceMatrix(self.num_blocks, self.columns)
 
     def replicate_points(self, copies: int) -> "IncidenceMatrix":
         """Duplicate every point ``copies`` times (copies of point j sit at
@@ -152,23 +162,15 @@ class IncidenceMatrix:
         """
         if copies < 1:
             raise ValueError(f"copies must be positive, got {copies}")
-        chunk = (1 << copies) - 1
-        new_rows = []
-        for row in self.rows:
-            mask = 0
-            while row:
-                low = row & -row
-                j = low.bit_length() - 1
-                mask |= chunk << (j * copies)
-                row ^= low
-            new_rows.append(mask)
-        return IncidenceMatrix(self.num_points * copies, tuple(new_rows))
+        n = self.num_points
+        widen = {ord("0"): "0" * copies, ord("1"): "1" * copies}
+        rows = tuple(int(format(row, f"0{n}b").translate(widen), 2) for row in self.rows)
+        return IncidenceMatrix(n * copies, rows)
 
     def row_strings(self) -> list[str]:
-        return [
-            "".join("1" if (row >> j) & 1 else "0" for j in range(self.num_points))
-            for row in self.rows
-        ]
+        """Each row as N characters of 0/1, point 0 first."""
+        n = self.num_points
+        return [format(row, f"0{n}b")[::-1] for row in self.rows]
 
 
 def format_matrix(m: IncidenceMatrix, claim: CFFParams | None = None) -> str:

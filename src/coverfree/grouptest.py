@@ -91,8 +91,9 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
     most floor(d/2) pools to flips, and a clean block retains more than
     d - floor(d/2) >= floor(d/2) + 1 negative pools.
 
-    With tolerance 0 on noiseless outcomes this is the classical rule:
-    defective iff every pool containing the item is positive.
+    With tolerance 0 on noiseless outcomes this is the classical rule
+    (COMP): defective iff every pool containing the item is positive, i.e.
+    the complement of the union of the negative pools' columns.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
@@ -100,10 +101,22 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
         raise ValueError(
             f"outcome covers {o.num_pools} pools, matrix has {m.num_points} points"
         )
-    negative = ~o.outcomes
-    return {
-        t for t, row in enumerate(m.rows) if (row & negative).bit_count() <= tolerance
-    }
+    # over[i]: blocks in more than i of the negative pools seen so far, a
+    # saturating thermometer counter kept one bit plane per level
+    over = [0] * (tolerance + 1)
+    outcomes = format(o.outcomes, f"0{o.num_pools}b")[::-1]
+    for col, positive in zip(m.columns, outcomes):
+        if positive == "0":
+            for i in range(tolerance, 0, -1):
+                over[i] |= over[i - 1] & col
+            over[0] |= col
+    passed = format(((1 << m.num_blocks) - 1) & ~over[tolerance], "b")[::-1]
+    found = set()
+    t = passed.find("1")
+    while t >= 0:
+        found.add(t)
+        t = passed.find("1", t + 1)
+    return found
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,14 @@ def _residual(m: IncidenceMatrix, b_rows: Sequence[int], a_rows: Sequence[int]) 
     return (inter & ~union).bit_count()
 
 
+def _check_shape(m: IncidenceMatrix, params: CFFParams) -> None:
+    if params.N != m.num_points or params.T != m.num_blocks:
+        raise ValueError(
+            f"claim shape ({params.N}, {params.T}) does not match matrix "
+            f"({m.num_points}, {m.num_blocks})"
+        )
+
+
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
@@ -96,11 +104,7 @@ def is_cff(
     ``|intersection(B) \\ union(A)| > d``; on failure returns the
     colex-least violating pair (B-major order) as the witness.
     """
-    if params.N != m.num_points or params.T != m.num_blocks:
-        raise ValueError(
-            f"claim shape ({params.N}, {params.T}) does not match matrix "
-            f"({m.num_points}, {m.num_blocks})"
-        )
+    _check_shape(m, params)
     w, r, d = params.w, params.r, params.d
     total = pair_count(m.num_blocks, w, r)
     if total > budget:
@@ -137,11 +141,7 @@ def is_cff_sampled(
     A reported failure is definitive (the witness replays); a pass only says
     no violation was sampled. Deterministic for a fixed seed.
     """
-    if params.N != m.num_points or params.T != m.num_blocks:
-        raise ValueError(
-            f"claim shape ({params.N}, {params.T}) does not match matrix "
-            f"({m.num_points}, {m.num_blocks})"
-        )
+    _check_shape(m, params)
     if trials < 1:
         raise ValueError("trials must be positive")
     w, r, d = params.w, params.r, params.d
@@ -238,8 +238,13 @@ def check_claim(
 ) -> CheckResult:
     """Exhaustive check when it fits the budget, sampled otherwise.
 
-    The result's ``method`` field records which ran.
+    A claimed block size ``k`` is checked first: a matrix that is not
+    k-uniform fails with method ``"k-uniform"`` and no witness. Otherwise
+    the result's ``method`` field records which cover-free check ran.
     """
+    _check_shape(m, params)
+    if params.k is not None and not is_k_uniform(m, params.k):
+        return CheckResult(False, method="k-uniform")
     if pair_count(params.T, params.w, params.r) <= budget:
         return is_cff(m, params, budget=budget)
     return is_cff_sampled(m, params, trials, seed)

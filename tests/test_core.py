@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -102,6 +104,40 @@ class TestIncidenceMatrix:
             for j in range(m.num_points):
                 assert m.get(i, j) == t.get(j, i)
 
+    @given(small_matrices(max_points=80, max_blocks=12))
+    def test_transpose_matches_per_bit_reference(self, m):
+        cols = [0] * m.num_points
+        for i, row in enumerate(m.rows):
+            for j in range(m.num_points):
+                if (row >> j) & 1:
+                    cols[j] |= 1 << i
+        assert m.columns == tuple(cols)
+        assert m.transpose() == IncidenceMatrix(m.num_blocks, tuple(cols))
+        assert m.transpose().transpose() == m
+
+    @given(small_matrices())
+    def test_columns_leave_identity_alone(self, m):
+        fresh = IncidenceMatrix(m.num_points, m.rows)
+        m.columns
+        assert m == fresh and hash(m) == hash(fresh)
+        assert replace(m) == fresh
+        # a replaced matrix builds its own columns rather than inheriting them
+        wider = replace(m, num_points=m.num_points + 1)
+        assert wider.columns == (*m.columns, 0)
+
+    def test_repr_of_wide_rows(self):
+        # decimal str() of a 30000-bit int exceeds Python's digit limit
+        m = IncidenceMatrix(30000, ((1 << 30000) - 1, 1 << 29999, 0))
+        assert eval(repr(m), {"IncidenceMatrix": IncidenceMatrix}) == m
+
+    @given(small_matrices())
+    def test_repr_evaluates_back(self, m):
+        assert eval(repr(m), {"IncidenceMatrix": IncidenceMatrix}) == m
+
+    def test_repr_explicit(self):
+        assert repr(IncidenceMatrix(3, (0b101,))) == "IncidenceMatrix(num_points=3, rows=(0x5,))"
+        assert repr(IncidenceMatrix(2, (1, 0))) == "IncidenceMatrix(num_points=2, rows=(0x1, 0x0))"
+
     def test_replicate_explicit(self):
         m = IncidenceMatrix(3, (0b101,))
         assert m.replicate_points(2).rows == (0b110011,)
@@ -119,6 +155,23 @@ class TestIncidenceMatrix:
         r = m.replicate_points(copies)
         assert r.num_points == m.num_points * copies
         assert r.block_sizes() == tuple(s * copies for s in m.block_sizes())
+
+    @given(small_matrices(max_points=40), st.integers(1, 5))
+    def test_replicate_matches_per_bit_reference(self, m, copies):
+        rows = []
+        for row in m.rows:
+            mask = 0
+            for j in range(m.num_points):
+                if (row >> j) & 1:
+                    mask |= ((1 << copies) - 1) << (j * copies)
+            rows.append(mask)
+        assert m.replicate_points(copies).rows == tuple(rows)
+
+    @given(small_matrices(max_points=80))
+    def test_row_strings_match_per_bit_reference(self, m):
+        assert m.row_strings() == [
+            "".join(str((row >> j) & 1) for j in range(m.num_points)) for row in m.rows
+        ]
 
 
 class TestFileFormat:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from coverfree.construct import rs_cff
 from coverfree.core import IncidenceMatrix
 from coverfree.grouptest import TestOutcome as Outcome
-from coverfree.grouptest import decode, encode, inject_errors, simulate
+from coverfree.grouptest import SimulationStats, decode, encode, inject_errors, simulate
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,64 @@ class TestDecode:
         assert decode(m, small, tolerance) <= decode(m, large, tolerance)
 
 
+def decode_by_rows(m, o, tolerance):
+    """Reference decoder: count each block's negative pools row by row."""
+    negative = ~o.outcomes
+    return {t for t, row in enumerate(m.rows) if (row & negative).bit_count() <= tolerance}
+
+
+class TestDecodeMatchesRowScan:
+    @given(
+        st.integers(1, 70).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                # empty rows and rows in every pool are both drawn
+                st.lists(
+                    st.one_of(st.just(0), st.just(2**n - 1), st.integers(0, 2**n - 1)),
+                    min_size=1,
+                    max_size=40,
+                ).map(tuple),
+                st.integers(0, 2**n - 1),
+            )
+        ),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices_and_outcomes(self, drawn, tolerance):
+        n, rows, outcomes = drawn
+        m = IncidenceMatrix(num_points=n, rows=rows)
+        o = Outcome(n, outcomes)
+        assert decode(m, o, tolerance) == decode_by_rows(m, o, tolerance)
+
+    @pytest.mark.parametrize("tolerance", range(4))
+    def test_noisy_rounds_on_a_design(self, tolerance):
+        m, _ = rs_cff(7, 8, 2, 4)
+        for seed in range(40):
+            o = inject_errors(encode(m, {seed % 49, (3 * seed) % 49}), seed % 6, seed=seed)
+            assert decode(m, o, tolerance) == decode_by_rows(m, o, tolerance)
+
+    def test_every_item_decoded(self):
+        m, _ = rs_cff(7, 8, 2, 4)
+        everyone = Outcome(m.num_points, 2**m.num_points - 1)
+        assert decode(m, everyone) == set(range(m.num_blocks))
+
+
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "design, seed, max_errors, want",
+        [
+            # recorded with the row-scan decoder; flips beyond d // 2 make
+            # both error tallies non-zero
+            ((4, 5, 1, 2), 12, 3, (300, 244, 90, 7, 1, 3)),
+            ((7, 8, 2, 4), 6, 5, (300, 298, 1, 1, 2, 5)),
+            ((7, 8, 2, 4), 5, None, (300, 300, 0, 0, 2, 2)),
+        ],
+    )
+    def test_pinned_stats(self, design, seed, max_errors, want):
+        m, claim = rs_cff(*design)
+        stats = simulate(m, claim.r, claim.d, trials=300, seed=seed, max_errors=max_errors)
+        assert stats == SimulationStats(*want)
+
     def test_deterministic(self, pooling_matrix):
         a = simulate(pooling_matrix, r=3, d=0, trials=40, seed=5)
         b = simulate(pooling_matrix, r=3, d=0, trials=40, seed=5)

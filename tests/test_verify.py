@@ -1,7 +1,20 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverfree.construct import (
+    oa_construct,
+    oa_to_packing,
+    packing_to_cff,
+    random_cff,
+    random_uniform_cff,
+    recursive_cff,
+    rs_cff,
+    sperner_cff,
+    trivial_cff,
+)
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.verify import (
     BudgetExceededError,
@@ -173,3 +186,39 @@ class TestCheckClaim:
         m = IncidenceMatrix.identity(4)
         res = check_claim(m, params(1, 1, 0, 4, 4), budget=1, trials=30)
         assert res.ok and res.method == "sampled"
+
+    def test_wrong_k_fails(self):
+        m, claim = rs_cff(3, 4, 3)
+        assert claim.k == 4 and check_claim(m, claim).ok
+        for k in (2, 5):
+            res = check_claim(m, replace(claim, k=k))
+            assert not res.ok
+            assert res.method == "k-uniform" and res.witness is None
+
+    def test_k_is_checked_before_sampling(self):
+        m, claim = rs_cff(3, 4, 3)
+        res = check_claim(m, replace(claim, k=1), budget=0, trials=1)
+        assert (res.ok, res.method) == (False, "k-uniform")
+
+    def test_shape_mismatch_still_raises(self):
+        m, claim = rs_cff(3, 4, 3)
+        with pytest.raises(ValueError, match="claim shape"):
+            check_claim(m, replace(claim, N=claim.N + 1, k=1))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: trivial_cff(5, 1, 2),
+            lambda: sperner_cff(6),
+            lambda: packing_to_cff(oa_to_packing(oa_construct(3, 2)), 1),
+            lambda: rs_cff(3, 4, 3),
+            lambda: rs_cff(5, None, 1, 1, 2),
+            lambda: recursive_cff(1, 2, 0, 1),
+            lambda: random_cff(1, 2, 0, 8, seed=3),
+            lambda: random_uniform_cff(2, 1, 2, 6, seed=3),
+        ],
+    )
+    def test_every_constructor_claim_passes(self, build):
+        m, claim = build()
+        res = check_claim(m, claim)
+        assert res.ok and res.method != "k-uniform"
