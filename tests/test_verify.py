@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from coverfree.construct import (
 )
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.verify import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
+    CheckResult,
     ViolationWitness,
     check_claim,
     is_cff,
@@ -39,6 +42,145 @@ def matrices(draw):
     t = draw(st.integers(2, 5))
     rows = draw(st.lists(st.integers(0, 2**n - 1), min_size=t, max_size=t))
     return IncidenceMatrix(num_points=n, rows=tuple(rows))
+
+
+@st.composite
+def cff_cases(draw):
+    """A matrix with 1-8 points and 2-9 blocks, some of them empty, full or
+    copies of others, and a (w, r; d) claim on it with w <= 3, d <= 2."""
+    n = draw(st.integers(1, 8))
+    t = draw(st.integers(2, 9))
+    full = 2**n - 1
+    row = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    rows = draw(st.lists(row, min_size=t, max_size=t))
+    block = st.integers(0, t - 1)
+    for src, dst in draw(st.lists(st.tuples(block, block), max_size=3)):
+        rows[dst] = rows[src]
+    w = draw(st.integers(1, min(3, t - 1)))
+    r = draw(st.integers(1, t - w))
+    d = draw(st.integers(0, 2))
+    return IncidenceMatrix(num_points=n, rows=tuple(rows)), params(w, r, d, n, t)
+
+
+def colex(items, k):
+    """k-subsets of ``items`` ordered by largest element, then the next."""
+    return sorted(combinations(items, k), key=lambda subset: subset[::-1])
+
+
+def is_cff_by_enumeration(m, claim, *, budget=DEFAULT_BUDGET):
+    """Reference checker: every (B, A) pair in colex order, B-major, each
+    scored on its own; the first with residual <= d is the witness."""
+    if (claim.N, claim.T) != (m.num_points, m.num_blocks):
+        raise ValueError("claim shape does not match matrix")
+    w, r, d = claim.w, claim.r, claim.d
+    if pair_count(m.num_blocks, w, r) > budget:
+        raise BudgetExceededError("pair evaluations exceed the budget")
+    rows = m.rows
+    blocks = range(m.num_blocks)
+    for b_set in colex(blocks, w):
+        inter = rows[b_set[0]]
+        for i in b_set[1:]:
+            inter &= rows[i]
+        rest = [i for i in blocks if i not in b_set]
+        for a_set in colex(rest, r):
+            union = 0
+            for i in a_set:
+                union |= rows[i]
+            residual = (inter & ~union).bit_count()
+            if residual <= d:
+                return CheckResult(False, ViolationWitness(b_set, a_set, residual))
+    return CheckResult(True)
+
+
+def max_r_by_enumeration(m, w, d):
+    best = 0
+    for r in range(1, m.num_blocks - w + 1):
+        if not is_cff_by_enumeration(m, params(w, r, d, m.num_points, m.num_blocks)):
+            break
+        best = r
+    return best
+
+
+# one family per constructor, all with T <= 64
+SMALL_FAMILIES = [
+    lambda: trivial_cff(5, 1, 2),
+    lambda: trivial_cff(6, 2, 2),
+    lambda: sperner_cff(6),
+    lambda: packing_to_cff(oa_to_packing(oa_construct(3, 2)), 1),
+    lambda: packing_to_cff(oa_to_packing(oa_construct(4, 3)), 0),
+    lambda: rs_cff(4, 5, 2),
+    lambda: rs_cff(5, 5, 4),
+    lambda: rs_cff(4, None, 1, 1, 1),
+    lambda: recursive_cff(2, 2, 0, 1),
+    lambda: random_cff(2, 1, 0, 10, seed=1),
+    lambda: random_uniform_cff(2, 1, 2, 8, seed=1),
+]
+
+
+class TestMatchesEnumeration:
+    @given(cff_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_random_matrices(self, case):
+        m, claim = case
+        assert is_cff(m, claim) == is_cff_by_enumeration(m, claim)
+
+    @pytest.mark.parametrize("build", SMALL_FAMILIES)
+    def test_constructor_families(self, build):
+        m, claim = build()
+        claim = replace(claim, k=None)
+        best = max_r(m, claim.w, claim.d)
+        assert best == max_r_by_enumeration(m, claim.w, claim.d) >= claim.r
+        assert is_cff(m, claim) == is_cff_by_enumeration(m, claim) == CheckResult(True)
+        if claim.w + best < claim.T:
+            beyond = replace(claim, r=best + 1)
+            refuted = is_cff(m, beyond)
+            assert refuted == is_cff_by_enumeration(m, beyond)
+            assert not refuted.ok
+
+    def test_same_errors(self):
+        m = IncidenceMatrix.identity(4)
+        for check in (is_cff, is_cff_by_enumeration):
+            with pytest.raises(ValueError):
+                check(m, params(1, 1, 0, 5, 4))
+            with pytest.raises(BudgetExceededError):
+                check(m, params(1, 2, 0, 4, 4), budget=pair_count(4, 1, 2) - 1)
+            assert check(m, params(1, 2, 0, 4, 4), budget=pair_count(4, 1, 2)).ok
+
+
+@given(cff_cases(), st.integers(0, 2**16), st.integers(1, 2), st.integers(1, 2))
+@settings(max_examples=300, deadline=None)
+def test_every_witness_replays(case, seed, i, j):
+    m, claim = case
+    results = [is_cff(m, claim), is_cff_sampled(m, claim, trials=20, seed=seed)]
+    for result in results:
+        if not result.ok:
+            assert result.witness.replay(m) == result.witness.residual <= claim.d
+    if i + j <= m.num_points:
+        result = is_disjunct(m, i, j)
+        if not result.ok:
+            assert result.witness.replay(m.transpose()) == result.witness.residual == 0
+
+
+class TestPastTheOldWall:
+    """rs_cff(7, 8, 3): 343 blocks, 2.27e9 pairs at r = 3, over DEFAULT_BUDGET."""
+
+    def test_exhaustive_pass_with_a_raised_budget(self):
+        m, claim = rs_cff(7, 8, 3)
+        assert is_cff(m, claim, budget=3 * 10**9) == CheckResult(True)
+
+    def test_max_r(self):
+        m, claim = rs_cff(7, 8, 3)
+        # the refuting scan at r = 4 counts 1.92e11 pairs upfront
+        with pytest.raises(BudgetExceededError):
+            max_r(m, claim.w, claim.d, budget=3 * 10**9)
+        assert max_r(m, claim.w, claim.d, budget=pair_count(claim.T, claim.w, 4)) == 3
+
+    def test_default_budget_still_refuses(self):
+        m, claim = rs_cff(7, 8, 3)
+        with pytest.raises(BudgetExceededError):
+            is_cff(m, claim)
+        res = check_claim(m, claim, trials=2000)
+        assert res.ok and res.method == "sampled"
 
 
 def test_pair_count():
