@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
 from math import comb, log2
 
 import numpy as np
@@ -427,26 +426,47 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     blocks, by exhaustive search over row-sorted matrices; None when every
     N up to the cap fails.
 
-    w = 0 or r = 0 short-circuit to 1 (an empty intersection is the whole
-    ground set, an empty union is empty; one point satisfies either side).
-    Search is limited to T <= 5 and cap_N <= 8. For w = 1 duplicate blocks
-    always violate, so only strictly increasing row tuples are tried.
+    Every argument is checked first: w, r >= 0, T >= w + r, and the search
+    is limited to T <= 5 and 1 <= cap_N <= 8. Then w = 0 or r = 0
+    short-circuit to 1 (an empty intersection is the whole ground set, an
+    empty union is empty; one point satisfies either side).
+
+    For each N a depth-first search extends a sorted row prefix one row at
+    a time: strictly increasing rows for w = 1, non-decreasing otherwise,
+    so it covers the tuples a plain enumeration would try. A prefix of
+    t > w rows is dropped unless ``is_cff`` passes on it at
+    r' = min(r, t - w), d = 0. No family is lost, by heredity: every
+    sub-family of a (w, r; 0)-family with at least w + r blocks is
+    (w, r; 0) itself, and in a smaller prefix any t - w other blocks can
+    be filled up to r with blocks from outside it; a union only grows, so
+    the prefix must be (w, t - w; 0).
     """
     if w < 0 or r < 0:
         raise ValueError("w and r must be non-negative")
-    if w == 0 or r == 0:
-        return 1
-    if T > 5 or cap_N > 8:
-        raise ValueError(f"search limited to T <= 5 and cap_N <= 8, got T={T}, cap_N={cap_N}")
+    if T > 5 or not 1 <= cap_N <= 8:
+        raise ValueError(f"search limited to T <= 5 and 1 <= cap_N <= 8, got T={T}, cap_N={cap_N}")
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
+    if w == 0 or r == 0:
+        return 1
     for N in range(1, cap_N + 1):
-        claim = CFFParams(w=w, r=r, d=0, N=N, T=T)
-        chooser = combinations if w == 1 else combinations_with_replacement
-        for rows in chooser(range(1 << N), T):
-            if is_cff(IncidenceMatrix(N, rows), claim):
-                return N
+        if _extends(w, r, T, N, ()):
+            return N
     return None
+
+
+def _extends(w: int, r: int, T: int, N: int, prefix: tuple[int, ...]) -> bool:
+    """Whether the sorted row ``prefix`` passes its heredity check and
+    extends to T rows of a (w, r; 0)-family on N points."""
+    t = len(prefix)
+    if t > w:
+        claim = CFFParams(w=w, r=min(r, t - w), d=0, N=N, T=t)
+        if not is_cff(IncidenceMatrix(N, prefix), claim):
+            return False
+    if t == T:
+        return True
+    low = prefix[-1] + (w == 1) if prefix else 0
+    return any(_extends(w, r, T, N, prefix + (row,)) for row in range(low, 1 << N))
 
 
 @dataclass(frozen=True)

@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--cap", type=int, default=8, help="largest N to try (default 8)")
+    p.add_argument("--cap", type=_int_at_least(1), default=8, help="largest N to try (default 8)")
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -1,3 +1,4 @@
+from itertools import combinations, combinations_with_replacement
 from math import comb, log2
 
 import numpy as np
@@ -17,6 +18,8 @@ from coverfree.bounds import (
     sperner_T,
     uniform_T,
 )
+from coverfree.core import CFFParams, IncidenceMatrix
+from coverfree.verify import is_cff
 
 ENTRY_NAMES = {
     "w1", "dfft", "engel1", "engel", "nbound2", "nbound3",
@@ -211,12 +214,32 @@ class TestExistenceThreshold:
             existence_threshold_N(1, 1, 0, 1)
 
 
+def min_N_by_enumeration(w: int, r: int, T: int, cap_N: int) -> int | None:
+    """Reference for ``min_N_bruteforce`` (w, r >= 1): ``is_cff`` on every
+    sorted T-tuple of rows, strictly increasing for w = 1, N ascending."""
+    for N in range(1, cap_N + 1):
+        claim = CFFParams(w=w, r=r, d=0, N=N, T=T)
+        chooser = combinations if w == 1 else combinations_with_replacement
+        for rows in chooser(range(1 << N), T):
+            if is_cff(IncidenceMatrix(N, rows), claim):
+                return N
+    return None
+
+
 class TestMinNBruteforce:
     @pytest.mark.parametrize("T,expected", [(2, 2), (3, 3), (4, 4), (5, 4)])
     def test_antichain_profile(self, T, expected):
         assert min_N_bruteforce(1, 1, T) == expected
 
-    @pytest.mark.parametrize("w,r,T,expected", [(1, 2, 3, 3), (2, 1, 3, 3), (1, 2, 4, 4), (1, 3, 4, 4)])
+    # with the antichain profile and the cap case below, these hold every
+    # least N that the explore benchmark pins, plus (2,1,5) and (2,2,4)
+    @pytest.mark.parametrize(
+        "w,r,T,expected",
+        [
+            (1, 2, 3, 3), (2, 1, 3, 3), (1, 2, 4, 4), (1, 3, 4, 4), (2, 1, 4, 4),
+            (1, 2, 5, 5), (1, 3, 5, 5), (2, 1, 5, 5), (2, 2, 4, 6),
+        ],
+    )
     def test_wider_profiles(self, w, r, T, expected):
         assert min_N_bruteforce(w, r, T) == expected
 
@@ -226,6 +249,7 @@ class TestMinNBruteforce:
 
     def test_unreachable_cap(self):
         assert min_N_bruteforce(2, 2, 5, cap_N=3) is None
+        assert min_N_bruteforce(1, 2, 5, cap_N=4) is None
 
     def test_splitting_inequality(self):
         # a (w, r)-family restricted to T-1 blocks splits into smaller profiles
@@ -234,11 +258,26 @@ class TestMinNBruteforce:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(w=1, r=1, T=6), dict(w=1, r=1, T=4, cap_N=9), dict(w=2, r=2, T=3)],
+        [
+            dict(w=1, r=1, T=6),
+            dict(w=1, r=1, T=4, cap_N=9),
+            dict(w=2, r=2, T=3),
+            # checked before the w = 0 / r = 0 short-circuit
+            dict(w=2, r=0, T=-1),
+            dict(w=0, r=1, T=99),
+            dict(w=1, r=1, T=3, cap_N=0),
+        ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             min_N_bruteforce(**kwargs)
+
+    @pytest.mark.parametrize("cap_N", range(1, 6))
+    @pytest.mark.parametrize(
+        "w,r,T", [(w, r, T) for T in range(2, 5) for w in range(1, T) for r in range(1, T - w + 1)]
+    )
+    def test_matches_enumeration(self, w, r, T, cap_N):
+        assert min_N_bruteforce(w, r, T, cap_N) == min_N_by_enumeration(w, r, T, cap_N)
 
 
 class TestRateCompare:

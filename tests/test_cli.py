@@ -346,6 +346,19 @@ class TestOracle:
         assert rc == 2
         assert "requires --min-n" in err
 
+    def test_checks_arguments_before_the_degenerate_sides(self, capsys):
+        rc, out, err = run_cli(capsys, "oracle", "--min-n", "--w", "0", "--r", "1", "--T", "99")
+        assert rc == 3
+        assert "min_N" not in out
+        assert "T <= 5" in err
+
+    def test_cap_below_one_is_bad_usage(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "oracle", "--min-n", "--w", "1", "--r", "1", "--T", "3", "--cap", "0"
+        )
+        assert rc == 2
+        assert out == "" and "error: argument --cap" in err
+
 
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
