@@ -206,17 +206,14 @@ def lower_bounds_N(
 
     # general quadratic-family bounds; hypotheses need w + r > 2
     pair_ok = w + r > 2
-    add(
-        "nbound2",
-        2.0 * c * comb(w + r, w) / log2(w + r) * log2(T) if pair_ok else None,
-        pair_ok,
-        note="needs w + r > 2",
+    nbound2 = 2.0 * c * comb(w + r, w) / log2(w + r) * log2(T) if pair_ok else None
+    nbound3 = (
+        0.7 * c * comb(w + r, w) * (w + r) / log2(comb(w + r, w)) * log2(T) if pair_ok else None
     )
+    add("nbound2", nbound2, pair_ok, note="needs w + r > 2")
     add(
         "nbound3",
-        0.7 * c * comb(w + r, w) * (w + r) / log2(comb(w + r, w)) * log2(T)
-        if pair_ok
-        else None,
+        nbound3,
         pair_ok,
         asymptotic=True,
         note="needs w + r > 2; holds for sufficiently large T",
@@ -251,15 +248,13 @@ def lower_bounds_N(
     extra = 0.5 * c * comb(w + r, w) * (d - 1)
     add(
         "nbound2-d",
-        (2.0 * c * comb(w + r, w) / log2(w + r) * log2(T) + extra) if pair_ok else None,
+        nbound2 + extra if pair_ok else None,
         pair_ok,
         note="needs w + r > 2; (d-1) term goes negative at d = 0",
     )
     add(
         "nbound3-d",
-        (0.7 * c * comb(w + r, w) * (w + r) / log2(comb(w + r, w)) * log2(T) + extra)
-        if pair_ok
-        else None,
+        nbound3 + extra if pair_ok else None,
         pair_ok,
         asymptotic=True,
         note="needs w + r > 2; holds for sufficiently large T",
@@ -431,11 +426,11 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     short-circuit to 1 (an empty intersection is the whole ground set, an
     empty union is empty; one point satisfies either side).
 
-    For each N a depth-first search extends a sorted row prefix one row at
-    a time: strictly increasing rows for w = 1, non-decreasing otherwise,
-    so it covers the tuples a plain enumeration would try. A prefix of
-    t > w rows is dropped unless ``is_cff`` passes on it at
-    r' = min(r, t - w), d = 0. No family is lost, by heredity: every
+    For each N a depth-first search extends a strictly increasing row
+    prefix one row at a time: two equal rows never pass at d = 0 (put one
+    in B and the other in A, and ∩B ⊆ ∪A). A prefix of t > w rows is
+    dropped unless ``is_cff`` passes on it at r' = min(r, t - w), d = 0.
+    No family is lost, by heredity: every
     sub-family of a (w, r; 0)-family with at least w + r blocks is
     (w, r; 0) itself, and in a smaller prefix any t - w other blocks can
     be filled up to r with blocks from outside it; a union only grows, so
@@ -465,7 +460,7 @@ def _extends(w: int, r: int, T: int, N: int, prefix: tuple[int, ...]) -> bool:
             return False
     if t == T:
         return True
-    low = prefix[-1] + (w == 1) if prefix else 0
+    low = prefix[-1] + 1 if prefix else 0
     return any(_extends(w, r, T, N, prefix + (row,)) for row in range(low, 1 << N))
 
 

@@ -24,9 +24,8 @@ from .grouptest import simulate
 from .verify import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    ViolationWitness,
+    CheckResult,
     check_claim,
-    is_cff_sampled,
     max_r,
 )
 
@@ -45,16 +44,19 @@ def _echo(kind: str, pairs: list[tuple[str, object]]) -> None:
     print(kind + " " + " ".join(f"{k}={v}" for k, v in pairs))
 
 
-def _print_witness(witness: ViolationWitness | None) -> None:
-    if witness is None:
-        return
-    b = ",".join(map(str, witness.b_rows))
-    a = ",".join(map(str, witness.a_rows)) if witness.a_rows else "-"
-    print(
-        f"witness: intersect blocks {{{b}}}, subtract blocks {{{a}}}, "
-        f"residual {witness.residual}",
-        file=sys.stderr,
-    )
+def _report(result: CheckResult) -> bool:
+    """Print the verdict, and the witness of a failure on stderr."""
+    print(f"check {result.method} {'ok' if result.ok else 'FAILED'}")
+    wit = result.witness
+    if wit is not None:
+        b = ",".join(map(str, wit.b_rows))
+        a = ",".join(map(str, wit.a_rows)) or "-"
+        print(
+            f"witness: intersect blocks {{{b}}}, subtract blocks {{{a}}}, "
+            f"residual {wit.residual}",
+            file=sys.stderr,
+        )
+    return result.ok
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +145,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "claim",
         [("w", claim.w), ("r", claim.r), ("d", claim.d), ("N", claim.N), ("T", claim.T)],
     )
-    result = check_claim(m, claim, budget=args.budget, trials=args.trials, seed=args.seed)
-    print(f"check {result.method} {'ok' if result.ok else 'FAILED'}")
-    if not result.ok:
-        _print_witness(result.witness)
+    if not _report(check_claim(m, claim, budget=args.budget, trials=args.trials, seed=args.seed)):
         return EXIT_CHECK_FAILED
     write_matrix_file(args.out, m, claim)
     print(f"wrote {args.out}")
@@ -188,15 +187,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ("budget", args.budget),
         ],
     )
-    if args.sampled:
-        result = is_cff_sampled(m, claim, args.trials, args.seed)
-    else:
-        result = check_claim(m, claim, budget=args.budget, trials=args.trials, seed=args.seed)
-    print(f"check {result.method} {'ok' if result.ok else 'FAILED'}")
-    if not result.ok:
-        _print_witness(result.witness)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    # a budget of 0 refuses every exhaustive scan, so --sampled samples
+    budget = 0 if args.sampled else args.budget
+    result = check_claim(m, claim, budget=budget, trials=args.trials, seed=args.seed)
+    return EXIT_OK if _report(result) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

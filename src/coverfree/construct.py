@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, gcd, log2
-from typing import Callable
+from typing import Callable, Iterator
 
 from .codes import Code, code_to_set_system
 from .core import CFFParams, IncidenceMatrix
@@ -106,6 +106,25 @@ class OrthogonalArray:
         return len(self.rows[0])
 
 
+def _poly_values(q: int, u: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The values of all q^u polynomials of degree < u over GF(q), one row
+    per coordinate. Polynomial c has the base-q digits of c as coefficients
+    (degree 0 first), so f_c(x) = (c mod q) + x * f_{c // q}(x), a Horner
+    step along the index. Coordinate x < q evaluates at field element x; at
+    length q+1 the final row holds the coefficient of x^(u-1), the point at
+    infinity."""
+    F = field(q)
+    for x in range(min(length, q)):
+        row = list(range(q))
+        mul_x = F._mul[x]
+        for c in range(q, q**u):
+            row.append(F._add[mul_x[row[c // q]]][c % q])
+        yield tuple(row)
+    if length == q + 1:
+        top = q ** (u - 1)
+        yield tuple(c // top for c in range(q**u))
+
+
 def oa_construct(q: int, t: int) -> OrthogonalArray:
     """OA(t, q+1, q) by polynomial evaluation over GF(q).
 
@@ -116,18 +135,10 @@ def oa_construct(q: int, t: int) -> OrthogonalArray:
     substituting for one evaluation), which is the strength-t property.
     Valid for every 1 <= t <= q.
     """
-    F = field(q)
+    field(q)  # a q that is not a prime power is refused first
     if not 1 <= t <= q:
         raise ValueError(f"need 1 <= t <= q, got t={t} with q={q}")
-    cols = []
-    for idx in range(q**t):
-        coeffs = []
-        rem = idx
-        for _ in range(t):
-            coeffs.append(rem % q)
-            rem //= q
-        cols.append(tuple(F.eval_poly(coeffs, x) for x in range(q)) + (coeffs[-1],))
-    return OrthogonalArray(t=t, k=q + 1, s=q, rows=tuple(zip(*cols)))
+    return OrthogonalArray(t=t, k=q + 1, s=q, rows=tuple(_poly_values(q, t, q + 1)))
 
 
 def check_orthogonal_array(oa: OrthogonalArray) -> bool:
@@ -240,7 +251,7 @@ def rs_cff(
             raise ValueError(f"need s + d <= q, got {s} + {d} > {q}")
         if n_eff < 2:
             raise ValueError(f"shortening by s={s} leaves length {n_eff} < 2")
-    F = field(q)
+    field(q)  # a q that is not a prime power is refused before u is
     u = (n_eff - d - 1) // r + 1
     if u < 2:
         raise ValueError(
@@ -253,20 +264,8 @@ def rs_cff(
         )
     if q**u > max_blocks:
         raise BudgetExceededError(f"{q**u} blocks exceed the cap of {max_blocks}")
-    with_infinity = n_eff == q + 1
-    n_finite = q if with_infinity else n_eff
-    words = []
-    for idx in range(q**u):
-        coeffs = []
-        rem = idx
-        for _ in range(u):
-            coeffs.append(rem % q)
-            rem //= q
-        word = [F.eval_poly(coeffs, x) for x in range(n_finite)]
-        if with_infinity:
-            word.append(coeffs[-1])
-        words.append(tuple(word))
-    code = Code(length=n_eff, q=q, words=tuple(words))
+    words = tuple(zip(*_poly_values(q, u, n_eff)))
+    code = Code(length=n_eff, q=q, words=words)
     m = code_to_set_system(code)
     return m, CFFParams(w=1, r=r, d=d, N=q * n_eff, T=q**u, k=n_eff)
 

@@ -173,6 +173,14 @@ class IncidenceMatrix:
         return [format(row, f"0{n}b")[::-1] for row in self.rows]
 
 
+def _check_shape(m: IncidenceMatrix, claim: CFFParams) -> None:
+    if claim.N != m.num_points or claim.T != m.num_blocks:
+        raise ValueError(
+            f"claim shape ({claim.N}, {claim.T}) does not match matrix "
+            f"({m.num_points}, {m.num_blocks})"
+        )
+
+
 def format_matrix(m: IncidenceMatrix, claim: CFFParams | None = None) -> str:
     """Serialize to the exchange format.
 
@@ -184,11 +192,7 @@ def format_matrix(m: IncidenceMatrix, claim: CFFParams | None = None) -> str:
     if claim is None:
         w = r = d = 0
     else:
-        if claim.N != m.num_points or claim.T != m.num_blocks:
-            raise ValueError(
-                f"claim shape ({claim.N}, {claim.T}) does not match matrix "
-                f"({m.num_points}, {m.num_blocks})"
-            )
+        _check_shape(m, claim)
         w, r, d = claim.w, claim.r, claim.d
     header = f"CFF {m.num_points} {m.num_blocks} {w} {r} {d}"
     return "\n".join([header, *m.row_strings()]) + "\n"

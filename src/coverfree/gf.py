@@ -83,11 +83,11 @@ class FiniteField:
         self.e = e
         self._build_tables()
 
-    def _digits(self, a: int) -> list[int]:
-        out = [0] * self.e
-        for i in range(self.e):
-            out[i] = a % self.p
-            a //= self.p
+    def _digits(self, n: int, width: int) -> list[int]:
+        out = [0] * width
+        for i in range(width):
+            out[i] = n % self.p
+            n //= self.p
         return out
 
     def _undigits(self, digits: list[int]) -> int:
@@ -97,25 +97,23 @@ class FiniteField:
         return val
 
     def _build_tables(self) -> None:
+        # a prime is the e = 1 case, reduced modulo x (the digits 0, 1)
         q, p, e = self.q, self.p, self.e
-        if e == 1:
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            digits = [self._digits(a) for a in range(q)]
-            self._add = [
-                [self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])])
-                 for b in range(q)]
-                for a in range(q)
-            ]
-            modulus = self._digits_any(_IRREDUCIBLE[q], e + 1)
-            self._mul = [[0] * q for _ in range(q)]
-            for a in range(q):
-                for b in range(a, q):
-                    prod = self._polymul_mod(digits[a], digits[b], modulus)
-                    val = self._undigits(prod)
-                    self._mul[a][b] = val
-                    self._mul[b][a] = val
+        digits = [self._digits(a, e) for a in range(q)]
+        self._add = [
+            [self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])])
+             for b in range(q)]
+            for a in range(q)
+        ]
+        self._neg = [row.index(0) for row in self._add]
+        modulus = self._digits(_IRREDUCIBLE.get(q, p), e + 1)
+        self._mul = [[0] * q for _ in range(q)]
+        for a in range(q):
+            for b in range(a, q):
+                prod = self._polymul_mod(digits[a], digits[b], modulus)
+                val = self._undigits(prod)
+                self._mul[a][b] = val
+                self._mul[b][a] = val
         self._inv = [0] * q
         for a in range(1, q):
             row = self._mul[a]
@@ -125,13 +123,6 @@ class FiniteField:
                     break
             else:
                 raise AssertionError(f"element {a} of GF({q}) has no inverse; bad modulus")
-
-    def _digits_any(self, n: int, width: int) -> list[int]:
-        out = [0] * width
-        for i in range(width):
-            out[i] = n % self.p
-            n //= self.p
-        return out
 
     def _polymul_mod(self, a: list[int], b: list[int], modulus: list[int]) -> list[int]:
         p, e = self.p, self.e
@@ -153,12 +144,10 @@ class FiniteField:
         return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return self._undigits([(-c) % self.p for c in self._digits(a)])
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

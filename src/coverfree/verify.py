@@ -22,7 +22,7 @@ from itertools import accumulate, combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import CFFParams, IncidenceMatrix
+from .core import CFFParams, IncidenceMatrix, _check_shape
 
 __all__ = [
     "BudgetExceededError",
@@ -72,14 +72,6 @@ def _uncovered(rows: Sequence[int], inter: int, a_rows: Sequence[int]) -> int:
     for i in a_rows:
         union |= rows[i]
     return (inter & ~union).bit_count()
-
-
-def _check_shape(m: IncidenceMatrix, params: CFFParams) -> None:
-    if params.N != m.num_points or params.T != m.num_blocks:
-        raise ValueError(
-            f"claim shape ({params.N}, {params.T}) does not match matrix "
-            f"({m.num_points}, {m.num_blocks})"
-        )
 
 
 @dataclass(frozen=True)
@@ -305,6 +297,7 @@ def check_claim(
     _check_shape(m, params)
     if params.k is not None and not is_k_uniform(m, params.k):
         return CheckResult(False, method="k-uniform")
-    if pair_count(params.T, params.w, params.r) <= budget:
+    try:
         return is_cff(m, params, budget=budget)
-    return is_cff_sampled(m, params, trials, seed)
+    except BudgetExceededError:
+        return is_cff_sampled(m, params, trials, seed)

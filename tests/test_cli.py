@@ -255,6 +255,16 @@ class TestVerify:
         assert rc == 0
         assert "check sampled ok" in out
 
+    def test_sampled_overclaim_fails_with_witness(self, capsys, tmp_path, rs_file):
+        _, m = rs_file
+        path = str(tmp_path / "over.cff")
+        write_matrix_file(path, m, CFFParams(w=1, r=4, d=0, N=12, T=9))
+        rc, out, err = run_cli(capsys, "verify", path, "--sampled", "--trials", "200")
+        assert rc == 1
+        assert out.splitlines()[-1] == "check sampled FAILED"
+        # the stderr line as printed before --sampled went through check_claim
+        assert err == "witness: intersect blocks {8}, subtract blocks {3,4,5,7}, residual 0\n"
+
     def test_tiny_budget(self, capsys, rs_file):
         path, _ = rs_file
         rc, _, err = run_cli(capsys, "verify", path, "--max-r", "--budget", "1")

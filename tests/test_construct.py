@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverfree.bounds import sperner_T
+from coverfree.codes import Code, code_to_set_system
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.construct import (
     ConstructionFailedError,
@@ -26,6 +27,7 @@ from coverfree.construct import (
     trivial_cff,
     trivial_ds,
 )
+from coverfree.gf import field
 from coverfree.verify import BudgetExceededError, is_cff, is_disjunct, is_k_uniform
 
 
@@ -174,6 +176,54 @@ class TestReedSolomon:
     def test_block_cap(self):
         with pytest.raises(BudgetExceededError):
             rs_cff(5, 5, 2, max_blocks=10)
+
+
+def poly_words_by_digits(q, u, length):
+    """Reference for the Horner-along-the-index evaluator: expand each index
+    into its base-q digits and evaluate the polynomial at every point with
+    ``eval_poly``; at length q+1 append the leading coefficient."""
+    F = field(q)
+    words = []
+    for idx in range(q**u):
+        coeffs = []
+        rem = idx
+        for _ in range(u):
+            coeffs.append(rem % q)
+            rem //= q
+        word = [F.eval_poly(coeffs, x) for x in range(min(length, q))]
+        if length == q + 1:
+            word.append(coeffs[-1])
+        words.append(tuple(word))
+    return words
+
+
+# every u with at most this many polynomials (9^9 words are out of reach)
+MAX_POLYNOMIALS = 4096
+
+
+class TestPolynomialEvaluator:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_orthogonal_array_matches_digit_expansion(self, q):
+        for t in range(1, q + 1):
+            if q**t > MAX_POLYNOMIALS:
+                break
+            expected = tuple(zip(*poly_words_by_digits(q, t, q + 1)))
+            assert oa_construct(q, t).rows == expected
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_reed_solomon_matches_digit_expansion(self, q):
+        for length in range(2, q + 2):
+            for u in range(2, min(length, q) + 1):
+                if q**u > MAX_POLYNOMIALS:
+                    break
+                words = tuple(poly_words_by_digits(q, u, length))
+                expected = code_to_set_system(Code(length=length, q=q, words=words))
+                # r = 1 and d = length - u give exponent u
+                m, _ = rs_cff(q, length, 1, length - u)
+                assert m == expected
+                if length <= q:
+                    short, _ = rs_cff(q, None, 1, length - u, q + 1 - length)
+                    assert short == expected
 
 
 class TestSeparatingHash:

@@ -5,6 +5,7 @@ handling in the digit convolution), and every later construction leans on
 it, so the axioms are checked element-by-element wherever that is cheap.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -129,3 +130,19 @@ def test_eval_poly_constant_and_empty():
 def test_decomposition(q, p, e):
     F = field(q)
     assert (F.p, F.e) == (p, e)
+
+
+# sha256 over repr((q, _add, _mul, _inv)) for every prime power q <= 256,
+# recorded while prime fields still had their own residue tables. The
+# element encoding fixes every RS and OA matrix built over the field.
+TABLES_SHA256 = "abd505697ef4d384957fdef0a8b67546197379e636467baa82b1b7d7d2865795"
+
+
+def test_tables_are_pinned():
+    orders = [q for q in range(2, 257) if is_prime_power(q)]
+    assert len(orders) == 70
+    digest = hashlib.sha256()
+    for q in orders:
+        F = field(q)
+        digest.update(repr((q, F._add, F._mul, F._inv)).encode())
+    assert digest.hexdigest() == TABLES_SHA256
