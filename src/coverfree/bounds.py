@@ -1,7 +1,12 @@
 """Size bounds for cover-free families.
 
-Upper bounds on the block count T, lower bounds on the point count N, an
-entropy-recurrence rate bound, probabilistic existence thresholds, and an
+The survey of known results is one table of (name, hypothesis, formula,
+note) rows, and a formula is evaluated only where its hypothesis holds.
+:func:`lower_bounds_N` lists every lower bound on the point count N, with
+value None exactly where it does not apply. :func:`full_report` adds the
+existence threshold and, for w = 1 with N given, the upper bounds on the
+block count T and on the rate whose hypotheses hold. Beside the survey live
+the bound functions it calls, an entropy-recurrence rate bound, and an
 exact brute-force minimizer for tiny instances. All logarithms are base 2
 and binomial coefficients are exact big-integer values.
 """
@@ -9,7 +14,6 @@ and binomial coefficients are exact big-integer values.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from math import comb, log2
 
@@ -39,6 +43,8 @@ __all__ = [
 # Constant in front of the quadratic lower bounds; 1/8 is the best
 # published value, overridable everywhere it appears.
 DEFAULT_C = 0.125
+
+_LOWER = "lower bound on N"
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +136,7 @@ class BoundReport:
             for e in self.entries
             if e.applicable
             and not e.asymptotic
-            and e.direction == "lower bound on N"
+            and e.direction == _LOWER
             and e.value is not None
         ]
         return max(candidates, key=lambda e: e.value) if candidates else None
@@ -142,9 +148,7 @@ class BoundReport:
         raise KeyError(name)
 
 
-def lower_bounds_N(
-    w: int, r: int, d: int, T: int, c: float = DEFAULT_C, eps: float = 0.0
-) -> BoundReport:
+def lower_bounds_N(w: int, r: int, d: int, T: int, c: float = DEFAULT_C) -> BoundReport:
     """Evaluate the known lower bounds on the point count N of any
     (w, r; d)-cover-free family with T blocks.
 
@@ -161,106 +165,57 @@ def lower_bounds_N(
         raise ValueError(f"need T >= w + r, got T={T}")
     if not 0 < c:
         raise ValueError("c must be positive")
-    entries: list[BoundEntry] = []
-    direction = "lower bound on N"
-
-    def add(name, value, applicable, asymptotic=False, note=""):
-        entries.append(
-            BoundEntry(
-                name=name,
-                direction=direction,
-                value=value,
-                applicable=applicable,
-                asymptotic=asymptotic,
-                note=note,
-            )
-        )
-
-    # quadratic bound for w = 1
-    w1_ok = w == 1 and r >= 2
-    add(
-        "w1",
-        c * r * r / log2(r) * log2(T) if w1_ok else None,
-        w1_ok,
-        note="w=1 only; needs r >= 2",
-    )
-
-    # counting bound r*(w log T - log r - w log w)
-    add("dfft", r * (w * log2(T) - log2(r) - w * log2(w)), True)
-
-    # binomial-coefficient bound, finite form
-    add("engel1", comb(w + r - 1, w) * log2(T - r - w + 2), True)
-
-    # its asymptotic strengthening; 0^0 = 1 at w = 1 or r = 1
-    def zz(base: int, exp: int) -> float:
-        return 1.0 if exp == 0 else float(base**exp)
-
-    engel_coeff = zz(w + r - 2, w + r - 2) / (zz(w - 1, w - 1) * zz(r - 1, r - 1))
-    add(
-        "engel",
-        (1.0 - eps) * engel_coeff * log2(T - r - w + 2),
-        True,
-        asymptotic=True,
-        note="holds for sufficiently large T",
-    )
 
     # general quadratic-family bounds; hypotheses need w + r > 2
-    pair_ok = w + r > 2
-    nbound2 = 2.0 * c * comb(w + r, w) / log2(w + r) * log2(T) if pair_ok else None
-    nbound3 = (
-        0.7 * c * comb(w + r, w) * (w + r) / log2(comb(w + r, w)) * log2(T) if pair_ok else None
-    )
-    add("nbound2", nbound2, pair_ok, note="needs w + r > 2")
-    add(
-        "nbound3",
-        nbound3,
-        pair_ok,
-        asymptotic=True,
-        note="needs w + r > 2; holds for sufficiently large T",
-    )
+    def nbound2() -> float:
+        return 2.0 * c * comb(w + r, w) / log2(w + r) * log2(T)
 
-    # d-aware refinements
-    rd_ok = w == 1 and r > 1 and d >= 1
-    add(
-        "1rd",
-        c * (r * r / log2(r) * log2(T) + (d - 1) * r) if rd_ok else None,
-        rd_ok,
-        note="w=1 only; needs r >= 2 and d >= 1",
-    )
+    def nbound3() -> float:
+        return 0.7 * c * comb(w + r, w) * (w + r) / log2(comb(w + r, w)) * log2(T)
 
-    # T >= w + r and r > w give T - 2w >= 1, so the logs are defined
-    sw2_ok = r > w >= 1 and d >= 1
-    if sw2_ok:
-        shrink = 1.0
-        for i in range(w):
-            shrink *= 1.0 - 1.0 / (T - 2 * i)
-        rw = r - w + 1
-        sw2_val = (
-            c
-            * 4.0 ** (w - 1)
-            * shrink
-            * (rw * rw / log2(rw) * log2(T - 2 * w) + (d - 1) * rw)
-        )
-    else:
-        sw2_val = None
-    add("sw2", sw2_val, sw2_ok, note="needs r > w >= 1 and d >= 1")
+    def engel() -> float:
+        # (w+r-2)^(w+r-2) / ((w-1)^(w-1) (r-1)^(r-1)); 0^0 = 1 at w = 1 or r = 1
+        a, b, e = w + r - 2, w - 1, r - 1
+        return float(a**a) / (float(b**b) * float(e**e)) * log2(T - r - w + 2)
 
     extra = 0.5 * c * comb(w + r, w) * (d - 1)
-    add(
-        "nbound2-d",
-        nbound2 + extra if pair_ok else None,
-        pair_ok,
-        note="needs w + r > 2; (d-1) term goes negative at d = 0",
+    pair_ok = w + r > 2
+    large_T = "holds for sufficiently large T"
+    # (name, hypothesis, formula, asymptotic, note)
+    rows = (
+        # quadratic bound for w = 1
+        ("w1", w == 1 and r >= 2, lambda: c * r * r / log2(r) * log2(T), False,
+         "w=1 only; needs r >= 2"),
+        # counting bound r*(w log T - log r - w log w)
+        ("dfft", True, lambda: r * (w * log2(T) - log2(r) - w * log2(w)), False, ""),
+        # binomial-coefficient bound, finite form, and its asymptotic strengthening
+        ("engel1", True, lambda: comb(w + r - 1, w) * log2(T - r - w + 2), False, ""),
+        ("engel", True, engel, True, large_T),
+        ("nbound2", pair_ok, nbound2, False, "needs w + r > 2"),
+        ("nbound3", pair_ok, nbound3, True, "needs w + r > 2; " + large_T),
+        # d-aware refinements
+        ("1rd", w == 1 and r > 1 and d >= 1, lambda: c * (r * r / log2(r) * log2(T) + (d - 1) * r),
+         False, "w=1 only; needs r >= 2 and d >= 1"),
+        ("sw2", r > w >= 1 and d >= 1, lambda: _sw2(w, r, d, T, c), False,
+         "needs r > w >= 1 and d >= 1"),
+        ("nbound2-d", pair_ok, lambda: nbound2() + extra, False,
+         "needs w + r > 2; (d-1) term goes negative at d = 0"),
+        ("nbound3-d", pair_ok, lambda: nbound3() + extra, True, "needs w + r > 2; " + large_T),
     )
-    add(
-        "nbound3-d",
-        nbound3 + extra if pair_ok else None,
-        pair_ok,
-        asymptotic=True,
-        note="needs w + r > 2; holds for sufficiently large T",
+    entries = tuple(
+        BoundEntry(name, _LOWER, formula() if holds else None, holds, asymptotic, note)
+        for name, holds, formula, asymptotic, note in rows
     )
+    return BoundReport(w=w, r=r, d=d, T=T, c=c, entries=entries)
 
-    return BoundReport(w=w, r=r, d=d, T=T, c=c, entries=tuple(entries))
+
+def _sw2(w: int, r: int, d: int, T: int, c: float) -> float:
+    # T >= w + r and r > w give T - 2w >= 1, so the logs are defined
+    shrink = 1.0
+    for i in range(w):
+        shrink *= 1.0 - 1.0 / (T - 2 * i)
+    rw = r - w + 1
+    return c * 4.0 ** (w - 1) * shrink * (rw * rw / log2(rw) * log2(T - 2 * w) + (d - 1) * rw)
 
 
 def existence_threshold_N(w: int, r: int, d: int, T: int) -> float:
@@ -333,9 +288,10 @@ def _phi_vec(v: np.ndarray, e: float, r: int) -> np.ndarray:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = 2048
+_TOL = 1e-9
 
 
-def _inner_max(e: float, r: int, vmax: float, tol: float) -> float:
+def _inner_max(e: float, r: int, vmax: float) -> float:
     """max of phi over [0, vmax]: dense grid, then golden-section around
     the best grid point."""
     if vmax <= 0.0:
@@ -349,7 +305,7 @@ def _inner_max(e: float, r: int, vmax: float, tol: float) -> float:
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = _phi(x1, e, r), _phi(x2, e, r)
-    while b - a > tol:
+    while b - a > _TOL:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -361,7 +317,7 @@ def _inner_max(e: float, r: int, vmax: float, tol: float) -> float:
     return max(best, f1, f2)
 
 
-def _v_fixed_point(r: int, e: float, u_prev: float, tol: float) -> float:
+def _v_fixed_point(r: int, e: float, u_prev: float) -> float:
     """Unique V solving V = max over v in [0, 1 - V/U_{r-1} - e] of phi(v).
 
     The right side is nonincreasing in V while the left side increases, so
@@ -369,14 +325,14 @@ def _v_fixed_point(r: int, e: float, u_prev: float, tol: float) -> float:
     """
     lo, hi = 0.0, 1.0
     iterations = 0
-    while hi - lo > tol:
+    while hi - lo > _TOL:
         iterations += 1
         if iterations > 200:
             raise ArithmeticError(
-                f"fixed-point bisection did not converge to {tol} (r={r}, e={e})"
+                f"fixed-point bisection did not converge to {_TOL} (r={r}, e={e})"
             )
         mid = 0.5 * (lo + hi)
-        g = _inner_max(e, r, 1.0 - mid / u_prev - e, tol)
+        g = _inner_max(e, r, 1.0 - mid / u_prev - e)
         if g > mid:
             lo = mid
         else:
@@ -384,7 +340,7 @@ def _v_fixed_point(r: int, e: float, u_prev: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def drr_rate(r: int, e: float, tol: float = 1e-9) -> float:
+def drr_rate(r: int, e: float) -> float:
     """Entropy-recurrence upper bound on the rate log2(T)/N of (1, r; d)
     cover-free families with e = d/N.
 
@@ -393,14 +349,12 @@ def drr_rate(r: int, e: float, tol: float = 1e-9) -> float:
     and V_j the fixed point of
     V = max over v in [0, 1 - V/U_{j-1} - e] of h(v/j) - (v+e) h(v/((v+e)j)).
     Computed bottom-up; the inner maximum uses a 2048-point grid plus
-    golden-section refinement to ``tol``.
+    golden-section refinement to 1e-9.
     """
     if r < 1:
         raise ValueError("r must be positive")
     if not 0.0 <= e < 1.0:
         raise ValueError("e must lie in [0, 1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     e_r = r**r / float((r + 1) ** (r + 1))
     if e >= e_r:
         return 0.0
@@ -408,7 +362,7 @@ def drr_rate(r: int, e: float, tol: float = 1e-9) -> float:
     u1 = u
     for j in range(2, r + 1):
         e_j = j**j / float((j + 1) ** (j + 1))
-        v_j = _v_fixed_point(j, e, u, tol)
+        v_j = _v_fixed_point(j, e, u)
         u = min(1.0 - e / e_j, u1 / j, v_j)
     return u
 
@@ -547,64 +501,30 @@ def full_report(
     """Everything :func:`lower_bounds_N` reports, plus the existence
     threshold, plus (when N is given) the applicable upper bounds on T and
     the rate bounds at e = d/N."""
-    base = lower_bounds_N(w, r, d, T, c)
-    entries = list(base.entries)
-    entries.append(
-        BoundEntry(
-            name="existence",
-            direction="sufficient N (existence)",
-            value=existence_threshold_N(w, r, d, T),
-            applicable=True,
-            note="a random family exists above this N",
+    entries = [
+        *lower_bounds_N(w, r, d, T, c).entries,
+        BoundEntry("existence", "sufficient N (existence)", existence_threshold_N(w, r, d, T),
+                   True, False, "a random family exists above this N"),
+    ]
+    if N is not None and w == 1:
+        on_T, on_rate = "upper bound on T", "upper bound on rate"
+        # (name, direction, hypothesis, formula, asymptotic, note); a
+        # (1, r; d)-family is in particular (1, r; 0), so uniform holds for every d
+        rows = (
+            ("sperner", on_T, r == 1 and d == 0, lambda: sperner_T(N), False, "exact maximum"),
+            ("gbound", on_T, N > r + d * (r + 1), lambda: gbound_T(N, r, d), False,
+             "largest admissible T"),
+            ("2d", on_T, r == 2 and d >= 1, lambda: bound_2d_T(N, d), False, "strict: T < value"),
+            ("uniform", on_T, k is not None and 1 <= k <= N, lambda: uniform_T(N, k, r), False,
+             f"k={k}-uniform blocks"),
+            ("drr-rate", on_rate, True, lambda: drr_rate(r, d / N), False,
+             "rate = log2(T)/N at e = d/N"),
+            ("rate-drr", on_rate, r >= 2, lambda: rate_asymptotic(r, d, N, "drr"), True, ""),
+            ("rate-gbound", on_rate, r >= 2, lambda: rate_asymptotic(r, d, N, "gbound"), True, ""),
         )
-    )
-    if N is not None:
-        up = "upper bound on T"
-        if w == 1 and r == 1 and d == 0:
-            entries.append(
-                BoundEntry("sperner", up, sperner_T(N), True, note="exact maximum")
-            )
-        if w == 1 and N > r + d * (r + 1):
-            entries.append(
-                BoundEntry("gbound", up, gbound_T(N, r, d), True, note="largest admissible T")
-            )
-        if w == 1 and r == 2 and d >= 1:
-            entries.append(
-                BoundEntry("2d", up, bound_2d_T(N, d), True, note="strict: T < value")
-            )
-        # a (1, r; d)-family is in particular (1, r; 0), so this applies
-        # for every d
-        if w == 1 and k is not None and 1 <= k <= N:
-            entries.append(
-                BoundEntry("uniform", up, uniform_T(N, k, r), True, note=f"k={k}-uniform blocks")
-            )
-        if w == 1:
-            entries.append(
-                BoundEntry(
-                    "drr-rate",
-                    "upper bound on rate",
-                    drr_rate(r, d / N),
-                    True,
-                    note="rate = log2(T)/N at e = d/N",
-                )
-            )
-        if w == 1 and r >= 2:
-            entries.append(
-                BoundEntry(
-                    "rate-drr",
-                    "upper bound on rate",
-                    rate_asymptotic(r, d, N, "drr"),
-                    True,
-                    asymptotic=True,
-                )
-            )
-            entries.append(
-                BoundEntry(
-                    "rate-gbound",
-                    "upper bound on rate",
-                    rate_asymptotic(r, d, N, "gbound"),
-                    True,
-                    asymptotic=True,
-                )
-            )
+        entries += (
+            BoundEntry(name, direction, formula(), True, asymptotic, note)
+            for name, direction, holds, formula, asymptotic, note in rows
+            if holds
+        )
     return BoundReport(w=w, r=r, d=d, T=T, c=c, entries=tuple(entries))

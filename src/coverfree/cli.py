@@ -205,6 +205,8 @@ def _format_value(value: int | float | None) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.k is not None and (args.n is None or not 1 <= args.k <= args.n):
+        raise UsageError(f"--k {args.k} needs --N and 1 <= k <= N")
     report = bnd.full_report(args.w, args.r, args.d, args.T, N=args.n, k=args.k, c=args.c)
     _echo(
         "bounds",
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--d", type=int, default=0)
     p.add_argument("--n", "--N", type=int, dest="n", help="point count, enables bounds on T")
-    p.add_argument("--k", type=int, help="uniform block size, enables the uniform bound")
+    p.add_argument("--k", type=int, help="uniform block size, 1 <= k <= N; enables the uniform bound")
     p.add_argument("--c", type=float, default=bnd.DEFAULT_C, help="bound constant (default 0.125)")
     p.add_argument("--csv", help="also write the entries as CSV")
     p.set_defaults(func=_cmd_bounds)

@@ -43,6 +43,7 @@ __all__ = [
     "trivial_ds",
 ]
 
+# the most blocks rs_cff and recursive_cff will build
 DEFAULT_MAX_BLOCKS = 10**6
 
 
@@ -215,8 +216,6 @@ def rs_cff(
     r: int,
     d: int = 0,
     s: int = 0,
-    *,
-    max_blocks: int = DEFAULT_MAX_BLOCKS,
 ) -> tuple[IncidenceMatrix, CFFParams]:
     """(r; d)-cover-free family from a (shortened) Reed-Solomon code.
 
@@ -262,8 +261,8 @@ def rs_cff(
             "degenerate exponent u > q (leading coefficients are invisible to "
             "evaluation); shorten the code or increase r or d"
         )
-    if q**u > max_blocks:
-        raise BudgetExceededError(f"{q**u} blocks exceed the cap of {max_blocks}")
+    if q**u > DEFAULT_MAX_BLOCKS:
+        raise BudgetExceededError(f"{q**u} blocks exceed the cap of {DEFAULT_MAX_BLOCKS}")
     words = tuple(zip(*_poly_values(q, u, n_eff)))
     code = Code(length=n_eff, q=q, words=words)
     m = code_to_set_system(code)
@@ -368,9 +367,7 @@ def shf_compose(
     return m, claim
 
 
-def recursive_cff(
-    w: int, r: int, d: int = 0, k: int = 0, *, max_blocks: int = DEFAULT_MAX_BLOCKS
-) -> tuple[IncidenceMatrix, CFFParams]:
+def recursive_cff(w: int, r: int, d: int = 0, k: int = 0) -> tuple[IncidenceMatrix, CFFParams]:
     """k rounds of hash-family composition over a subset-system base.
 
     The base ground size is n0 = min{n >= w+r : gcd(n, (w*r)!) = 1}; the
@@ -390,10 +387,8 @@ def recursive_cff(
     n0 = w + r
     while gcd(n0, wr_fact) != 1:
         n0 += 1
-    if n0 ** (2**k) > max_blocks:
-        raise BudgetExceededError(
-            f"{n0}^(2^{k}) blocks exceed the cap of {max_blocks}"
-        )
+    if n0 ** (2**k) > DEFAULT_MAX_BLOCKS:
+        raise BudgetExceededError(f"{n0}^(2^{k}) blocks exceed the cap of {DEFAULT_MAX_BLOCKS}")
     m, claim = trivial_cff(n0, w, r)
     if d > 0:
         m = m.replicate_points(d + 1)

@@ -312,12 +312,56 @@ class TestBounds:
         )
         assert rc == 0
         assert "gbound" in out and "uniform" in out and "2d" in out
+        uniform = next(l for l in out.splitlines() if l.startswith("uniform"))
+        assert uniform.split()[:6] == ["uniform", "upper", "bound", "on", "T", "22"]
 
     def test_precondition(self, capsys):
         rc, _, err = run_cli(capsys, "bounds", "--w", "1", "--r", "2", "--T", "2")
         assert rc == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("extra", [["--k", "4"], ["--N", "12", "--k", "0"], ["--N", "12", "--k", "13"]])
+    def test_bad_k_is_bad_usage(self, capsys, extra):
+        rc, out, err = run_cli(capsys, "bounds", "--w", "1", "--r", "2", "--T", "9", *extra)
+        assert rc == 2
+        assert out == "" and err.startswith("usage error: --k")
+
+
+
+# Recorded before the bounds survey became one table: the sha256 of stdout
+# (the CSV path written as OUT) and of the --csv file.
+BOUNDS_GOLDEN = [
+    (
+        ["--w", "1", "--r", "2", "--d", "1", "--T", "9", "--N", "12", "--k", "4"],
+        "06a4d909128b7f9b9834c1960945d43c545fc33a445461d1bce483c0f039da89",
+        "b456a123cac97bc88611f3a57b061dd1e99301b00c745c1e340517df627ec834",
+    ),
+    (
+        ["--w", "2", "--r", "2", "--T", "16"],
+        "eb0c48a19ef88d1eb338b2a8877b64b4066358a76ee4fc25326b08f6fdb2589f",
+        "393f64efc97bcc0730e448b28c3c3820b2d662347de004ea962ec71c7cb9406c",
+    ),
+    (
+        ["--w", "1", "--r", "1", "--T", "4", "--N", "2"],
+        "9149e636d8ed7d82661eaa343d081484444d65350e818809fbddc61c16870880",
+        "8796811773d56701c8e16fd005a702fc42b6507cd8b7d1514f33a5ebbfe480ce",
+    ),
+    (
+        ["--w", "1", "--r", "3", "--d", "2", "--T", "100", "--N", "50", "--c", "0.3"],
+        "ffa6822a29df513a25291982028fdaa87bde002ef30c61fb116589d4710b780d",
+        "bcbe88fef373095c41cfc14ed604051f2c46f38173f7b71c0367730891434835",
+    ),
+]
+
+
+def test_bounds_output_is_pinned(capsys, tmp_path):
+    csv_file = tmp_path / "bounds.csv"
+    for argv, out_digest, csv_digest in BOUNDS_GOLDEN:
+        rc, out, err = run_cli(capsys, "bounds", *argv, "--csv", str(csv_file))
+        assert rc == 0 and err == ""
+        out = out.replace(str(csv_file), "OUT")
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == csv_digest
 
 class TestSimulate:
     def test_perfect_family(self, capsys, tmp_path):

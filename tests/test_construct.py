@@ -175,7 +175,7 @@ class TestReedSolomon:
 
     def test_block_cap(self):
         with pytest.raises(BudgetExceededError):
-            rs_cff(5, 5, 2, max_blocks=10)
+            rs_cff(13, 14, 2)  # 13^7 blocks
 
 
 def poly_words_by_digits(q, u, length):
@@ -280,7 +280,7 @@ class TestRecursive:
 
     def test_block_cap(self):
         with pytest.raises(BudgetExceededError):
-            recursive_cff(2, 2, 0, 3, max_blocks=1000)
+            recursive_cff(2, 2, 0, 4)  # 5^16 blocks
 
     @pytest.mark.parametrize("kwargs", [dict(w=0, r=1), dict(w=1, r=1, d=-1), dict(w=1, r=1, k=-1)])
     def test_rejects(self, kwargs):
