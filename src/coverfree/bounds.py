@@ -500,7 +500,12 @@ def full_report(
 ) -> BoundReport:
     """Everything :func:`lower_bounds_N` reports, plus the existence
     threshold, plus (when N is given) the applicable upper bounds on T and
-    the rate bounds at e = d/N."""
+    the rate bounds at e = d/N. A given N must exceed d, and with N given,
+    a given k must lie in 1..N."""
+    if N is not None and N <= d:
+        raise ValueError(f"N must exceed d, got N={N}, d={d}")
+    if N is not None and k is not None and not 1 <= k <= N:
+        raise ValueError(f"k must lie in 1..N, got k={k}, N={N}")
     entries = [
         *lower_bounds_N(w, r, d, T, c).entries,
         BoundEntry("existence", "sufficient N (existence)", existence_threshold_N(w, r, d, T),
@@ -515,7 +520,7 @@ def full_report(
             ("gbound", on_T, N > r + d * (r + 1), lambda: gbound_T(N, r, d), False,
              "largest admissible T"),
             ("2d", on_T, r == 2 and d >= 1, lambda: bound_2d_T(N, d), False, "strict: T < value"),
-            ("uniform", on_T, k is not None and 1 <= k <= N, lambda: uniform_T(N, k, r), False,
+            ("uniform", on_T, k is not None, lambda: uniform_T(N, k, r), False,
              f"k={k}-uniform blocks"),
             ("drr-rate", on_rate, True, lambda: drr_rate(r, d / N), False,
              "rate = log2(T)/N at e = d/N"),

@@ -207,6 +207,8 @@ def _format_value(value: int | float | None) -> str:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.k is not None and (args.n is None or not 1 <= args.k <= args.n):
         raise UsageError(f"--k {args.k} needs --N and 1 <= k <= N")
+    if args.n is not None and args.n <= args.d:
+        raise UsageError(f"--N {args.n} must exceed d = {args.d}")
     report = bnd.full_report(args.w, args.r, args.d, args.T, N=args.n, k=args.k, c=args.c)
     _echo(
         "bounds",

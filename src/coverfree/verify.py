@@ -12,6 +12,21 @@ the uncovered part of I down to d; the first leaf it reaches is the
 colex-least witness. Results never depend on scheduling. The budget is
 counted upfront in (B-set, A-set) pairs, the work of the plain enumeration,
 and a check above it is refused rather than run for hours.
+
+``max_r`` makes one pass over the B-sets in colex order. It keeps ``least``,
+the fewest blocks found so far that leave at most d points of some ∩B, and
+starts it one above the largest r the budget affords, since larger covers
+never change the answer. A B is skipped by a counter cut: with
+need = |∩B| - d, unless some block outside B holds L = ceil(need / (least -
+1)) points of ∩B, no least - 1 blocks can remove need points. The blocks
+reaching L are read off saturating thermometer counters over the matrix
+columns of ∩B, the counters ``grouptest.decode`` keeps. They cost about need
+* L big-int updates, so they run only when that is below T - w, the count of
+per-block ANDs they replace. A B the cut keeps, whose gains reach need
+within least - 1 blocks and whose points the other blocks cover all but d
+of, is walked at each cover size from the smallest its gains allow up to
+least - 1. The answer and every budget refusal are those of the ascending
+scan of ``is_cff`` over r = 1, 2, ...
 """
 
 from __future__ import annotations
@@ -89,6 +104,15 @@ def pair_count(T: int, w: int, r: int) -> int:
     return comb(T, w) * comb(T - w, r)
 
 
+def _afford(total: int, budget: int) -> None:
+    """Refuse a scan of ``total`` pairs above ``budget``."""
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} pair evaluations exceed the budget of {budget}; "
+            "use is_cff_sampled or raise the budget"
+        )
+
+
 def _colex(items: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
     """k-subsets of ``items`` in colexicographic order (items ascending)."""
     if k == 0:
@@ -161,12 +185,7 @@ def is_cff(
     """
     _check_shape(m, params)
     w, r, d = params.w, params.r, params.d
-    total = pair_count(m.num_blocks, w, r)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} pair evaluations exceed the budget of {budget}; "
-            "use is_cff_sampled or raise the budget"
-        )
+    _afford(pair_count(m.num_blocks, w, r), budget)
     rows = m.rows
     indices = range(m.num_blocks)
     for b_set in _colex(indices, w):
@@ -258,21 +277,82 @@ def is_disjunct(
     return CheckResult(True)
 
 
+def _reach(columns: Sequence[int], mask: int, level: int) -> int:
+    """The blocks holding at least ``level`` points of ``mask``, as a mask
+    over the blocks. ``columns[j]`` is the mask of blocks holding point j."""
+    # over[i]: blocks in more than i of the columns seen so far, a
+    # saturating thermometer counter kept one bit plane per level
+    over = [0] * level
+    points = format(mask, "b")[::-1]
+    j = points.find("1")
+    while j >= 0:
+        col = columns[j]
+        for i in range(level - 1, 0, -1):
+            over[i] |= over[i - 1] & col
+        over[0] |= col
+        j = points.find("1", j + 1)
+    return over[-1]
+
+
 def max_r(
     m: IncidenceMatrix, w: int, d: int, *, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Largest r for which ``m`` passes is_cff(w, r, d); 0 if even r=1
-    fails. The property is monotone (downward) in r, so an ascending scan
-    with early exit is exact."""
+    fails, and T - w if every r does.
+
+    The property is monotone (downward) in r, so the answer is one less
+    than the fewest blocks A that leave at most d points of some ∩B. One
+    colex pass over the B-sets finds that number with the counter cut and
+    the walk described in the module docstring. ``budget`` applies as in
+    the ascending scan of is_cff over r = 1, 2, ...: a call that scan would
+    refuse before it reaches a failing r is refused here, with the same
+    message.
+    """
     if w < 1:
         raise ValueError("w must be positive")
-    best = 0
-    for r in range(1, m.num_blocks - w + 1):
-        params = CFFParams(w=w, r=r, d=d, N=m.num_points, T=m.num_blocks)
-        if not is_cff(m, params, budget=budget):
+    if d < 0:
+        raise ValueError(f"d must be non-negative, got {d}")
+    T = m.num_blocks
+    top = max(T - w, 0)
+    r_ok = 0
+    while r_ok < top and pair_count(T, w, r_ok + 1) <= budget:
+        r_ok += 1
+    least = r_ok + 1
+    rows = m.rows
+    indices = range(T)
+    for b_set in _colex(indices, w):
+        if least == 1:
             break
-        best = r
-    return best
+        inter = rows[b_set[0]]
+        for i in b_set[1:]:
+            inter &= rows[i]
+        need = inter.bit_count() - d
+        if need <= 0:
+            least = 1
+            break
+        level = -(-need // (least - 1))
+        if need * level < T - w:
+            b_mask = sum(1 << i for i in b_set)
+            if not _reach(m.columns, inter, level) & ~b_mask:
+                continue
+        rest = [i for i in indices if i not in b_set]
+        gains = [(inter & rows[i]).bit_count() for i in rest]
+        top_sums = accumulate(sorted(gains, reverse=True)[: least - 1])
+        size = next((j for j, total in enumerate(top_sums, 1) if total >= need), least)
+        # no cover at any size when all of rest leaves more than d points
+        if size == least or _uncovered(rows, inter, rest) > d:
+            continue
+        best = list(accumulate(gains, max))
+        for j in range(size, least):
+            if _walk(rows, rest, best, d, len(rest), j, inter) is not None:
+                least = j
+                break
+    if least > top:
+        return top
+    if least > r_ok:
+        # the ascending scan would reach r_ok + 1, the first r refused
+        _afford(pair_count(T, w, r_ok + 1), budget)
+    return least - 1
 
 
 def is_k_uniform(m: IncidenceMatrix, k: int) -> bool:

@@ -359,6 +359,16 @@ class TestFullReport:
         names = {e.name for e in full_report(2, 2, 0, 16, N=50).entries}
         assert names == ENTRY_NAMES | {"existence"}
 
+    @pytest.mark.parametrize("w, d, N", [(1, 0, 0), (1, 2, 2), (1, 2, 1), (2, 0, -5)])
+    def test_rejects_n_at_most_d(self, w, d, N):
+        with pytest.raises(ValueError, match="N must exceed d"):
+            full_report(w, 2, d, 9, N=N)
+
+    @pytest.mark.parametrize("k", [-1, 0, 13])
+    def test_rejects_k_outside_one_to_n(self, k):
+        with pytest.raises(ValueError, match="k must lie in 1..N"):
+            full_report(1, 2, 1, 9, N=12, k=k)
+
 
 def test_bound_entry_defaults():
     e = BoundEntry(name="x", direction="lower bound on N", value=1.0, applicable=True)

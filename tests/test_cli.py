@@ -326,6 +326,19 @@ class TestBounds:
         assert rc == 2
         assert out == "" and err.startswith("usage error: --k")
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ["--w", "1", "--r", "2", "--T", "9", "--N", "0"],
+            ["--w", "1", "--r", "2", "--d", "2", "--T", "9", "--N", "2"],
+            ["--w", "2", "--r", "2", "--T", "16", "--N", "-5"],
+        ],
+    )
+    def test_n_at_most_d_is_bad_usage(self, capsys, point):
+        rc, out, err = run_cli(capsys, "bounds", *point)
+        assert rc == 2
+        assert out == "" and err.startswith("usage error: --N")
+
 
 
 # Recorded before the bounds survey became one table: the sha256 of stdout

@@ -101,6 +101,37 @@ def max_r_by_enumeration(m, w, d):
     return best
 
 
+def max_r_by_scan(m, w, d, *, budget=DEFAULT_BUDGET):
+    """Reference max_r: one is_cff scan per r = 1, 2, ... up to the first
+    that fails, each priced and refused on its own."""
+    if w < 1:
+        raise ValueError("w must be positive")
+    best = 0
+    for r in range(1, m.num_blocks - w + 1):
+        if not is_cff(m, params(w, r, d, m.num_points, m.num_blocks), budget=budget):
+            break
+        best = r
+    return best
+
+
+class RowReads(tuple):
+    """Matrix rows that count how often they are read by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def outcome(check, *args, **kwargs):
+    """The value ``check`` returns, or the type and message of its error."""
+    try:
+        return check(*args, **kwargs)
+    except (BudgetExceededError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 # one family per constructor, all with T <= 64
 SMALL_FAMILIES = [
     lambda: trivial_cff(5, 1, 2),
@@ -293,6 +324,44 @@ class TestIsDisjunct:
         assert direct.ok == via_dual.ok
 
 
+class TestMaxRMatchesScan:
+    @given(cff_cases(), st.one_of(st.integers(1, 300), st.just(10**9)))
+    @settings(max_examples=600, deadline=None)
+    def test_random_matrices(self, case, budget):
+        m, claim = case
+        expected = outcome(max_r_by_scan, m, claim.w, claim.d, budget=budget)
+        assert outcome(max_r, m, claim.w, claim.d, budget=budget) == expected
+
+    # T = 256, 125 and 81; the counter cut fires on these
+    @pytest.mark.parametrize(
+        "build, best",
+        [
+            (lambda: rs_cff(4, 4, 1), 1),
+            (lambda: rs_cff(5, 6, 2), 2),
+            (lambda: recursive_cff(1, 2, 0, 2), 2),
+        ],
+    )
+    def test_constructor_families(self, build, best):
+        m, claim = build()
+        w, d, T = claim.w, claim.d, claim.T
+        assert max_r(m, w, d) == max_r_by_scan(m, w, d) == best
+        # the refusal at the refuting scan's r, and the value just inside it
+        refusing = pair_count(T, w, best + 1) - 1
+        assert outcome(max_r, m, w, d, budget=refusing) == outcome(
+            max_r_by_scan, m, w, d, budget=refusing
+        )
+        assert outcome(max_r, m, w, d, budget=refusing)[0] is BudgetExceededError
+        assert max_r(m, w, d, budget=refusing + 1) == best
+
+    @pytest.mark.parametrize("build", [lambda: rs_cff(4, 4, 1), lambda: rs_cff(5, 6, 2)])
+    def test_counter_cut_settles_most_b_sets(self, build):
+        m, claim = build()
+        rows = RowReads(m.rows)
+        assert max_r(IncidenceMatrix(m.num_points, rows), claim.w, claim.d) == claim.r
+        # a B the cut settles reads its own row; a B it keeps reads all T
+        assert rows.reads < 10 * claim.T
+
+
 class TestMaxR:
     def test_identity(self):
         m = IncidenceMatrix.identity(5)
@@ -311,6 +380,16 @@ class TestMaxR:
     def test_rejects_w_zero(self):
         with pytest.raises(ValueError):
             max_r(IncidenceMatrix.identity(3), 0, 0)
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_rejects_negative_d(self, w):
+        # w = 3 leaves no r to try, so only an upfront check catches it
+        with pytest.raises(ValueError, match="d must be non-negative"):
+            max_r(IncidenceMatrix.identity(3), w, -1)
+
+    def test_no_blocks_beyond_b(self):
+        assert max_r(IncidenceMatrix.identity(3), 3, 0) == 0
+        assert max_r(IncidenceMatrix.identity(3), 4, 0) == 0
 
 
 def test_is_k_uniform():
