@@ -291,15 +291,18 @@ _GRID = 2048
 _TOL = 1e-9
 
 
-def _inner_max(e: float, r: int, vmax: float) -> float:
-    """max of phi over [0, vmax]: dense grid, then golden-section around
+def _phi_max_exceeds(e: float, r: int, vmax: float, level: float) -> bool:
+    """Whether the max of phi over [0, vmax] exceeds ``level``: dense grid,
+    then, unless the grid's best already exceeds it, golden-section around
     the best grid point."""
     if vmax <= 0.0:
-        return 0.0
+        return 0.0 > level
     grid = np.linspace(0.0, vmax, _GRID)
     vals = _phi_vec(grid, e, r)
     i = int(np.argmax(vals))
     best = float(vals[i])
+    if best > level:
+        return True
     a = float(grid[max(i - 1, 0)])
     b = float(grid[min(i + 1, _GRID - 1)])
     x1 = b - _GOLDEN * (b - a)
@@ -314,7 +317,7 @@ def _inner_max(e: float, r: int, vmax: float) -> float:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = _phi(x2, e, r)
-    return max(best, f1, f2)
+    return max(best, f1, f2) > level
 
 
 def _v_fixed_point(r: int, e: float, u_prev: float) -> float:
@@ -332,8 +335,7 @@ def _v_fixed_point(r: int, e: float, u_prev: float) -> float:
                 f"fixed-point bisection did not converge to {_TOL} (r={r}, e={e})"
             )
         mid = 0.5 * (lo + hi)
-        g = _inner_max(e, r, 1.0 - mid / u_prev - e)
-        if g > mid:
+        if _phi_max_exceeds(e, r, 1.0 - mid / u_prev - e, mid):
             lo = mid
         else:
             hi = mid
@@ -349,7 +351,9 @@ def drr_rate(r: int, e: float) -> float:
     and V_j the fixed point of
     V = max over v in [0, 1 - V/U_{j-1} - e] of h(v/j) - (v+e) h(v/((v+e)j)).
     Computed bottom-up; the inner maximum uses a 2048-point grid plus
-    golden-section refinement to 1e-9.
+    golden-section refinement to 1e-9. The bisection only asks whether that
+    maximum exceeds its midpoint, so the refinement is skipped whenever the
+    grid's best already does: every branch, and so every bit, is the same.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -372,8 +376,8 @@ def drr_rate(r: int, e: float) -> float:
 
 def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     """Least N <= cap_N admitting a (w, r; 0)-cover-free family with T
-    blocks, by exhaustive search over row-sorted matrices; None when every
-    N up to the cap fails.
+    blocks, by exhaustive search over matrices with sorted rows and
+    columns; None when every N up to the cap fails.
 
     Every argument is checked first: w, r >= 0, T >= w + r, and the search
     is limited to T <= 5 and 1 <= cap_N <= 8. Then w = 0 or r = 0
@@ -389,6 +393,16 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     (w, r; 0) itself, and in a smaller prefix any t - w other blocks can
     be filled up to r with blocks from outside it; a union only grows, so
     the prefix must be (w, t - w; 0).
+
+    Before that check, a prefix is dropped unless its columns are in order:
+    read each point's column over the prefix's rows with row 0 the most
+    significant bit, and columns N-1, N-2, ..., 0 must be non-decreasing.
+    Rows compare as integers, point N-1 first. Permuting points keeps a
+    family (w, r; 0)-cover-free, and every 0/1 matrix has a row and column
+    permutation with both rows and columns in lex order (the double-lex
+    symmetry break of Flener et al., CP 2002); truncating lex-sorted
+    columns to a row prefix leaves them weakly sorted. So some copy of
+    every family survives both cuts.
     """
     if w < 0 or r < 0:
         raise ValueError("w and r must be non-negative")
@@ -399,14 +413,20 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     if w == 0 or r == 0:
         return 1
     for N in range(1, cap_N + 1):
-        if _extends(w, r, T, N, ()):
+        if _extends(w, r, T, N, (), (0,) * N):
             return N
     return None
 
 
-def _extends(w: int, r: int, T: int, N: int, prefix: tuple[int, ...]) -> bool:
-    """Whether the sorted row ``prefix`` passes its heredity check and
-    extends to T rows of a (w, r; 0)-family on N points."""
+def _extends(
+    w: int, r: int, T: int, N: int, prefix: tuple[int, ...], cols: tuple[int, ...]
+) -> bool:
+    """Whether the sorted row ``prefix`` passes its column-order and
+    heredity checks and extends to T rows of a (w, r; 0)-family on N
+    points. ``cols[j]`` is point j's column over the prefix, row 0 the
+    most significant bit."""
+    if any(a < b for a, b in zip(cols, cols[1:])):
+        return False
     t = len(prefix)
     if t > w:
         claim = CFFParams(w=w, r=min(r, t - w), d=0, N=N, T=t)
@@ -415,7 +435,11 @@ def _extends(w: int, r: int, T: int, N: int, prefix: tuple[int, ...]) -> bool:
     if t == T:
         return True
     low = prefix[-1] + 1 if prefix else 0
-    return any(_extends(w, r, T, N, prefix + (row,)) for row in range(low, 1 << N))
+    for row in range(low, 1 << N):
+        grown = tuple(c << 1 | row >> j & 1 for j, c in enumerate(cols))
+        if _extends(w, r, T, N, prefix + (row,), grown):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

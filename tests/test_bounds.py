@@ -1,10 +1,13 @@
 import hashlib
+import math
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, log2
 
 import numpy as np
 import pytest
 
+from coverfree import bounds
 from coverfree.bounds import (
     BoundEntry,
     bound_2d_T,
@@ -26,6 +29,18 @@ ENTRY_NAMES = {
     "w1", "dfft", "engel1", "engel", "nbound2", "nbound3",
     "1rd", "sw2", "nbound2-d", "nbound3-d",
 }
+
+
+class CallCount:
+    """A wrapper that counts the calls it passes on."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
 
 
 class TestCountingBoundsOnT:
@@ -128,6 +143,13 @@ class TestDrrRate:
         with pytest.raises(ValueError):
             drr_rate(**kwargs)
 
+    def test_grid_decided_steps_skip_refinement(self, monkeypatch):
+        phi = CallCount(bounds._phi)
+        monkeypatch.setattr(bounds, "_phi", phi)
+        drr_rate(3, 0.0)
+        # refining after every grid pass took 1715 calls
+        assert phi.calls < 1715
+
 
 class TestLowerBoundsN:
     def test_reports_every_bound_once(self):
@@ -221,6 +243,32 @@ def min_N_by_enumeration(w: int, r: int, T: int, cap_N: int) -> int | None:
     return None
 
 
+@cache
+def rows_exist(w: int, r: int, T: int, N: int) -> bool:
+    """Whether a (w, r; 0)-family with T blocks on N points exists, by the
+    depth-first search over strictly increasing rows with the heredity cut
+    alone, no column order."""
+
+    def extends(prefix: tuple[int, ...]) -> bool:
+        t = len(prefix)
+        if t > w:
+            claim = CFFParams(w=w, r=min(r, t - w), d=0, N=N, T=t)
+            if not is_cff(IncidenceMatrix(N, prefix), claim):
+                return False
+        if t == T:
+            return True
+        low = prefix[-1] + 1 if prefix else 0
+        return any(extends(prefix + (row,)) for row in range(low, 1 << N))
+
+    return extends(())
+
+
+def min_N_by_rows(w: int, r: int, T: int, cap_N: int) -> int | None:
+    """Reference for ``min_N_bruteforce`` (w, r >= 1): the row-only search,
+    N ascending, each (w, r, T, N) searched once."""
+    return next((N for N in range(1, cap_N + 1) if rows_exist(w, r, T, N)), None)
+
+
 class TestMinNBruteforce:
     @pytest.mark.parametrize("T,expected", [(2, 2), (3, 3), (4, 4), (5, 4)])
     def test_antichain_profile(self, T, expected):
@@ -245,6 +293,8 @@ class TestMinNBruteforce:
     def test_unreachable_cap(self):
         assert min_N_bruteforce(2, 2, 5, cap_N=3) is None
         assert min_N_bruteforce(1, 2, 5, cap_N=4) is None
+        # the row-only search needs about 24 s to confirm this one
+        assert min_N_bruteforce(2, 2, 5, cap_N=7) is None
 
     def test_splitting_inequality(self):
         # a (w, r)-family restricted to T-1 blocks splits into smaller profiles
@@ -273,6 +323,29 @@ class TestMinNBruteforce:
     )
     def test_matches_enumeration(self, w, r, T, cap_N):
         assert min_N_bruteforce(w, r, T, cap_N) == min_N_by_enumeration(w, r, T, cap_N)
+
+    # every (w, r) with w + r <= 5 and every cap the reference reaches in a
+    # few seconds: it needs about 1.2 s for N = 6 at (2, 2) and (2, 3), but
+    # 7 s for N = 6 at (3, 2) and about 24 s for N = 7 at (2, 2) and (2, 3)
+    @pytest.mark.parametrize(
+        "w,r,cap_N",
+        [
+            (w, r, cap_N)
+            for w in range(1, 5)
+            for r in range(1, 6 - w)
+            for cap_N in range(1, 9)
+            if cap_N <= {(2, 2): 6, (2, 3): 6, (3, 2): 5}.get((w, r), 8)
+        ],
+    )
+    def test_matches_row_search_at_five_blocks(self, w, r, cap_N):
+        assert min_N_bruteforce(w, r, 5, cap_N) == min_N_by_rows(w, r, 5, cap_N)
+
+    @pytest.mark.parametrize("w,r,T,row_search_calls", [(2, 1, 5, 7574), (2, 2, 4, 32642)])
+    def test_column_order_cuts_is_cff_calls(self, monkeypatch, w, r, T, row_search_calls):
+        check = CallCount(bounds.is_cff)
+        monkeypatch.setattr(bounds, "is_cff", check)
+        min_N_bruteforce(w, r, T)
+        assert check.calls < row_search_calls / 5
 
 
 class TestRateCompare:
@@ -379,6 +452,25 @@ def test_bound_entry_defaults():
 # over the repr of every report in the grid, or over the exception type name
 # where the point is rejected.
 REPORTS_DIGEST = "ed8eac785916603aaca43a17c61ce2fae403af11e15bdd28ca7266ce3f1bd66d"
+
+
+# Recorded before the rate bisection skipped the golden-section refinement
+# that its grid already decides: one sha256 over drr_rate(r, e).hex() for
+# r = 1..6 on an e grid with points just below every threshold e_j.
+DRR_RATE_DIGEST = "0f4b3e3ad938d277d15ba0802a978bc08fbef83fde22be14766344bd009436b0"
+
+
+def test_drr_rate_is_pinned():
+    thresholds = [j**j / (j + 1) ** (j + 1) for j in range(1, 7)]
+    below = [
+        x for e_j in thresholds for x in (math.nextafter(e_j, 0.0), e_j * (1 - 1e-6), e_j * 0.99)
+    ]
+    grid = sorted({0.0, 1 / 12, 0.01, 0.03, *below})
+    digest = hashlib.sha256()
+    for r in range(1, 7):
+        for e in grid:
+            digest.update(drr_rate(r, e).hex().encode())
+    assert digest.hexdigest() == DRR_RATE_DIGEST
 
 
 def test_reports_are_pinned():
