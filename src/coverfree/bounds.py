@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, log2
 
 import numpy as np
@@ -163,8 +164,8 @@ def lower_bounds_N(w: int, r: int, d: int, T: int, c: float = DEFAULT_C) -> Boun
         raise ValueError("d must be non-negative")
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
-    if not 0 < c:
-        raise ValueError("c must be positive")
+    if not (0 < c and math.isfinite(c)):
+        raise ValueError(f"c must be positive and finite, got c={c}")
 
     # general quadratic-family bounds; hypotheses need w + r > 2
     def nbound2() -> float:
@@ -350,10 +351,14 @@ def drr_rate(r: int, e: float) -> float:
     j >= 2, U_j = min(1 - e/e_j, U_1/j, V_j) with e_j = j^j/(j+1)^(j+1)
     and V_j the fixed point of
     V = max over v in [0, 1 - V/U_{j-1} - e] of h(v/j) - (v+e) h(v/((v+e)j)).
-    Computed bottom-up; the inner maximum uses a 2048-point grid plus
-    golden-section refinement to 1e-9. The bisection only asks whether that
-    maximum exceeds its midpoint, so the refinement is skipped whenever the
-    grid's best already does: every branch, and so every bit, is the same.
+    The inner maximum uses a 2048-point grid plus golden-section refinement
+    to 1e-9. The bisection only asks whether that maximum exceeds its
+    midpoint, so the refinement is skipped whenever the grid's best already
+    does: every branch, and so every bit, is the same.
+
+    U_j(e) depends on (j, e) alone, so each level is computed once per
+    (j, e) per process and kept: a repeated e, or a larger r at a seen e,
+    reuses the levels already built and returns the same bits.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -362,13 +367,16 @@ def drr_rate(r: int, e: float) -> float:
     e_r = r**r / float((r + 1) ** (r + 1))
     if e >= e_r:
         return 0.0
-    u = _u1(e)
-    u1 = u
-    for j in range(2, r + 1):
-        e_j = j**j / float((j + 1) ** (j + 1))
-        v_j = _v_fixed_point(j, e, u)
-        u = min(1.0 - e / e_j, u1 / j, v_j)
-    return u
+    return _u(r, float(e))
+
+
+@lru_cache(maxsize=None)
+def _u(j: int, e: float) -> float:
+    """Level U_j(e) of the recurrence in :func:`drr_rate`, for e < e_j."""
+    if j == 1:
+        return _u1(e)
+    e_j = j**j / float((j + 1) ** (j + 1))
+    return min(1.0 - e / e_j, _u(1, e) / j, _v_fixed_point(j, e, _u(j - 1, e)))
 
 
 # ---------------------------------------------------------------------------

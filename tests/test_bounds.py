@@ -31,6 +31,15 @@ ENTRY_NAMES = {
 }
 
 
+@pytest.fixture(autouse=True)
+def cold_levels():
+    """Start and end every test with no drr_rate level kept, so a test that
+    counts calls sees a cold computation whatever ran before it."""
+    bounds._u.cache_clear()
+    yield
+    bounds._u.cache_clear()
+
+
 class CallCount:
     """A wrapper that counts the calls it passes on."""
 
@@ -150,6 +159,15 @@ class TestDrrRate:
         # refining after every grid pass took 1715 calls
         assert phi.calls < 1715
 
+    def test_levels_are_computed_once(self, monkeypatch):
+        fixed_point = CallCount(bounds._v_fixed_point)
+        monkeypatch.setattr(bounds, "_v_fixed_point", fixed_point)
+        first = drr_rate(3, 0.0)
+        assert fixed_point.calls == 2  # V_2 and V_3
+        assert drr_rate(3, 0.0) == first
+        drr_rate(2, 0.0)
+        assert fixed_point.calls == 2
+
 
 class TestLowerBoundsN:
     def test_reports_every_bound_once(self):
@@ -206,6 +224,9 @@ class TestLowerBoundsN:
         [
             dict(w=1, r=2, d=0, T=2),
             dict(w=1, r=2, d=0, T=8, c=0.0),
+            # a non-finite c gave NaN entries marked applicable
+            dict(w=1, r=2, d=0, T=9, c=math.inf),
+            dict(w=1, r=2, d=0, T=9, c=math.nan),
             dict(w=0, r=2, d=0, T=8),
             dict(w=1, r=2, d=-1, T=8),
         ],
@@ -460,17 +481,29 @@ REPORTS_DIGEST = "ed8eac785916603aaca43a17c61ce2fae403af11e15bdd28ca7266ce3f1bd6
 DRR_RATE_DIGEST = "0f4b3e3ad938d277d15ba0802a978bc08fbef83fde22be14766344bd009436b0"
 
 
-def test_drr_rate_is_pinned():
+def drr_rate_digest(rs) -> str:
+    """The pinned digest, with the rates computed for r in the order ``rs``
+    and hashed in the order r = 1..6."""
     thresholds = [j**j / (j + 1) ** (j + 1) for j in range(1, 7)]
     below = [
         x for e_j in thresholds for x in (math.nextafter(e_j, 0.0), e_j * (1 - 1e-6), e_j * 0.99)
     ]
     grid = sorted({0.0, 1 / 12, 0.01, 0.03, *below})
+    rates = {(r, e): drr_rate(r, e) for r in rs for e in grid}
     digest = hashlib.sha256()
     for r in range(1, 7):
         for e in grid:
-            digest.update(drr_rate(r, e).hex().encode())
-    assert digest.hexdigest() == DRR_RATE_DIGEST
+            digest.update(rates[r, e].hex().encode())
+    return digest.hexdigest()
+
+
+def test_drr_rate_is_pinned():
+    assert drr_rate_digest(range(1, 7)) == DRR_RATE_DIGEST
+
+
+def test_drr_rate_is_pinned_with_r_descending():
+    # wherever e < e_6, r = 6 builds every level first and smaller r read them back
+    assert drr_rate_digest(range(6, 0, -1)) == DRR_RATE_DIGEST
 
 
 def test_reports_are_pinned():

@@ -320,6 +320,12 @@ class TestBounds:
         assert rc == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("c", ["inf", "nan"])
+    def test_non_finite_c_is_refused(self, capsys, c):
+        rc, out, err = run_cli(capsys, "bounds", "--w", "1", "--r", "2", "--T", "9", "--c", c)
+        assert rc == 3
+        assert out == "" and err.startswith("error: c must be positive and finite")
+
     @pytest.mark.parametrize("extra", [["--k", "4"], ["--N", "12", "--k", "0"], ["--N", "12", "--k", "13"]])
     def test_bad_k_is_bad_usage(self, capsys, extra):
         rc, out, err = run_cli(capsys, "bounds", "--w", "1", "--r", "2", "--T", "9", *extra)
