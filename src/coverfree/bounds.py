@@ -77,11 +77,13 @@ def gbound_T(N: int, r: int, d: int = 0) -> int:
     """Largest admissible T for a (1, r; d)-family on N points:
     T <= r + C(N, m) - 1 with m = ceil(2(N - r - d(r+1)) / (r(r+1))).
 
-    Requires N > r + d*(r+1); below that the bound is vacuous and a
-    ValueError is raised.
+    Füredi's bound, a theorem for r >= 2 only: at r = 1 it reads T <= N,
+    while Sperner's C(N, floor(N/2)) blocks form a (1, 1; 0)-family. It
+    also needs N > r + d*(r+1), below which it is vacuous. Outside either
+    hypothesis a ValueError is raised.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
+    if r < 2:
+        raise ValueError(f"the bound needs r >= 2, got r={r}")
     if d < 0:
         raise ValueError("d must be non-negative")
     if N <= r + d * (r + 1):
@@ -345,7 +347,8 @@ def _v_fixed_point(r: int, e: float, u_prev: float) -> float:
 
 def drr_rate(r: int, e: float) -> float:
     """Entropy-recurrence upper bound on the rate log2(T)/N of (1, r; d)
-    cover-free families with e = d/N.
+    cover-free families with e = d/N, as N grows: small families can beat
+    it (the identity on 5 points is (1, 2; 0) at rate 0.464 > 0.322).
 
     U_1(e) = h((1/2)(1 - sqrt(8e(1-2e)))) for e < 1/4 and 0 beyond; for
     j >= 2, U_j = min(1 - e/e_j, U_1/j, V_j) with e_j = j^j/(j+1)^(j+1)
@@ -549,12 +552,12 @@ def full_report(
         # (1, r; d)-family is in particular (1, r; 0), so uniform holds for every d
         rows = (
             ("sperner", on_T, r == 1 and d == 0, lambda: sperner_T(N), False, "exact maximum"),
-            ("gbound", on_T, N > r + d * (r + 1), lambda: gbound_T(N, r, d), False,
+            ("gbound", on_T, r >= 2 and N > r + d * (r + 1), lambda: gbound_T(N, r, d), False,
              "largest admissible T"),
             ("2d", on_T, r == 2 and d >= 1, lambda: bound_2d_T(N, d), False, "strict: T < value"),
             ("uniform", on_T, k is not None, lambda: uniform_T(N, k, r), False,
              f"k={k}-uniform blocks"),
-            ("drr-rate", on_rate, True, lambda: drr_rate(r, d / N), False,
+            ("drr-rate", on_rate, True, lambda: drr_rate(r, d / N), True,
              "rate = log2(T)/N at e = d/N"),
             ("rate-drr", on_rate, r >= 2, lambda: rate_asymptotic(r, d, N, "drr"), True, ""),
             ("rate-gbound", on_rate, r >= 2, lambda: rate_asymptotic(r, d, N, "gbound"), True, ""),

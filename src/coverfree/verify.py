@@ -16,17 +16,19 @@ and a check above it is refused rather than run for hours.
 ``max_r`` makes one pass over the B-sets in colex order. It keeps ``least``,
 the fewest blocks found so far that leave at most d points of some ∩B, and
 starts it one above the largest r the budget affords, since larger covers
-never change the answer. A B is skipped by a counter cut: with
-need = |∩B| - d, unless some block outside B holds L = ceil(need / (least -
-1)) points of ∩B, no least - 1 blocks can remove need points. The blocks
-reaching L are read off saturating thermometer counters over the matrix
-columns of ∩B, the counters ``grouptest.decode`` keeps. They cost about need
-* L big-int updates, so they run only when that is below T - w, the count of
-per-block ANDs they replace. A B the cut keeps, whose gains reach need
-within least - 1 blocks and whose points the other blocks cover all but d
-of, is walked at each cover size from the smallest its gains allow up to
-least - 1. The answer and every budget refusal are those of the ascending
-scan of ``is_cff`` over r = 1, 2, ...
+never change the answer. For each B a cover search looks for a cover of ∩B
+by at most least - 1 other blocks, and ``least`` drops to the size found
+until a search fails; no witness is needed, only a size. j blocks remove
+the excess e = |U| - d of the uncovered points U only if one of them
+removes ceil(e / j), so the search branches only on such heavy blocks, and
+drops each from the candidates once its branch fails. Heavy blocks are read
+off saturating thermometer counters over the matrix columns of U (the
+counters ``grouptest.decode`` keeps), counting hits or misses, whichever
+needs fewer bit planes, or off per-block bit counts when those cost less.
+With d = 0 a first block's partner is the AND of the columns of what it
+leaves. A search stops when the other blocks together leave more than d
+points of U. The answer and every budget refusal are those of the
+ascending scan of ``is_cff`` over r = 1, 2, ...
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import CFFParams, IncidenceMatrix, _check_shape
 
@@ -81,7 +83,7 @@ def _residual(m: IncidenceMatrix, b_rows: Sequence[int], a_rows: Sequence[int]) 
     return _uncovered(m.rows, inter, a_rows)
 
 
-def _uncovered(rows: Sequence[int], inter: int, a_rows: Sequence[int]) -> int:
+def _uncovered(rows: Sequence[int], inter: int, a_rows: Iterable[int]) -> int:
     """How many points of the mask ``inter`` no row in ``a_rows`` covers."""
     union = 0
     for i in a_rows:
@@ -277,21 +279,97 @@ def is_disjunct(
     return CheckResult(True)
 
 
-def _reach(columns: Sequence[int], mask: int, level: int) -> int:
-    """The blocks holding at least ``level`` points of ``mask``, as a mask
-    over the blocks. ``columns[j]`` is the mask of blocks holding point j."""
+def _members(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _reach(columns: Sequence[int], mask: int, level: int, flip: int = 0) -> int:
+    """The blocks in at least ``level`` of the columns ``columns[x] ^ flip``
+    over the points x of ``mask``, as a mask over the blocks.
+    ``columns[x]`` is the mask of blocks holding point x."""
     # over[i]: blocks in more than i of the columns seen so far, a
     # saturating thermometer counter kept one bit plane per level
     over = [0] * level
-    points = format(mask, "b")[::-1]
-    j = points.find("1")
-    while j >= 0:
-        col = columns[j]
+    for x in _members(mask):
+        col = columns[x] ^ flip
         for i in range(level - 1, 0, -1):
             over[i] |= over[i - 1] & col
         over[0] |= col
-        j = points.find("1", j + 1)
     return over[-1]
+
+
+def _common(columns: Sequence[int], outside: int, mask: int) -> int:
+    """The blocks of ``outside`` holding every point of ``mask``."""
+    while mask and outside:
+        low = mask & -mask
+        mask ^= low
+        outside &= columns[low.bit_length() - 1]
+    return outside
+
+
+def _heavy(
+    columns: Sequence[int], rows: Sequence[int], outside: int, mask: int, level: int
+) -> int:
+    """The blocks of ``outside`` holding at least ``level`` points of ``mask``."""
+    size = mask.bit_count()
+    misses = size - level + 1
+    # a thermometer point costs about planes + 3 per-block bit counts
+    if size * (min(level, misses) + 3) >= len(rows):
+        heavy = 0
+        for i, row in enumerate(rows):
+            if (row & mask).bit_count() >= level:
+                heavy |= 1 << i
+        return heavy & outside
+    if misses == 1:
+        return _common(columns, outside, mask)
+    if level <= misses:
+        return _reach(columns, mask, level) & outside
+    # a block misses at most size - level points exactly when it is not
+    # among the blocks missing misses of them
+    return outside & ~_reach(columns, mask, misses, outside)
+
+
+def _bare(columns: Sequence[int], rows: Sequence[int], outside: int, mask: int) -> int:
+    """How many points of ``mask`` no block of ``outside`` holds."""
+    if mask.bit_count() < outside.bit_count():
+        return sum(not columns[x] & outside for x in _members(mask))
+    return _uncovered(rows, mask, _members(outside))
+
+
+def _covers(
+    columns: Sequence[int], rows: Sequence[int], outside: int, uncovered: int, d: int, j: int
+) -> int | None:
+    """The size of some cover by at most j blocks of the mask ``outside``
+    that leaves at most d of the more than d points of ``uncovered``, or
+    None when there is none (see the module docstring)."""
+    excess = uncovered.bit_count() - d
+    heavy = _heavy(columns, rows, outside, uncovered, -(-excess // j))
+    # no cover at any size when all of outside leaves more than d points
+    if not heavy or j > 2 and _bare(columns, rows, outside, uncovered) > d:
+        return None
+    order = _members(heavy)
+    if j > 2:
+        # heaviest first, so a search with room to spare returns a small cover
+        order = sorted(order, key=lambda h: (uncovered & ~rows[h]).bit_count())
+    for h in order:
+        outside ^= 1 << h
+        left = uncovered & ~rows[h]
+        excess = left.bit_count() - d
+        if excess <= 0:
+            return 1
+        if j == 2:
+            # the pair level inline: one partner must remove all of the excess
+            if _heavy(columns, rows, outside, left, excess) if d else _common(columns, outside, left):
+                return 2
+        else:
+            found = _covers(columns, rows, outside, left, d, j - 1)
+            if found is not None:
+                return found + 1
+    return None
 
 
 def max_r(
@@ -302,8 +380,8 @@ def max_r(
 
     The property is monotone (downward) in r, so the answer is one less
     than the fewest blocks A that leave at most d points of some ∩B. One
-    colex pass over the B-sets finds that number with the counter cut and
-    the walk described in the module docstring. ``budget`` applies as in
+    colex pass over the B-sets finds that number with the cover search
+    described in the module docstring. ``budget`` applies as in
     the ascending scan of is_cff over r = 1, 2, ...: a call that scan would
     refuse before it reaches a failing r is refused here, with the same
     message.
@@ -319,34 +397,23 @@ def max_r(
         r_ok += 1
     least = r_ok + 1
     rows = m.rows
-    indices = range(T)
-    for b_set in _colex(indices, w):
+    columns = m.columns
+    every = (1 << T) - 1
+    for b_set in _colex(range(T), w):
         if least == 1:
             break
         inter = rows[b_set[0]]
         for i in b_set[1:]:
             inter &= rows[i]
-        need = inter.bit_count() - d
-        if need <= 0:
+        if inter.bit_count() <= d:
             least = 1
             break
-        level = -(-need // (least - 1))
-        if need * level < T - w:
-            b_mask = sum(1 << i for i in b_set)
-            if not _reach(m.columns, inter, level) & ~b_mask:
-                continue
-        rest = [i for i in indices if i not in b_set]
-        gains = [(inter & rows[i]).bit_count() for i in rest]
-        top_sums = accumulate(sorted(gains, reverse=True)[: least - 1])
-        size = next((j for j, total in enumerate(top_sums, 1) if total >= need), least)
-        # no cover at any size when all of rest leaves more than d points
-        if size == least or _uncovered(rows, inter, rest) > d:
-            continue
-        best = list(accumulate(gains, max))
-        for j in range(size, least):
-            if _walk(rows, rest, best, d, len(rest), j, inter) is not None:
-                least = j
+        outside = every ^ sum(1 << i for i in b_set)
+        while least > 1:
+            found = _covers(columns, rows, outside, inter, d, least - 1)
+            if found is None:
                 break
+            least = found
     if least > top:
         return top
     if least > r_ok:

@@ -22,6 +22,7 @@ from coverfree.bounds import (
     sperner_T,
     uniform_T,
 )
+from coverfree.construct import rs_cff, trivial_cff
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.verify import is_cff
 
@@ -437,6 +438,28 @@ class TestFullReport:
         with pytest.raises(KeyError):
             rep.entry("rate-drr")
 
+    def test_gbound_needs_r_at_least_2(self):
+        # a proven (1, 1; 0)-family with T = 9 > N = 6, above the formula's
+        # T <= N at r = 1 and below Sperner's exact maximum C(6, 3) = 20
+        m, claim = rs_cff(3, 2, 1)
+        assert (claim.w, claim.r, claim.d, claim.T, claim.N) == (1, 1, 0, 9, 6)
+        assert is_cff(m, claim)
+        rep = full_report(1, 1, 0, 9, N=6)
+        assert rep.entry("sperner").value == 20
+        with pytest.raises(KeyError):
+            rep.entry("gbound")
+        with pytest.raises(ValueError, match="r >= 2"):
+            gbound_T(6, 1, 0)
+
+    def test_drr_rate_is_a_limit_bound(self):
+        # the identity on 5 points is a (1, 2; 0)-family at rate log2(5)/5
+        m, claim = trivial_cff(5, 1, 2)
+        assert (claim.T, claim.N) == (5, 5) and is_cff(m, claim)
+        entry = full_report(1, 2, 0, 5, N=5).entry("drr-rate")
+        assert entry.value == pytest.approx(0.3219, abs=1e-4)
+        assert log2(claim.T) / claim.N > entry.value
+        assert entry.asymptotic
+
     def test_existence_never_wins_best(self):
         rep = full_report(1, 1, 0, 4, N=2)
         best = rep.entry("existence")
@@ -469,10 +492,12 @@ def test_bound_entry_defaults():
     assert not e.asymptotic and e.note == ""
 
 
-# Recorded before lower_bounds_N and full_report became tables: one sha256
-# over the repr of every report in the grid, or over the exception type name
-# where the point is rejected.
-REPORTS_DIGEST = "ed8eac785916603aaca43a17c61ce2fae403af11e15bdd28ca7266ce3f1bd66d"
+# One sha256 over the repr of every report in the grid, or over the
+# exception type name where the point is rejected. Recorded before
+# lower_bounds_N and full_report became tables; re-recorded when gbound was
+# restricted to r >= 2 (its r = 1 rows are gone) and drr-rate flagged
+# asymptotic.
+REPORTS_DIGEST = "969b3a7cdb74041ffe72ef8fe0cc619adc37ed6c3350ee01c7acbd0715cb06e3"
 
 
 # Recorded before the rate bisection skipped the golden-section refinement

@@ -347,12 +347,13 @@ class TestBounds:
 
 
 
-# Recorded before the bounds survey became one table: the sha256 of stdout
-# (the CSV path written as OUT) and of the --csv file.
+# The sha256 of stdout (the CSV path written as OUT) and of the --csv file,
+# recorded before the bounds survey became one table and re-recorded when
+# gbound was restricted to r >= 2 and drr-rate flagged asymptotic.
 BOUNDS_GOLDEN = [
     (
         ["--w", "1", "--r", "2", "--d", "1", "--T", "9", "--N", "12", "--k", "4"],
-        "06a4d909128b7f9b9834c1960945d43c545fc33a445461d1bce483c0f039da89",
+        "a80e1031753ebcc36bf15c5a32a583e1d4766d7f98a60fe90e1b6f9a908fb092",
         "b456a123cac97bc88611f3a57b061dd1e99301b00c745c1e340517df627ec834",
     ),
     (
@@ -362,12 +363,12 @@ BOUNDS_GOLDEN = [
     ),
     (
         ["--w", "1", "--r", "1", "--T", "4", "--N", "2"],
-        "9149e636d8ed7d82661eaa343d081484444d65350e818809fbddc61c16870880",
-        "8796811773d56701c8e16fd005a702fc42b6507cd8b7d1514f33a5ebbfe480ce",
+        "9d9d436cf35a2c576a89f85ceaef44ddf611b0ebc1887f135ed1fb67954af1f6",
+        "80b2bd4bad51f682bb5651b3c34e99f220711fbffce515cbe7c784059c0c01d9",
     ),
     (
         ["--w", "1", "--r", "3", "--d", "2", "--T", "100", "--N", "50", "--c", "0.3"],
-        "ffa6822a29df513a25291982028fdaa87bde002ef30c61fb116589d4710b780d",
+        "9b3537a996b2115619aaf4e22b7bcb974204110dd02126ff34a4090fad5bcd1d",
         "bcbe88fef373095c41cfc14ed604051f2c46f38173f7b71c0367730891434835",
     ),
 ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverfree import verify
 from coverfree.construct import (
     oa_construct,
     oa_to_packing,
@@ -115,13 +116,28 @@ def max_r_by_scan(m, w, d, *, budget=DEFAULT_BUDGET):
 
 
 class RowReads(tuple):
-    """Matrix rows that count how often they are read by index."""
+    """Matrix rows (or columns) that count how often they are read, by
+    index or by a pass over all of them."""
 
     reads = 0
 
     def __getitem__(self, i):
         self.reads += 1
         return super().__getitem__(i)
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
+def counted(m):
+    """A copy of ``m`` whose rows and columns are RowReads, with the
+    counts of building them cleared."""
+    rows = RowReads(m.rows)
+    copy = IncidenceMatrix(m.num_points, rows)
+    columns = vars(copy)["columns"] = RowReads(copy.columns)
+    rows.reads = 0
+    return copy, rows, columns
 
 
 def outcome(check, *args, **kwargs):
@@ -332,26 +348,37 @@ class TestMaxRMatchesScan:
         expected = outcome(max_r_by_scan, m, claim.w, claim.d, budget=budget)
         assert outcome(max_r, m, claim.w, claim.d, budget=budget) == expected
 
-    # T = 256, 125 and 81; the counter cut fires on these
+    # T = 256, 125 and 81 take the thermometer counters; the rest mix them
+    # with per-block counts: w = 2, d > 0 (recursive_cff(1, 2, 1, 2) counts
+    # misses), every r passing (trivial_cff), a random family
     @pytest.mark.parametrize(
         "build, best",
         [
             (lambda: rs_cff(4, 4, 1), 1),
             (lambda: rs_cff(5, 6, 2), 2),
             (lambda: recursive_cff(1, 2, 0, 2), 2),
+            (lambda: recursive_cff(2, 2, 0, 1), 2),
+            (lambda: recursive_cff(1, 2, 1, 1), 2),
+            (lambda: recursive_cff(1, 2, 1, 2), 2),
+            (lambda: trivial_cff(6, 2, 2), 4),
+            (lambda: random_cff(1, 2, 0, 12, seed=3), 2),
         ],
     )
     def test_constructor_families(self, build, best):
         m, claim = build()
         w, d, T = claim.w, claim.d, claim.T
         assert max_r(m, w, d) == max_r_by_scan(m, w, d) == best
-        # the refusal at the refuting scan's r, and the value just inside it
-        refusing = pair_count(T, w, best + 1) - 1
-        assert outcome(max_r, m, w, d, budget=refusing) == outcome(
-            max_r_by_scan, m, w, d, budget=refusing
-        )
-        assert outcome(max_r, m, w, d, budget=refusing)[0] is BudgetExceededError
-        assert max_r(m, w, d, budget=refusing + 1) == best
+        # each scan the reference runs, refused one pair below its count
+        for r in range(1, min(best + 1, T - w) + 1):
+            refusing = pair_count(T, w, r) - 1
+            assert outcome(max_r, m, w, d, budget=refusing) == outcome(
+                max_r_by_scan, m, w, d, budget=refusing
+            )
+        if best < T - w:
+            # the refusal at the refuting scan's r, and the value just inside it
+            refusing = pair_count(T, w, best + 1) - 1
+            assert outcome(max_r, m, w, d, budget=refusing)[0] is BudgetExceededError
+            assert max_r(m, w, d, budget=refusing + 1) == best
 
     @pytest.mark.parametrize("build", [lambda: rs_cff(4, 4, 1), lambda: rs_cff(5, 6, 2)])
     def test_counter_cut_settles_most_b_sets(self, build):
@@ -360,6 +387,58 @@ class TestMaxRMatchesScan:
         assert max_r(IncidenceMatrix(m.num_points, rows), claim.w, claim.d) == claim.r
         # a B the cut settles reads its own row; a B it keeps reads all T
         assert rows.reads < 10 * claim.T
+
+    def test_search_branches_on_heavy_blocks_only(self):
+        m, claim = recursive_cff(1, 2, 0, 2)
+        copy, rows, columns = counted(m)
+        assert max_r(copy, claim.w, claim.d) == claim.r == 2
+        # T = 81: every B-set has 9 points, 18 other blocks hold at least 5
+        # of them, and each of those leaves 4. The search at two blocks
+        # reads B's row and the 18 heavy rows (per-block gains would read
+        # all 81), plus about one row a B for the first, deeper searches;
+        # its columns are a 9-point thermometer and, for each heavy block,
+        # an AND over the 4 columns it leaves, which ends early once the
+        # failed heavy blocks are out of the candidates.
+        assert rows.reads <= claim.T * (1 + 18 + 1)
+        assert columns.reads < claim.T * (9 + 18 * 4)
+
+    def test_pair_level_reads_no_rows(self):
+        m, claim = random_cff(1, 2, 0, 12, seed=3)
+        copy, rows, columns = counted(m)
+        assert max_r(copy, claim.w, claim.d) == claim.r == 2
+        # T = 12 and N = 47: heavy blocks come from per-block counts, 12
+        # rows a search, where thermometers over ∩B would read about 350
+        # columns; each partner is an AND of columns, where per-block
+        # counts for it would read about 680 rows
+        assert rows.reads < 560
+        assert columns.reads < 150
+
+
+@st.composite
+def heavy_cases(draw):
+    """Rows over 1-10 points for 2-90 blocks, a mask of blocks, a mask of
+    points and a level, often near the mask's size (counted in misses), so
+    that every way of counting is taken."""
+    n = draw(st.integers(1, 10))
+    t = draw(st.integers(2, 90))
+    rows = draw(st.lists(st.integers(0, 2**n - 1), min_size=t, max_size=t))
+    outside = draw(st.integers(0, 2**t - 1))
+    mask = draw(st.integers(1, 2**n - 1))
+    size = mask.bit_count()
+    level = draw(st.one_of(st.integers(1, size), st.integers(max(1, size - 2), size)))
+    return IncidenceMatrix(num_points=n, rows=tuple(rows)), outside, mask, level
+
+
+@given(heavy_cases())
+@settings(max_examples=400, deadline=None)
+def test_heavy_blocks_match_a_plain_count(case):
+    m, outside, mask, level = case
+    plain = sum(
+        1 << i
+        for i, row in enumerate(m.rows)
+        if outside >> i & 1 and (row & mask).bit_count() >= level
+    )
+    assert verify._heavy(m.columns, m.rows, outside, mask, level) == plain
 
 
 class TestMaxR:
