@@ -1,9 +1,8 @@
 """Cover-free families: construction, verification, size bounds, and
 non-adaptive group testing on the resulting pooling matrices."""
 
-from . import bounds, codes, construct, core, gf, grouptest, verify
+from . import bounds, construct, core, gf, grouptest, verify
 from .bounds import *
-from .codes import *
 from .construct import *
 from .core import *
 from .gf import *
@@ -14,7 +13,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     *bounds.__all__,
-    *codes.__all__,
     *construct.__all__,
     *core.__all__,
     *gf.__all__,

@@ -6,9 +6,11 @@ note) rows, and a formula is evaluated only where its hypothesis holds.
 value None exactly where it does not apply. :func:`full_report` adds the
 existence threshold and, for w = 1 with N given, the upper bounds on the
 block count T and on the rate whose hypotheses hold. Beside the survey live
-the bound functions it calls, an entropy-recurrence rate bound, and an
-exact brute-force minimizer for tiny instances. All logarithms are base 2
-and binomial coefficients are exact big-integer values.
+the bound functions it calls, the rates the code-based families reach as
+rows of the same type (:func:`rate_compare`), an entropy-recurrence rate
+bound, and an exact brute-force minimizer for tiny instances. All
+logarithms are base 2 and binomial coefficients are exact big-integer
+values.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "BoundEntry",
     "BoundReport",
     "DEFAULT_C",
-    "RateComparison",
     "bound_2d_T",
     "drr_rate",
     "existence_threshold_N",
@@ -453,38 +454,16 @@ def _extends(
     return False
 
 
-@dataclass(frozen=True)
-class RateComparison:
-    """Rates log2(T)/N of the code-based families at one parameter point.
+def rate_compare(q: int, r: int, d: int = 0, s: int = 1) -> tuple[BoundEntry, ...]:
+    """Rates log2(T)/N of the code-based families at one parameter point,
+    as survey rows: the Reed-Solomon family and its shortened variant over
+    GF(q), against the Reed-Solomon and algebraic-geometry families over
+    GF(q^2).
 
-    ``rs`` and ``shortened`` live over GF(q); ``rs_square`` and ``ag`` are
-    the competing rates over GF(q^2) (the towered-curve code family exists
-    over square fields). ``ag_code_points`` is q^2 * s(n) with
-    s(n) = q^(n-1) (q^2 - 1), the ground size the tower offers at level n.
-    """
-
-    q: int
-    r: int
-    d: int
-    s: int
-    n: int
-    rs: float
-    shortened: float
-    rs_square: float
-    ag: float
-    shortening_helps: bool
-    better_family: str
-    ag_code_points: int
-
-
-def rate_compare(q: int, r: int, d: int = 0, s: int = 1, n: int = 3) -> RateComparison:
-    """Compare the rate formulas of the Reed-Solomon family, its shortened
-    variant, and the algebraic-geometry family over GF(q^2).
-
-    rs        = (q + r - d)     / (r q (q+1))      * log2(q)
-    shortened = (q + r - d - s) / (r q (q+1-s))    * log2(q)
-    rs_square = (q^2 + r - d)   / (r q^2 (q^2+1))  * log2(q^2)
-    ag        = (q - r - 1)     / (r q^2 (q-1))    * log2(q^2)
+    rs           = (q + r - d)     / (r q (q+1))      * log2(q)
+    rs-shortened = (q + r - d - s) / (r q (q+1-s))    * log2(q)
+    rs-square    = (q^2 + r - d)   / (r q^2 (q^2+1))  * log2(q^2)
+    ag           = (q - r - 1)     / (r q^2 (q-1))    * log2(q^2)
 
     Shortening helps exactly when r > d + 1; the AG family wins when r is
     small against d (its rate does not decay with d).
@@ -498,27 +477,17 @@ def rate_compare(q: int, r: int, d: int = 0, s: int = 1, n: int = 3) -> RateComp
     # pure formula evaluation: only keep the shortened length positive
     if not 0 <= s <= q:
         raise ValueError(f"need 0 <= s <= q, got s={s}")
-    if n < 1:
-        raise ValueError("n must be positive")
     lg = log2(q)
-    rs = (q + r - d) / (r * q * (q + 1)) * lg
-    shortened = (q + r - d - s) / (r * q * (q + 1 - s)) * lg
-    rs_square = (q * q + r - d) / (r * q * q * (q * q + 1)) * (2.0 * lg)
-    ag = (q - r - 1) / (r * q * q * (q - 1)) * (2.0 * lg)
-    return RateComparison(
-        q=q,
-        r=r,
-        d=d,
-        s=s,
-        n=n,
-        rs=rs,
-        shortened=shortened,
-        rs_square=rs_square,
-        ag=ag,
-        shortening_helps=shortened > rs,
-        better_family="algebraic-geometry" if ag > rs_square else "reed-solomon",
-        ag_code_points=q * q * (q ** (n - 1)) * (q * q - 1),
+    rows = (
+        ("rs", (q + r - d) / (r * q * (q + 1)) * lg, "GF(q), length q+1"),
+        ("rs-shortened", (q + r - d - s) / (r * q * (q + 1 - s)) * lg,
+         f"GF(q), length q+1-s, s={s}"),
+        ("rs-square", (q * q + r - d) / (r * q * q * (q * q + 1)) * (2.0 * lg),
+         "GF(q^2), length q^2+1"),
+        ("ag", (q - r - 1) / (r * q * q * (q - 1)) * (2.0 * lg), "GF(q^2), towered curve"),
     )
+    return tuple(BoundEntry(name, "rate of construction", value, True, False, note)
+                 for name, value, note in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     m, header = read_matrix_file(args.file)
     if args.max_r:
+        for flag, given in (("--r", args.r is not None), ("--sampled", args.sampled)):
+            if given:
+                raise UsageError(f"--max-r takes no {flag}: it measures the best r exhaustively")
         w = args.w if args.w is not None else (header.w if header else 1)
         d = args.d if args.d is not None else (header.d if header else 0)
         _echo(

@@ -2,6 +2,11 @@
 them: subset systems, orthogonal arrays, packing designs, Reed-Solomon
 codes, modular hash families, recursive composition, and random sampling.
 
+A code of large distance gives a family one way only: its words are the
+columns of an orthogonal array, :func:`oa_to_packing` turns each column
+into a block, and :func:`packing_to_cff` reads off r. :func:`rs_cff` is
+that route for (shortened) Reed-Solomon codes.
+
 Every generator returns ``(matrix, claim)``; claims are what the checkers in
 :mod:`coverfree.verify` are meant to confirm, and the probabilistic
 generators refuse to return anything unverified.
@@ -10,12 +15,11 @@ generators refuse to return anything unverified.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, factorial, gcd, log2
 from typing import Callable, Iterator
 
-from .codes import Code, code_to_set_system
 from .core import CFFParams, IncidenceMatrix
 from .gf import field
 from .verify import BudgetExceededError, DEFAULT_BUDGET, check_claim
@@ -27,8 +31,6 @@ __all__ = [
     "PackingDesign",
     "SHFTable",
     "check_orthogonal_array",
-    "check_packing",
-    "check_separating",
     "oa_construct",
     "oa_to_packing",
     "packing_to_cff",
@@ -179,19 +181,6 @@ def oa_to_packing(oa: OrthogonalArray) -> PackingDesign:
     return PackingDesign(v=oa.k * oa.s, k=oa.k, t=oa.t, blocks=blocks)
 
 
-def check_packing(p: PackingDesign) -> bool:
-    """Exhaustive check of block shape and the at-most-once property."""
-    seen: set[tuple[int, ...]] = set()
-    for block in p.blocks:
-        if len(set(block)) != p.k or any(not 0 <= x < p.v for x in block):
-            return False
-        for sub in combinations(sorted(block), p.t):
-            if sub in seen:
-                return False
-            seen.add(sub)
-    return True
-
-
 def packing_to_cff(p: PackingDesign, d: int = 0) -> tuple[IncidenceMatrix, CFFParams]:
     """(1, r; d)-cover-free family from a t-(v, k, 1) packing, with
     r = floor((k-d-1)/(t-1)): distinct blocks share at most t-1 points, so
@@ -229,6 +218,12 @@ def rs_cff(
     zeroing the top s coefficients and dropping s evaluation points, which
     keeps the distance of the length-(q+1) parent. Yields q**u blocks of
     size N_eff over q * N_eff points.
+
+    The words are the columns of an orthogonal array of strength u with
+    N_eff rows (any u positions fix the polynomial), so the family is
+    ``packing_to_cff(oa_to_packing(...), d)``: word c becomes the block
+    {i*q + c_i}. The packing supports floor((N_eff - d - 1)/(u - 1)) >= r;
+    the claim carries the requested r.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -263,10 +258,12 @@ def rs_cff(
         )
     if q**u > DEFAULT_MAX_BLOCKS:
         raise BudgetExceededError(f"{q**u} blocks exceed the cap of {DEFAULT_MAX_BLOCKS}")
-    words = tuple(zip(*_poly_values(q, u, n_eff)))
-    code = Code(length=n_eff, q=q, words=words)
-    m = code_to_set_system(code)
-    return m, CFFParams(w=1, r=r, d=d, N=q * n_eff, T=q**u, k=n_eff)
+    # the array is freed before the matrix is built: one copy of the words at a time
+    packing = oa_to_packing(
+        OrthogonalArray(t=u, k=n_eff, s=q, rows=tuple(_poly_values(q, u, n_eff)))
+    )
+    m, claim = packing_to_cff(packing, d)
+    return m, replace(claim, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +311,6 @@ def shf_modular(n: int, w: int, r: int) -> SHFTable:
     return SHFTable(num_symbols=n, w=w, r=r, rows=rows)
 
 
-def check_separating(shf: SHFTable) -> bool:
-    """Exhaustive separation check over all disjoint (w, r) column pairs."""
-    cols = range(shf.num_columns)
-    for c1 in combinations(cols, shf.w):
-        chosen = set(c1)
-        rest = [c for c in cols if c not in chosen]
-        for c2 in combinations(rest, shf.r):
-            if not any(
-                not ({row[c] for c in c1} & {row[c] for c in c2})
-                for row in shf.rows
-            ):
-                return False
-    return True
-
-
 def shf_compose(
     base: IncidenceMatrix, base_claim: CFFParams, shf: SHFTable
 ) -> tuple[IncidenceMatrix, CFFParams]:
@@ -367,33 +349,37 @@ def shf_compose(
     return m, claim
 
 
-def recursive_cff(w: int, r: int, d: int = 0, k: int = 0) -> tuple[IncidenceMatrix, CFFParams]:
-    """k rounds of hash-family composition over a subset-system base.
+def recursive_cff(
+    w: int, r: int, d: int = 0, levels: int = 0
+) -> tuple[IncidenceMatrix, CFFParams]:
+    """``levels`` rounds of hash-family composition over a subset-system base.
 
     The base ground size is n0 = min{n >= w+r : gcd(n, (w*r)!) = 1}; the
     transposed subset system is a (w, r; 0)-family with N0 =
     min(C(n0, w), C(n0, r)) points and n0 blocks, point-replicated d+1
     times to reach separation d. Each round squares the block count, giving
-    a (w, r; d)-family with (w*r+1)^k * (d+1) * N0 points and n0^(2^k)
-    blocks.
+    a (w, r; d)-family with (w*r+1)^levels * (d+1) * N0 points and
+    n0^(2^levels) blocks.
     """
     if w < 1 or r < 1:
         raise ValueError("w and r must be positive")
     if d < 0:
         raise ValueError("d must be non-negative")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if levels < 0:
+        raise ValueError("levels must be non-negative")
     wr_fact = factorial(w * r)
     n0 = w + r
     while gcd(n0, wr_fact) != 1:
         n0 += 1
-    if n0 ** (2**k) > DEFAULT_MAX_BLOCKS:
-        raise BudgetExceededError(f"{n0}^(2^{k}) blocks exceed the cap of {DEFAULT_MAX_BLOCKS}")
+    if n0 ** (2**levels) > DEFAULT_MAX_BLOCKS:
+        raise BudgetExceededError(
+            f"{n0}^(2^{levels}) blocks exceed the cap of {DEFAULT_MAX_BLOCKS}"
+        )
     m, claim = trivial_cff(n0, w, r)
     if d > 0:
         m = m.replicate_points(d + 1)
         claim = CFFParams(w=w, r=r, d=d, N=m.num_points, T=n0)
-    for _ in range(k):
+    for _ in range(levels):
         m, claim = shf_compose(m, claim, shf_modular(m.num_blocks, w, r))
     return m, claim
 

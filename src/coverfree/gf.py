@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-__all__ = ["FiniteField", "field", "is_prime_power"]
+__all__ = ["FiniteField", "field"]
 
 # Monic irreducible polynomial per composite prime power, as the integer
 # whose base-p digits are the coefficients (lexicographically smallest
@@ -52,10 +52,6 @@ def _prime_power(q: int) -> tuple[int, int] | None:
                 e += 1
             return (p, e) if m == 1 else None
     return None
-
-
-def is_prime_power(q: int) -> bool:
-    return _prime_power(q) is not None
 
 
 class FiniteField:

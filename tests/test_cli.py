@@ -229,6 +229,13 @@ class TestVerify:
         assert rc == 0
         assert "max_r 3" in out
 
+    @pytest.mark.parametrize("flags", [("--r", "7"), ("--sampled",)])
+    def test_max_r_refuses_claim_flags(self, capsys, rs_file, flags):
+        path, _ = rs_file
+        rc, out, err = run_cli(capsys, "verify", path, "--max-r", *flags)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"usage error: --max-r takes no {flags[0]}:")
+
     def test_overclaim_fails_with_witness(self, capsys, tmp_path, rs_file):
         _, m = rs_file
         path = str(tmp_path / "over.cff")

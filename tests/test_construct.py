@@ -1,3 +1,4 @@
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -5,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverfree.bounds import sperner_T
-from coverfree.codes import Code, code_to_set_system
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.construct import (
     ConstructionFailedError,
     OrthogonalArray,
     PackingDesign,
     check_orthogonal_array,
-    check_packing,
-    check_separating,
     oa_construct,
     oa_to_packing,
     packing_to_cff,
@@ -29,6 +27,32 @@ from coverfree.construct import (
 )
 from coverfree.gf import field
 from coverfree.verify import BudgetExceededError, is_cff, is_disjunct, is_k_uniform
+
+
+def check_packing(p):
+    """Reference oracle: block shape, and every t-subset of points inside at
+    most one block."""
+    seen = set()
+    for block in p.blocks:
+        if len(set(block)) != p.k or any(not 0 <= x < p.v for x in block):
+            return False
+        for sub in combinations(sorted(block), p.t):
+            if sub in seen:
+                return False
+            seen.add(sub)
+    return True
+
+
+def check_separating(shf):
+    """Reference oracle: every disjoint (w, r) column pair has a row that
+    maps the two sides to disjoint symbol sets."""
+    cols = range(shf.num_columns)
+    for c1 in combinations(cols, shf.w):
+        rest = [c for c in cols if c not in c1]
+        for c2 in combinations(rest, shf.r):
+            if not any(not ({row[c] for c in c1} & {row[c] for c in c2}) for row in shf.rows):
+                return False
+    return True
 
 
 class TestTrivialDS:
@@ -117,6 +141,17 @@ class TestPacking:
         assert not check_packing(PackingDesign(v=4, k=2, t=2, blocks=((0, 0),)))
         assert not check_packing(PackingDesign(v=4, k=2, t=2, blocks=((0, 9),)))
 
+    def test_point_is_row_times_symbols_plus_symbol(self):
+        # the column (0, 1, 2) over three symbols
+        oa = OrthogonalArray(t=1, k=3, s=3, rows=((0,), (1,), (2,)))
+        assert oa_to_packing(oa).blocks == ((0, 4, 8),)
+
+    def test_blocks_share_length_minus_distance_points(self):
+        # the columns (0, 0, 1, 1) and (0, 1, 1, 0) lie at distance 2
+        oa = OrthogonalArray(t=1, k=4, s=2, rows=((0, 0), (0, 1), (1, 1), (1, 0)))
+        a, b = oa_to_packing(oa).blocks
+        assert len(set(a) & set(b)) == 4 - 2
+
     def test_to_cff_with_separation(self):
         m, claim = packing_to_cff(oa_to_packing(oa_construct(3, 2)), d=1)
         assert claim == CFFParams(w=1, r=2, d=1, N=12, T=9, k=4)
@@ -138,6 +173,17 @@ class TestReedSolomon:
         m, claim = rs_cff(5, 5, 4)
         assert claim == CFFParams(w=1, r=4, d=0, N=25, T=25, k=5)
         assert is_k_uniform(m, 5)
+
+    @pytest.mark.parametrize("q", [3, 4, 5])
+    def test_blocks_share_at_most_u_minus_one_points(self, q):
+        # distance length - u + 1 is met exactly (the code is MDS)
+        for length, r in product(range(2, q + 2), range(1, q + 1)):
+            u = (length - 1) // r + 1
+            if not 2 <= u <= q or q**u > 256:
+                continue
+            m, _ = rs_cff(q, length, r)
+            shared = {(a & b).bit_count() for a, b in combinations(m.rows, 2)}
+            assert max(shared) == u - 1
 
     def test_matches_orthogonal_array_route(self):
         m_rs, claim_rs = rs_cff(3, 4, 3)
@@ -197,6 +243,12 @@ def poly_words_by_digits(q, u, length):
     return words
 
 
+def words_to_matrix(q, words):
+    """Reference map: position i of a word holding symbol s is point i*q + s."""
+    rows = (sum(1 << (i * q + s) for i, s in enumerate(word)) for word in words)
+    return IncidenceMatrix(len(words[0]) * q, tuple(rows))
+
+
 # every u with at most this many polynomials (9^9 words are out of reach)
 MAX_POLYNOMIALS = 4096
 
@@ -217,7 +269,7 @@ class TestPolynomialEvaluator:
                 if q**u > MAX_POLYNOMIALS:
                     break
                 words = tuple(poly_words_by_digits(q, u, length))
-                expected = code_to_set_system(Code(length=length, q=q, words=words))
+                expected = words_to_matrix(q, words)
                 # r = 1 and d = length - u give exponent u
                 m, _ = rs_cff(q, length, 1, length - u)
                 assert m == expected
@@ -282,10 +334,16 @@ class TestRecursive:
         with pytest.raises(BudgetExceededError):
             recursive_cff(2, 2, 0, 4)  # 5^16 blocks
 
-    @pytest.mark.parametrize("kwargs", [dict(w=0, r=1), dict(w=1, r=1, d=-1), dict(w=1, r=1, k=-1)])
+    @pytest.mark.parametrize(
+        "kwargs", [dict(w=0, r=1), dict(w=1, r=1, d=-1), dict(w=1, r=1, levels=-1)]
+    )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             recursive_cff(**kwargs)
+
+    def test_negative_round_count_names_levels(self):
+        with pytest.raises(ValueError, match="levels must be non-negative"):
+            recursive_cff(1, 2, 0, -1)
 
 
 class TestRandom:
