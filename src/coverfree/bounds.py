@@ -8,7 +8,7 @@ existence threshold and, for w = 1 with N given, the upper bounds on the
 block count T and on the rate whose hypotheses hold. Beside the survey live
 the bound functions it calls, the rates the code-based families reach as
 rows of the same type (:func:`rate_compare`), an entropy-recurrence rate
-bound, and an exact brute-force minimizer for tiny instances. All
+bound, and an exact minimum-N search for tiny instances. All
 logarithms are base 2 and binomial coefficients are exact big-integer
 values.
 """
@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, log2
-
-import numpy as np
 
 from .core import CFFParams, IncidenceMatrix
 from .verify import is_cff
@@ -264,14 +263,6 @@ def _entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _entropy_vec(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    inside = (x > 0.0) & (x < 1.0)
-    xi = x[inside]
-    out[inside] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
-    return out
-
-
 def _u1(e: float) -> float:
     if e >= 0.25:
         return 0.0
@@ -284,31 +275,28 @@ def _phi(v: float, e: float, r: int) -> float:
     return _entropy(v / r) - ve * _entropy(inner)
 
 
-def _phi_vec(v: np.ndarray, e: float, r: int) -> np.ndarray:
-    ve = v + e
-    inner = np.divide(v, ve * r, out=np.zeros_like(v), where=ve > 0.0)
-    return _entropy_vec(v / r) - ve * _entropy_vec(inner)
-
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = 2048
 _TOL = 1e-9
 
 
 def _phi_max_exceeds(e: float, r: int, vmax: float, level: float) -> bool:
-    """Whether the max of phi over [0, vmax] exceeds ``level``: dense grid,
-    then, unless the grid's best already exceeds it, golden-section around
-    the best grid point."""
+    """Whether the max of phi over [0, vmax] exceeds ``level``: a grid of
+    2048 evenly spaced points, then, unless a grid point already exceeds
+    it, golden-section around the first best grid point."""
     if vmax <= 0.0:
         return 0.0 > level
-    grid = np.linspace(0.0, vmax, _GRID)
-    vals = _phi_vec(grid, e, r)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    if best > level:
-        return True
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, _GRID - 1)])
+    last = _GRID - 1
+    step = vmax / last
+    best, i = -math.inf, 0
+    for k in range(_GRID):
+        f = _phi(k * step if k < last else vmax, e, r)
+        if f > level:
+            return True
+        if f > best:
+            best, i = f, k
+    a = max(i - 1, 0) * step
+    b = (i + 1) * step if i + 1 < last else vmax
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = _phi(x1, e, r), _phi(x2, e, r)
@@ -356,9 +344,8 @@ def drr_rate(r: int, e: float) -> float:
     and V_j the fixed point of
     V = max over v in [0, 1 - V/U_{j-1} - e] of h(v/j) - (v+e) h(v/((v+e)j)).
     The inner maximum uses a 2048-point grid plus golden-section refinement
-    to 1e-9. The bisection only asks whether that maximum exceeds its
-    midpoint, so the refinement is skipped whenever the grid's best already
-    does: every branch, and so every bit, is the same.
+    to 1e-9. The bisection only asks whether it exceeds the midpoint, so a
+    pass stops at the first grid point above it and refines only if none is.
 
     U_j(e) depends on (j, e) alone, so each level is computed once per
     (j, e) per process and kept: a repeated e, or a larger r at a seen e,
@@ -388,33 +375,27 @@ def _u(j: int, e: float) -> float:
 
 def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     """Least N <= cap_N admitting a (w, r; 0)-cover-free family with T
-    blocks, by exhaustive search over matrices with sorted rows and
-    columns; None when every N up to the cap fails.
+    blocks, by an exact set-cover search over column patterns; None when
+    every N up to the cap fails.
 
     Every argument is checked first: w, r >= 0, T >= w + r, and the search
     is limited to T <= 5 and 1 <= cap_N <= 8. Then w = 0 or r = 0
     short-circuit to 1 (an empty intersection is the whole ground set, an
     empty union is empty; one point satisfies either side).
 
-    For each N a depth-first search extends a strictly increasing row
-    prefix one row at a time: two equal rows never pass at d = 0 (put one
-    in B and the other in A, and ∩B ⊆ ∪A). A prefix of t > w rows is
-    dropped unless ``is_cff`` passes on it at r' = min(r, t - w), d = 0.
-    No family is lost, by heredity: every
-    sub-family of a (w, r; 0)-family with at least w + r blocks is
-    (w, r; 0) itself, and in a smaller prefix any t - w other blocks can
-    be filled up to r with blocks from outside it; a union only grows, so
-    the prefix must be (w, t - w; 0).
+    A pair (B, A) is a w-set B and a disjoint r-set A of the T blocks. A
+    matrix is (w, r; 0)-cover-free exactly when every pair is separated by
+    some point, and a point separates (B, A) when its column, the set of
+    blocks holding it, contains B and misses A. A family is therefore N
+    column patterns (subsets of the T blocks, 2^T candidates), and the
+    least N is the least number of patterns that separate every pair.
 
-    Before that check, a prefix is dropped unless its columns are in order:
-    read each point's column over the prefix's rows with row 0 the most
-    significant bit, and columns N-1, N-2, ..., 0 must be non-decreasing.
-    Rows compare as integers, point N-1 first. Permuting points keeps a
-    family (w, r; 0)-cover-free, and every 0/1 matrix has a row and column
-    permutation with both rows and columns in lex order (the double-lex
-    symmetry break of Flener et al., CP 2002); truncating lex-sorted
-    columns to a row prefix leaves them weakly sorted. So some copy of
-    every family survives both cuts.
+    For N = 1, 2, ... a depth-first search takes the lowest pair no chosen
+    pattern separates yet and branches on each pattern that separates it;
+    some pattern of every cover does, so no cover is lost. A branch is cut
+    when the patterns left, times the most pairs any one pattern separates,
+    are fewer than the open pairs. The family the chosen patterns make is
+    confirmed by one ``is_cff`` call before N is returned.
     """
     if w < 0 or r < 0:
         raise ValueError("w and r must be non-negative")
@@ -424,33 +405,44 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
         raise ValueError(f"need T >= w + r, got T={T}")
     if w == 0 or r == 0:
         return 1
+    pairs = [
+        (sum(1 << i for i in b), sum(1 << i for i in a))
+        for b in combinations(range(T), w)
+        for a in combinations([i for i in range(T) if i not in b], r)
+    ]
+    # separates[p]: bit k set when pattern p separates pairs[k]
+    separates = [
+        sum(1 << k for k, (b, a) in enumerate(pairs) if b & ~p == 0 and a & p == 0)
+        for p in range(1 << T)
+    ]
+    # options[k]: (p, separates[p]) for each pattern p that separates pairs[k]
+    options = [[(p, s) for p, s in enumerate(separates) if s >> k & 1] for k in range(len(pairs))]
+    most = max(s.bit_count() for s in separates)
     for N in range(1, cap_N + 1):
-        if _extends(w, r, T, N, (), (0,) * N):
+        chosen: list[int] = []
+        if _cover((1 << len(pairs)) - 1, N, most, options, chosen):
+            rows = [sum(1 << j for j, p in enumerate(chosen) if p >> i & 1) for i in range(T)]
+            if not is_cff(IncidenceMatrix(N, rows), CFFParams(w=w, r=r, d=0, N=N, T=T)):
+                raise ArithmeticError(f"cover search returned a family is_cff rejects: {rows}")
             return N
     return None
 
 
-def _extends(
-    w: int, r: int, T: int, N: int, prefix: tuple[int, ...], cols: tuple[int, ...]
+def _cover(
+    open_pairs: int, left: int, most: int, options: list[list[tuple[int, int]]], chosen: list[int]
 ) -> bool:
-    """Whether the sorted row ``prefix`` passes its column-order and
-    heredity checks and extends to T rows of a (w, r; 0)-family on N
-    points. ``cols[j]`` is point j's column over the prefix, row 0 the
-    most significant bit."""
-    if any(a < b for a, b in zip(cols, cols[1:])):
-        return False
-    t = len(prefix)
-    if t > w:
-        claim = CFFParams(w=w, r=min(r, t - w), d=0, N=N, T=t)
-        if not is_cff(IncidenceMatrix(N, prefix), claim):
-            return False
-    if t == T:
+    """Whether ``left`` more patterns from ``options`` separate every pair in
+    the bit set ``open_pairs``; ``chosen`` collects the patterns taken."""
+    if not open_pairs:
         return True
-    low = prefix[-1] + 1 if prefix else 0
-    for row in range(low, 1 << N):
-        grown = tuple(c << 1 | row >> j & 1 for j, c in enumerate(cols))
-        if _extends(w, r, T, N, prefix + (row,), grown):
+    if left * most < open_pairs.bit_count():
+        return False
+    lowest = (open_pairs & -open_pairs).bit_length() - 1
+    for p, separated in options[lowest]:
+        chosen.append(p)
+        if _cover(open_pairs & ~separated, left - 1, most, options, chosen):
             return True
+        chosen.pop()
     return False
 
 

@@ -35,6 +35,9 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
+_DEFAULT_SEED = 0
+_DEFAULT_TRIALS = 100_000
+
 
 class UsageError(Exception):
     """Flag combination that argparse alone cannot reject."""
@@ -158,9 +161,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     m, header = read_matrix_file(args.file)
     if args.max_r:
-        for flag, given in (("--r", args.r is not None), ("--sampled", args.sampled)):
-            if given:
-                raise UsageError(f"--max-r takes no {flag}: it measures the best r exhaustively")
+        for flag in ("r", "sampled", "trials", "seed"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--max-r takes no --{flag}: it measures the best r exhaustively")
         w = args.w if args.w is not None else (header.w if header else 1)
         d = args.d if args.d is not None else (header.d if header else 0)
         _echo(
@@ -172,6 +175,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     w = args.w if args.w is not None else (header.w if header else None)
     r = args.r if args.r is not None else (header.r if header else None)
     d = args.d if args.d is not None else (header.d if header else 0)
+    trials = _DEFAULT_TRIALS if args.trials is None else args.trials
+    seed = _DEFAULT_SEED if args.seed is None else args.seed
     if w is None or r is None:
         raise UsageError("file carries no claim; pass --w and --r (and --d)")
     claim = CFFParams(w=w, r=r, d=d, N=m.num_points, T=m.num_blocks)
@@ -184,15 +189,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ("d", d),
             ("N", claim.N),
             ("T", claim.T),
-            ("sampled", args.sampled),
-            ("trials", args.trials),
-            ("seed", args.seed),
+            ("sampled", bool(args.sampled)),
+            ("trials", trials),
+            ("seed", seed),
             ("budget", args.budget),
         ],
     )
     # a budget of 0 refuses every exhaustive scan, so --sampled samples
     budget = 0 if args.sampled else args.budget
-    result = check_claim(m, claim, budget=budget, trials=args.trials, seed=args.seed)
+    result = check_claim(m, claim, budget=budget, trials=trials, seed=seed)
     return EXIT_OK if _report(result) else EXIT_CHECK_FAILED
 
 
@@ -318,7 +323,7 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 
 def _add_check_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="random seed (default 0)")
     p.add_argument(
         "--budget",
         type=_int_at_least(0),
@@ -328,7 +333,7 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trials",
         type=_int_at_least(1),
-        default=100_000,
+        default=_DEFAULT_TRIALS,
         help="sample count when checking falls back to sampling",
     )
 
@@ -365,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-r", action="store_true", help="measure the best r instead")
     p.add_argument("--sampled", action="store_true", help="force Monte-Carlo checking")
     _add_check_flags(p)
-    p.set_defaults(func=_cmd_verify)
+    # unset until resolved, so that --max-r can tell which of them were given
+    p.set_defaults(func=_cmd_verify, sampled=None, trials=None, seed=None)
 
     p = sub.add_parser("bounds", help="evaluate size bounds at a parameter point")
     p.add_argument("--w", type=int, required=True)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, log2
@@ -154,11 +155,24 @@ class TestDrrRate:
             drr_rate(**kwargs)
 
     def test_grid_decided_steps_skip_refinement(self, monkeypatch):
+        # a pass refines only after evaluating all 2048 grid points, so
+        # count the phi calls a pass makes beyond those
         phi = CallCount(bounds._phi)
         monkeypatch.setattr(bounds, "_phi", phi)
+        exceeds = bounds._phi_max_exceeds
+        golden = 0
+
+        def counted(*args):
+            nonlocal golden
+            before = phi.calls
+            result = exceeds(*args)
+            golden += max(0, phi.calls - before - bounds._GRID)
+            return result
+
+        monkeypatch.setattr(bounds, "_phi_max_exceeds", counted)
         drr_rate(3, 0.0)
         # refining after every grid pass took 1715 calls
-        assert phi.calls < 1715
+        assert golden == 1130
 
     def test_levels_are_computed_once(self, monkeypatch):
         fixed_point = CallCount(bounds._v_fixed_point)
@@ -168,6 +182,82 @@ class TestDrrRate:
         assert drr_rate(3, 0.0) == first
         drr_rate(2, 0.0)
         assert fixed_point.calls == 2
+
+
+def entropy_vec(x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    inside = (x > 0.0) & (x < 1.0)
+    xi = x[inside]
+    out[inside] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
+    return out
+
+
+def phi_vec(v: np.ndarray, e: float, r: int) -> np.ndarray:
+    ve = v + e
+    inner = np.divide(v, ve * r, out=np.zeros_like(v), where=ve > 0.0)
+    return entropy_vec(v / r) - ve * entropy_vec(inner)
+
+
+def phi_max_exceeds_numpy(e: float, r: int, vmax: float, level: float) -> bool:
+    """Reference for ``bounds._phi_max_exceeds``: the numpy grid and the
+    golden-section refinement it had before the bounds module dropped
+    numpy."""
+    if vmax <= 0.0:
+        return 0.0 > level
+    grid = np.linspace(0.0, vmax, bounds._GRID)
+    vals = phi_vec(grid, e, r)
+    i = int(np.argmax(vals))
+    best = float(vals[i])
+    if best > level:
+        return True
+    a = float(grid[max(i - 1, 0)])
+    b = float(grid[min(i + 1, bounds._GRID - 1)])
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - golden * (b - a)
+    x2 = a + golden * (b - a)
+    f1, f2 = bounds._phi(x1, e, r), bounds._phi(x2, e, r)
+    while b - a > 1e-9:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - golden * (b - a)
+            f1 = bounds._phi(x1, e, r)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + golden * (b - a)
+            f2 = bounds._phi(x2, e, r)
+    return max(best, f1, f2) > level
+
+
+@pytest.mark.parametrize("vmax", [1.0, 0.6180339887498949, 1e-3, 0.9999999999])
+def test_grid_points_are_numpys(monkeypatch, vmax):
+    seen, real_phi = [], bounds._phi
+
+    def phi(v, e, r):
+        seen.append(v)
+        return real_phi(v, e, r)
+
+    monkeypatch.setattr(bounds, "_phi", phi)
+    # no value exceeds an infinite level, so every grid point is evaluated
+    assert not bounds._phi_max_exceeds(0.01, 3, vmax, math.inf)
+    assert seen[: bounds._GRID] == np.linspace(0.0, vmax, bounds._GRID).tolist()
+
+
+def test_grid_matches_numpy_reference():
+    # np.log2 and math.log2 can differ in the last bit, so a level is kept
+    # at least 1e-12 from the grid's max, where one ulp cannot flip it
+    rng = random.Random(13)
+    decided_by_refinement = 0
+    for _ in range(2000):
+        r = rng.randint(2, 8)
+        e = rng.random() * r**r / (r + 1) ** (r + 1)
+        vmax = rng.random() * (1.0 - e)
+        grid_max = float(np.max(phi_vec(np.linspace(0.0, vmax, bounds._GRID), e, r)))
+        level = grid_max + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-11.9, -2.0)
+        want = phi_max_exceeds_numpy(e, r, vmax, level)
+        assert bounds._phi_max_exceeds(e, r, vmax, level) == want, (r, e, vmax, level)
+        decided_by_refinement += want and level > grid_max
+    # levels between the grid's max and the refined max do occur
+    assert decided_by_refinement > 0
 
 
 class TestLowerBoundsN:
@@ -362,12 +452,33 @@ class TestMinNBruteforce:
     def test_matches_row_search_at_five_blocks(self, w, r, cap_N):
         assert min_N_bruteforce(w, r, 5, cap_N) == min_N_by_rows(w, r, 5, cap_N)
 
-    @pytest.mark.parametrize("w,r,T,row_search_calls", [(2, 1, 5, 7574), (2, 2, 4, 32642)])
-    def test_column_order_cuts_is_cff_calls(self, monkeypatch, w, r, T, row_search_calls):
-        check = CallCount(bounds.is_cff)
-        monkeypatch.setattr(bounds, "is_cff", check)
+    # without the counting cut the search visits 1817 and 27 nodes
+    @pytest.mark.parametrize("w,r,T,nodes", [(2, 1, 5, 57), (2, 2, 4, 12)])
+    def test_cover_search_nodes_are_pinned(self, monkeypatch, w, r, T, nodes):
+        cover = CallCount(bounds._cover)
+        monkeypatch.setattr(bounds, "_cover", cover)
         min_N_bruteforce(w, r, T)
-        assert check.calls < row_search_calls / 5
+        assert cover.calls == nodes
+
+
+def test_no_lower_bound_exceeds_the_least_n():
+    # every (w, r, T <= 5) whose least N is at most 8; (2,2,5), (2,3,5)
+    # and (3,2,5) need more points and have no least N to compare with
+    checked, violations = 0, []
+    for T in range(2, 6):
+        for w in range(1, T):
+            for r in range(1, T - w + 1):
+                least = min_N_bruteforce(w, r, T)
+                if least is None:
+                    continue
+                checked += 1
+                violations += [
+                    (w, r, T, least, e.name, e.value)
+                    for e in lower_bounds_N(w, r, 0, T).entries
+                    if e.applicable and not e.asymptotic and e.value > least
+                ]
+    assert checked == 17
+    assert violations == []
 
 
 def rates(*args, **kwargs):

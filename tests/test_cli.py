@@ -229,12 +229,27 @@ class TestVerify:
         assert rc == 0
         assert "max_r 3" in out
 
-    @pytest.mark.parametrize("flags", [("--r", "7"), ("--sampled",)])
+    @pytest.mark.parametrize(
+        "flags", [("--r", "7"), ("--sampled",), ("--trials", "3"), ("--seed", "9"), ("--seed", "0")]
+    )
     def test_max_r_refuses_claim_flags(self, capsys, rs_file, flags):
         path, _ = rs_file
         rc, out, err = run_cli(capsys, "verify", path, "--max-r", *flags)
         assert (rc, out) == (2, "")
         assert err.startswith(f"usage error: --max-r takes no {flags[0]}:")
+
+    def test_echo_resolves_check_defaults(self, capsys, rs_file):
+        # --max-r leaves --trials and --seed unset, so a plain verify fills
+        # in their defaults itself
+        path, _ = rs_file
+        rc, out, _ = run_cli(capsys, "verify", path)
+        assert rc == 0
+        assert out.splitlines()[0] == (
+            f"verify file={path} w=1 r=3 d=0 N=12 T=9 sampled=False trials=100000 seed=0 "
+            "budget=1000000000"
+        )
+        _, out, _ = run_cli(capsys, "verify", path, "--sampled", "--trials", "7", "--seed", "5")
+        assert " trials=7 seed=5 " in out.splitlines()[0]
 
     def test_overclaim_fails_with_witness(self, capsys, tmp_path, rs_file):
         _, m = rs_file

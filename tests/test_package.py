@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import coverfree
@@ -52,3 +55,10 @@ def test_every_public_name_is_read_outside_the_tests():
         read |= names_read(ast.parse(path.read_text()))
     unread = set(coverfree.__all__) - read
     assert unread == ONLY_TESTS_READ
+
+
+def test_import_loads_no_numpy():
+    # numpy is a test dependency only: the references in the tests use it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import coverfree, coverfree.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
