@@ -170,7 +170,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "verify",
             [("file", args.file), ("mode", "max-r"), ("w", w), ("d", d), ("budget", args.budget)],
         )
-        print(f"max_r {max_r(m, w, d, budget=args.budget)}")
+        try:
+            best = max_r(m, w, d, budget=args.budget)
+        except BudgetExceededError as exc:
+            # max_r has no sampled mode, so the only remedy is a larger budget
+            raise BudgetExceededError(exc.args[0], "pass a larger --budget") from None
+        print(f"max_r {best}")
         return EXIT_OK
     w = args.w if args.w is not None else (header.w if header else None)
     r = args.r if args.r is not None else (header.r if header else None)

@@ -22,9 +22,10 @@ until a search fails; no witness is needed, only a size. j blocks remove
 the excess e = |U| - d of the uncovered points U only if one of them
 removes ceil(e / j), so the search branches only on such heavy blocks, and
 drops each from the candidates once its branch fails. Heavy blocks are read
-off saturating thermometer counters over the matrix columns of U (the
-counters ``grouptest.decode`` keeps), counting hits or misses, whichever
-needs fewer bit planes, or off per-block bit counts when those cost less.
+off saturating thermometer counters over the matrix columns of U (those
+``grouptest.decode`` falls back to past its guarantee), counting hits or
+misses, whichever needs fewer bit planes, or off per-block bit counts when
+those cost less.
 With d = 0 a first block's partner is the AND of the columns of what it
 leaves. A search stops when the other blocks together leave more than d
 points of U. The answer and every budget refusal are those of the
@@ -59,7 +60,13 @@ DEFAULT_BUDGET = 10**9
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive scan would exceed its evaluation budget."""
+    """Raised when an exhaustive scan would exceed its evaluation budget.
+
+    A pair-budget refusal carries two arguments, the refusal and a remedy
+    that names library calls, so a front end can name its own flags."""
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,8 @@ def _afford(total: int, budget: int) -> None:
     """Refuse a scan of ``total`` pairs above ``budget``."""
     if total > budget:
         raise BudgetExceededError(
-            f"{total} pair evaluations exceed the budget of {budget}; "
-            "use is_cff_sampled or raise the budget"
+            f"{total} pair evaluations exceed the budget of {budget}",
+            "use is_cff_sampled or raise the budget",
         )
 
 

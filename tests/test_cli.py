@@ -293,6 +293,21 @@ class TestVerify:
         assert rc == 4
         assert err.startswith("budget exceeded:")
 
+    def test_max_r_refusal_names_only_the_budget_flag(self, capsys, rs_file):
+        path, _ = rs_file
+        rc, _, err = run_cli(capsys, "verify", path, "--max-r", "--budget", "1")
+        assert rc == 4
+        # max_r has no sampled mode and the shell user has no library call
+        assert err == "budget exceeded: 72 pair evaluations exceed the budget of 1; pass a larger --budget\n"
+
+    def test_claim_check_over_budget_samples_instead_of_refusing(self, capsys, rs_file):
+        path, _ = rs_file
+        # 9 * C(8, 3) = 504 pairs: above the budget the claim is sampled, so
+        # verify has no refusal, and so no remedy, to print
+        rc, out, err = run_cli(capsys, "verify", path, "--budget", "503", "--trials", "50")
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-1] == "check sampled ok"
+
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "verify", str(tmp_path / "nowhere.cff"))
         assert rc == 3

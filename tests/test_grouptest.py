@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from coverfree.construct import rs_cff
 from coverfree.core import IncidenceMatrix
 from coverfree.grouptest import TestOutcome as Outcome
 from coverfree.grouptest import SimulationStats, decode, encode, inject_errors, simulate
+from test_verify import counted
 
 
 @pytest.fixture(scope="module")
@@ -173,10 +175,65 @@ class TestDecodeMatchesRowScan:
             o = inject_errors(encode(m, {seed % 49, (3 * seed) % 49}), seed % 6, seed=seed)
             assert decode(m, o, tolerance) == decode_by_rows(m, o, tolerance)
 
+    @pytest.mark.parametrize(
+        "n, rows, outcomes, tolerance",
+        [
+            # one negative pool split three ways: two groups are empty
+            (4, (0b0001, 0b0011, 0b1000, 0b1111, 0, 0b0110), 0b1110, 2),
+            # two negative pools, four groups
+            (5, (0b00001, 0b00011, 0b10001, 0b11111, 0b01110), 0b01110, 3),
+            # tolerance at or above the pool count: every block passes
+            (3, (0b111, 0b101, 0), 0b000, 3),
+            (2, (0b11, 0b01, 0b10), 0b01, 5),
+        ],
+    )
+    def test_fewer_negative_pools_than_groups(self, n, rows, outcomes, tolerance):
+        m = IncidenceMatrix(num_points=n, rows=rows)
+        o = Outcome(n, outcomes)
+        assert decode(m, o, tolerance) == decode_by_rows(m, o, tolerance)
+
+    @pytest.mark.parametrize("count", [5, 8, 12, 20])
+    def test_far_more_defectives_than_the_design_takes(self, count):
+        # r = 2: past it the filter weakens until the counters decide
+        m, _ = rs_cff(7, 8, 2, 4)
+        for seed in range(10):
+            rng = random.Random(seed)
+            defectives = set(rng.sample(range(49), count))
+            o = inject_errors(encode(m, defectives), rng.randint(0, 4), seed=seed)
+            assert decode(m, o, 2) == decode_by_rows(m, o, 2)
+
     def test_every_item_decoded(self):
         m, _ = rs_cff(7, 8, 2, 4)
         everyone = Outcome(m.num_points, 2**m.num_points - 1)
         assert decode(m, everyone) == set(range(m.num_blocks))
+
+
+class TestDecodeWork:
+    """How many matrix rows ``decode`` reads (see ``test_verify.RowReads``)."""
+
+    def test_rows_read_within_the_guarantee(self):
+        m, claim = rs_cff(7, 8, 2, 4)
+        copy, rows, _ = counted(m)
+        tolerance = claim.d // 2
+        for seed in range(40):
+            rng = random.Random(seed)
+            defectives = set(rng.sample(range(claim.T), rng.randint(0, claim.r)))
+            o = inject_errors(encode(m, defectives), rng.randint(0, tolerance), seed=seed)
+            assert decode(copy, o, tolerance) == defectives
+        # the filter leaves under two candidates a round; checking every
+        # block would read 40 * 49 = 1960 rows, and a filter short of a
+        # group lets a different set through
+        assert rows.reads == 69
+
+    def test_counters_decide_far_past_the_guarantee(self):
+        m, _ = rs_cff(7, 8, 2, 4)
+        copy, rows, _ = counted(m)
+        for seed in range(10):
+            rng = random.Random(seed)
+            o = inject_errors(encode(m, set(rng.sample(range(49), 16))), 2, seed=seed)
+            assert decode(copy, o, 2) == decode_by_rows(m, o, 2)
+        # too many candidates to check: the bit-plane counters read no row
+        assert rows.reads == 0
 
 
 class TestSimulate:
