@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .core import IncidenceMatrix
+from .verify import _reach
 
 __all__ = [
     "SimulationStats",
@@ -127,14 +128,7 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
         # the candidates grow with each group, by about as many as the first
         # group leaves, so a filter too weak to pay is given up early
         if tolerance and (m.num_blocks - hit.bit_count()) * groups > most * (g + 1):
-            # over[i]: blocks in more than i of the negative pools seen so
-            # far, a saturating thermometer counter kept one bit plane per level
-            over = [0] * groups
-            for col in pools:
-                for i in range(tolerance, 0, -1):
-                    over[i] |= over[i - 1] & col
-                over[0] |= col
-            return _positions(every & ~over[tolerance])
+            return _positions(every & ~_reach(pools, groups))
     candidates = _positions(every & ~hit)
     if not tolerance:
         return candidates

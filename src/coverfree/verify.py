@@ -1,35 +1,33 @@
 """Ground-truth property checkers for cover-free and disjunct matrices.
 
-The exhaustive checker decides the same question as enumerating every
-(B-set, A-set) pair in colexicographic order, and reports the same
-colex-least violation, but prunes the A-sets. For each B it intersects
-I = ∩B once. The colex-first A-set is tried first. Then the counting cut:
-r blocks remove at most the sum of the r largest |I ∩ A_i| points of I, so
-if that sum leaves more than d points, no A-set can and B is safe. Otherwise
-a branch-and-bound walks the A-sets in colex order and drops a branch when
-its remaining blocks, each at the best gain below the branch, cannot get
-the uncovered part of I down to d; the first leaf it reaches is the
-colex-least witness. Results never depend on scheduling. The budget is
-counted upfront in (B-set, A-set) pairs, the work of the plain enumeration,
-and a check above it is refused rather than run for hours.
-
-``max_r`` makes one pass over the B-sets in colex order. It keeps ``least``,
-the fewest blocks found so far that leave at most d points of some ∩B, and
-starts it one above the largest r the budget affords, since larger covers
-never change the answer. For each B a cover search looks for a cover of ∩B
-by at most least - 1 other blocks, and ``least`` drops to the size found
-until a search fails; no witness is needed, only a size. j blocks remove
-the excess e = |U| - d of the uncovered points U only if one of them
-removes ceil(e / j), so the search branches only on such heavy blocks, and
-drops each from the candidates once its branch fails. Heavy blocks are read
-off saturating thermometer counters over the matrix columns of U (those
+``is_cff`` decides the same question as enumerating every (B-set, A-set)
+pair in colexicographic order and reports the same colex-least violation,
+and ``max_r`` returns what the ascending scan of ``is_cff`` over
+r = 1, 2, ... returns; both make one pass over the B-sets in colex order,
+intersect I = ∩B once for each, and ask one cover search whether at most j
+blocks outside B leave at most d points of I. j blocks remove the excess
+e = |U| - d of the uncovered points U only if one of them removes
+ceil(e / j), so the search branches only on such heavy blocks, and drops
+each from the candidates once its branch fails. Heavy blocks are read off
+saturating thermometer counters over the matrix columns of U (those
 ``grouptest.decode`` falls back to past its guarantee), counting hits or
 misses, whichever needs fewer bit planes, or off per-block bit counts when
-those cost less.
-With d = 0 a first block's partner is the AND of the columns of what it
-leaves. A search stops when the other blocks together leave more than d
-points of U. The answer and every budget refusal are those of the
-ascending scan of ``is_cff`` over r = 1, 2, ...
+those cost less. With d = 0 a first block's partner is the AND of the
+columns of what it leaves. A search stops when the other blocks together
+leave more than d points of U. ``is_cff`` asks for a cover by at most r
+blocks, which extends to exactly r since T - w >= r, and only at the first
+B-set that has one does it count every block's gain |I ∩ A| and walk the
+A-sets in colex order, dropping a branch whose remaining blocks, each at
+the best gain below the branch, cannot get the uncovered part of I down to
+d; the first leaf it reaches is the colex-least witness. ``max_r`` keeps
+``least``, the fewest blocks found so far that leave at most d points of
+some ∩B, starting one above the largest r the budget affords, since larger
+covers never change the answer, and lowers it to the size each search finds
+for a cover by at most least - 1 blocks until a search fails; it needs no
+witness, only a size. Results never depend on scheduling. The budget is
+counted upfront in (B-set, A-set) pairs, the work of the plain enumeration,
+and a check above it is refused rather than run for hours; ``max_r``
+refuses exactly the calls the ascending scan would.
 """
 
 from __future__ import annotations
@@ -113,12 +111,11 @@ def pair_count(T: int, w: int, r: int) -> int:
     return comb(T, w) * comb(T - w, r)
 
 
-def _afford(total: int, budget: int) -> None:
-    """Refuse a scan of ``total`` pairs above ``budget``."""
+def _afford(total: int, budget: int, remedy: str) -> None:
+    """Refuse a scan of ``total`` pairs above ``budget``, naming ``remedy``."""
     if total > budget:
         raise BudgetExceededError(
-            f"{total} pair evaluations exceed the budget of {budget}",
-            "use is_cff_sampled or raise the budget",
+            f"{total} pair evaluations exceed the budget of {budget}", remedy
         )
 
 
@@ -130,20 +127,6 @@ def _colex(items: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
     for last in range(k - 1, len(items)):
         for rest in _colex(items[:last], k - 1):
             yield rest + (items[last],)
-
-
-def _first_cover(
-    rows: Sequence[int], rest: Sequence[int], inter: int, r: int, d: int
-) -> tuple[int, ...] | None:
-    """The colex-least r-subset A of ``rest`` with |inter \\ union(A)| <= d,
-    or None when there is none."""
-    first = rest[:r]
-    if _uncovered(rows, inter, first) <= d:
-        return tuple(first)
-    gains = [(inter & rows[i]).bit_count() for i in rest]
-    if sum(sorted(gains)[-r:]) < inter.bit_count() - d:
-        return None
-    return _walk(rows, rest, list(accumulate(gains, max)), d, len(rest), r, inter)
 
 
 def _walk(
@@ -187,26 +170,30 @@ def is_cff(
     Decides, for every choice of w blocks B and r further blocks A, whether
     ``|intersection(B) \\ union(A)| > d``; on failure returns the
     colex-least violating pair (B-major order) as the witness. B-sets run
-    in colex order; for each, the A-sets are pruned by the counting cut and
-    a colex branch-and-bound (see the module docstring), which finds the
-    same witness as the plain enumeration. ``budget`` caps the upfront pair
-    count C(T, w) * C(T - w, r), not the pairs the pruned search visits.
+    in colex order; a cover search clears each B that no r blocks cover
+    down to d points, and a colex branch-and-bound finds the witness at the
+    first B it does not clear (see the module docstring), the same witness
+    as the plain enumeration. ``budget`` caps the upfront pair count
+    C(T, w) * C(T - w, r), not the pairs the pruned search visits.
     """
     _check_shape(m, params)
     w, r, d = params.w, params.r, params.d
-    _afford(pair_count(m.num_blocks, w, r), budget)
+    T = m.num_blocks
+    _afford(pair_count(T, w, r), budget, "use is_cff_sampled or raise the budget")
     rows = m.rows
-    indices = range(m.num_blocks)
-    for b_set in _colex(indices, w):
+    columns = m.columns
+    every = (1 << T) - 1
+    for b_set in _colex(range(T), w):
         inter = rows[b_set[0]]
         for i in b_set[1:]:
             inter &= rows[i]
-        b_mask = set(b_set)
-        rest = [i for i in indices if i not in b_mask]
-        a_set = _first_cover(rows, rest, inter, r, d)
-        if a_set is not None:
-            witness = ViolationWitness(b_set, a_set, _residual(m, b_set, a_set))
-            return CheckResult(False, witness)
+        outside = every ^ sum(1 << i for i in b_set)
+        if inter.bit_count() > d and _covers(columns, rows, outside, inter, d, r) is None:
+            continue
+        rest = [i for i in range(T) if i not in b_set]
+        gains = [(inter & rows[i]).bit_count() for i in rest]
+        a_set = _walk(rows, rest, list(accumulate(gains, max)), d, len(rest), r, inter)
+        return CheckResult(False, ViolationWitness(b_set, a_set, _residual(m, b_set, a_set)))
     return CheckResult(True)
 
 
@@ -294,15 +281,15 @@ def _members(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-def _reach(columns: Sequence[int], mask: int, level: int, flip: int = 0) -> int:
-    """The blocks in at least ``level`` of the columns ``columns[x] ^ flip``
-    over the points x of ``mask``, as a mask over the blocks.
-    ``columns[x]`` is the mask of blocks holding point x."""
+def _reach(columns: Iterable[int], level: int, flip: int = 0) -> int:
+    """The blocks in at least ``level`` of the masks ``col ^ flip``, for
+    ``col`` in ``columns``, as a mask over the blocks. A column is the mask
+    of blocks holding one point."""
     # over[i]: blocks in more than i of the columns seen so far, a
     # saturating thermometer counter kept one bit plane per level
     over = [0] * level
-    for x in _members(mask):
-        col = columns[x] ^ flip
+    for col in columns:
+        col ^= flip
         for i in range(level - 1, 0, -1):
             over[i] |= over[i - 1] & col
         over[0] |= col
@@ -333,11 +320,12 @@ def _heavy(
         return heavy & outside
     if misses == 1:
         return _common(columns, outside, mask)
+    held = map(columns.__getitem__, _members(mask))
     if level <= misses:
-        return _reach(columns, mask, level) & outside
+        return _reach(held, level) & outside
     # a block misses at most size - level points exactly when it is not
     # among the blocks missing misses of them
-    return outside & ~_reach(columns, mask, misses, outside)
+    return outside & ~_reach(held, misses, outside)
 
 
 def _bare(columns: Sequence[int], rows: Sequence[int], outside: int, mask: int) -> int:
@@ -425,7 +413,7 @@ def max_r(
         return top
     if least > r_ok:
         # the ascending scan would reach r_ok + 1, the first r refused
-        _afford(pair_count(T, w, r_ok + 1), budget)
+        _afford(pair_count(T, w, r_ok + 1), budget, "raise the budget")
     return least - 1
 
 

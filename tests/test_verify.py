@@ -141,11 +141,12 @@ def counted(m):
 
 
 def outcome(check, *args, **kwargs):
-    """The value ``check`` returns, or the type and message of its error."""
+    """The value ``check`` returns, or the type and message of its error
+    (for a budget refusal, the refusal without the remedy it names)."""
     try:
         return check(*args, **kwargs)
     except (BudgetExceededError, ValueError) as exc:
-        return type(exc), str(exc)
+        return type(exc), exc.args[0]
 
 
 # one family per constructor, all with T <= 64
@@ -209,11 +210,16 @@ def test_every_witness_replays(case, seed, i, j):
 
 
 class TestPastTheOldWall:
-    """rs_cff(7, 8, 3): 343 blocks, 2.27e9 pairs at r = 3, over DEFAULT_BUDGET."""
+    """rs_cff(7, 8, 3): 343 blocks, 2.27e9 pairs at r = 3, over DEFAULT_BUDGET;
+    rs_cff(9, 10, 3): 6561 blocks, 3.09e14 pairs."""
 
     def test_exhaustive_pass_with_a_raised_budget(self):
         m, claim = rs_cff(7, 8, 3)
         assert is_cff(m, claim, budget=3 * 10**9) == CheckResult(True)
+
+    def test_exhaustive_pass_at_6561_blocks(self):
+        m, claim = rs_cff(9, 10, 3)
+        assert is_cff(m, claim, budget=pair_count(6561, 1, 3)) == CheckResult(True)
 
     def test_max_r(self):
         m, claim = rs_cff(7, 8, 3)
@@ -265,6 +271,28 @@ class TestIsCff:
         m = IncidenceMatrix.identity(4)
         with pytest.raises(BudgetExceededError, match="is_cff_sampled"):
             is_cff(m, params(1, 1, 0, 4, 4), budget=1)
+
+    @pytest.mark.parametrize(
+        "build, heavy, columns_per_b",
+        [
+            # T = 81: every B-set has 9 points, 18 other blocks hold at least 5
+            # of them and each of those leaves 4; the columns are a 9-point
+            # thermometer and, per heavy block, an AND over the 4 columns it
+            # leaves, which ends early once failed heavy blocks are out
+            (lambda: recursive_cff(1, 2, 0, 2), 18, 73),
+            # T = 125: two blocks share at most one of B's 6 points, so no
+            # block is heavy at 3 and a 6-point thermometer clears each B
+            (lambda: rs_cff(5, 6, 2), 0, 6),
+        ],
+    )
+    def test_passing_scan_reads_heavy_rows_only(self, build, heavy, columns_per_b):
+        m, claim = build()
+        copy, rows, columns = counted(m)
+        assert is_cff(copy, claim) == CheckResult(True)
+        # each B reads its own row and its heavy blocks' rows; per-block
+        # gains would read all T rows for every B that the first A misses
+        assert rows.reads == claim.T * (1 + heavy)
+        assert columns.reads == claim.T * columns_per_b
 
     def test_bool_protocol(self):
         m = IncidenceMatrix.identity(3)
@@ -455,6 +483,15 @@ class TestMaxR:
         m = IncidenceMatrix.identity(4).replicate_points(3)
         values = [max_r(m, 1, d) for d in range(4)]
         assert values == [3, 3, 3, 0]
+
+    def test_budget_refusal_names_only_the_budget(self):
+        # max_r has no sampled mode to point at
+        with pytest.raises(BudgetExceededError) as info:
+            max_r(IncidenceMatrix.identity(4), 1, 0, budget=1)
+        assert info.value.args == (
+            "12 pair evaluations exceed the budget of 1",
+            "raise the budget",
+        )
 
     def test_rejects_w_zero(self):
         with pytest.raises(ValueError):
