@@ -144,12 +144,6 @@ class BoundReport:
         ]
         return max(candidates, key=lambda e: e.value) if candidates else None
 
-    def entry(self, name: str) -> BoundEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 def lower_bounds_N(w: int, r: int, d: int, T: int, c: float = DEFAULT_C) -> BoundReport:
     """Evaluate the known lower bounds on the point count N of any

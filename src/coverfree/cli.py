@@ -23,6 +23,7 @@ from .core import CFFParams, IncidenceMatrix, read_matrix_file, write_matrix_fil
 from .grouptest import simulate
 from .verify import (
     DEFAULT_BUDGET,
+    DEFAULT_TRIALS,
     BudgetExceededError,
     CheckResult,
     check_claim,
@@ -36,7 +37,6 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
 _DEFAULT_SEED = 0
-_DEFAULT_TRIALS = 100_000
 
 
 class UsageError(Exception):
@@ -180,7 +180,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     w = args.w if args.w is not None else (header.w if header else None)
     r = args.r if args.r is not None else (header.r if header else None)
     d = args.d if args.d is not None else (header.d if header else 0)
-    trials = _DEFAULT_TRIALS if args.trials is None else args.trials
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
     seed = _DEFAULT_SEED if args.seed is None else args.seed
     if w is None or r is None:
         raise UsageError("file carries no claim; pass --w and --r (and --d)")
@@ -338,7 +338,7 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trials",
         type=_int_at_least(1),
-        default=_DEFAULT_TRIALS,
+        default=DEFAULT_TRIALS,
         help="sample count when checking falls back to sampling",
     )
 

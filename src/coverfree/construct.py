@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from .core import CFFParams, IncidenceMatrix
 from .gf import field
-from .verify import BudgetExceededError, DEFAULT_BUDGET, check_claim
+from .verify import BudgetExceededError, DEFAULT_BUDGET, DEFAULT_TRIALS, check_claim
 
 __all__ = [
     "ConstructionFailedError",
@@ -119,9 +119,9 @@ def _poly_values(q: int, u: int, length: int) -> Iterator[tuple[int, ...]]:
     F = field(q)
     for x in range(min(length, q)):
         row = list(range(q))
-        mul_x = F._mul[x]
+        mul_x = F.mul[x]
         for c in range(q, q**u):
-            row.append(F._add[mul_x[row[c // q]]][c % q])
+            row.append(F.add[mul_x[row[c // q]]][c % q])
         yield tuple(row)
     if length == q + 1:
         top = q ** (u - 1)
@@ -421,7 +421,7 @@ def random_cff(
     *,
     N: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    trials: int = 100_000,
+    trials: int = DEFAULT_TRIALS,
 ) -> tuple[IncidenceMatrix, CFFParams]:
     """Random (w, r; d)-family with T blocks: every entry is 1 with
     probability w/(w+r), independently.
@@ -461,7 +461,7 @@ def random_uniform_cff(
     max_attempts: int = 50,
     *,
     budget: int = DEFAULT_BUDGET,
-    trials: int = 100_000,
+    trials: int = DEFAULT_TRIALS,
 ) -> tuple[IncidenceMatrix, CFFParams]:
     """Random uniform (w, r; d)-family: k groups of ell points, one uniform
     point per group in every block, so blocks have exactly k points.

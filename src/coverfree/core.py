@@ -103,20 +103,6 @@ class IncidenceMatrix:
         return tuple(int(flat[n - 1 - j :: n], 2) for j in range(n))
 
     @classmethod
-    def from_rows(cls, num_points: int, rows: Iterable[Iterable[int]]) -> "IncidenceMatrix":
-        """Build from 0/1 row vectors (index j of a vector is point j)."""
-        packed = []
-        for vec in rows:
-            mask = 0
-            for j, bit in enumerate(vec):
-                if bit not in (0, 1):
-                    raise ValueError(f"entries must be 0 or 1, got {bit!r}")
-                if bit:
-                    mask |= 1 << j
-            packed.append(mask)
-        return cls(num_points, tuple(packed))
-
-    @classmethod
     def from_blocks(cls, num_points: int, blocks: Iterable[Iterable[int]]) -> "IncidenceMatrix":
         """Build from blocks given as iterables of point indices."""
         packed = []
@@ -128,26 +114,6 @@ class IncidenceMatrix:
                 mask |= 1 << j
             packed.append(mask)
         return cls(num_points, tuple(packed))
-
-    @classmethod
-    def identity(cls, n: int) -> "IncidenceMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def block(self, i: int) -> tuple[int, ...]:
-        """Point indices of block i, ascending."""
-        mask = self.rows[i]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.rows)
 
     def transpose(self) -> "IncidenceMatrix":
         """Swap the roles of blocks and points."""

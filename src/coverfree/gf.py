@@ -3,8 +3,8 @@
 Elements are the integers 0..q-1. For prime q they are residues mod q; for
 q = p^e they encode polynomials over GF(p) (base-p digit i of the encoding
 is the coefficient of x^i), reduced modulo a fixed irreducible polynomial.
-Addition, multiplication, and inversion are table-driven so all call sites
-get the same cheap int-indexed operations regardless of q.
+Addition and multiplication are q x q tables, so every call site gets the
+same cheap int-indexed lookups regardless of q.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 
 
 class FiniteField:
-    """GF(q) with table-driven arithmetic.
+    """GF(q) as its addition and multiplication tables: ``add[a][b]`` is
+    a + b and ``mul[a][b]`` is a * b.
 
     Parameters
     ----------
@@ -96,28 +97,21 @@ class FiniteField:
         # a prime is the e = 1 case, reduced modulo x (the digits 0, 1)
         q, p, e = self.q, self.p, self.e
         digits = [self._digits(a, e) for a in range(q)]
-        self._add = [
+        self.add = [
             [self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])])
              for b in range(q)]
             for a in range(q)
         ]
-        self._neg = [row.index(0) for row in self._add]
         modulus = self._digits(_IRREDUCIBLE.get(q, p), e + 1)
-        self._mul = [[0] * q for _ in range(q)]
+        self.mul = [[0] * q for _ in range(q)]
         for a in range(q):
             for b in range(a, q):
                 prod = self._polymul_mod(digits[a], digits[b], modulus)
                 val = self._undigits(prod)
-                self._mul[a][b] = val
-                self._mul[b][a] = val
-        self._inv = [0] * q
+                self.mul[a][b] = val
+                self.mul[b][a] = val
         for a in range(1, q):
-            row = self._mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    self._inv[a] = b
-                    break
-            else:
+            if 1 not in self.mul[a]:
                 raise AssertionError(f"element {a} of GF({q}) has no inverse; bad modulus")
 
     def _polymul_mod(self, a: list[int], b: list[int], modulus: list[int]) -> list[int]:
@@ -135,45 +129,6 @@ class FiniteField:
                 for j in range(e):
                     prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
         return prod[:e]
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._inv[a]
-
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self._mul[result][base]
-            base = self._mul[base][base]
-            k >>= 1
-        return result
-
-    def eval_poly(self, coeffs: list[int] | tuple[int, ...], x: int) -> int:
-        """Evaluate sum(coeffs[i] * x^i) by Horner's rule."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self._add[self._mul[acc][x]][c]
-        return acc
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"

@@ -47,10 +47,6 @@ class TestOutcome:
         if bad:
             raise ValueError(f"flipped pool indices out of range: {sorted(bad)}")
 
-    def vector(self) -> tuple[int, ...]:
-        """Outcomes as an explicit 0/1 tuple, pool 0 first."""
-        return tuple((self.outcomes >> j) & 1 for j in range(self.num_pools))
-
 
 def encode(m: IncidenceMatrix, defectives: set[int]) -> TestOutcome:
     """Honest outcomes when the given blocks are defective: pool j is

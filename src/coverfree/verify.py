@@ -44,6 +44,7 @@ __all__ = [
     "BudgetExceededError",
     "CheckResult",
     "DEFAULT_BUDGET",
+    "DEFAULT_TRIALS",
     "ViolationWitness",
     "check_claim",
     "is_cff",
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**9
+# the (B, A) pairs a sampled check draws unless told otherwise
+DEFAULT_TRIALS = 100_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -427,7 +430,7 @@ def check_claim(
     params: CFFParams,
     *,
     budget: int = DEFAULT_BUDGET,
-    trials: int = 100_000,
+    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> CheckResult:
     """Exhaustive check when it fits the budget, sampled otherwise.

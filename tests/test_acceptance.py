@@ -38,6 +38,7 @@ from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.grouptest import TestOutcome as Outcome
 from coverfree.grouptest import decode, encode
 from coverfree.verify import is_cff, is_disjunct, is_k_uniform, pair_count
+from helpers import block_sizes, entries
 
 
 _CAPSYS = None
@@ -143,12 +144,12 @@ def test_criterion_06_bounds_never_contradict_constructions(oa_family):
     for fam, claim in families:
         # a (w, r; d) family with spare blocks is in particular (1, r; d)
         ok = ok and claim.T <= gbound_T(claim.N, claim.r, claim.d)
-        sizes = set(fam.block_sizes())
+        sizes = set(block_sizes(fam))
         if len(sizes) == 1:
             ok = ok and claim.T <= uniform_T(claim.N, sizes.pop(), claim.r)
     ok = ok and gbound_T(10, 2, 0) == 121
     ok = ok and uniform_T(12, 4, 3) == 22
-    ok = ok and lower_bounds_N(2, 2, 0, 16).entry("dfft").value == 10.0
+    ok = ok and entries(lower_bounds_N(2, 2, 0, 16))["dfft"].value == 10.0
     _verdict(6, ok, "every constructed family fits under the counting bounds; spot values 121, 22, and 10 reproduced")
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, log2
@@ -23,9 +24,21 @@ from coverfree.bounds import (
     sperner_T,
     uniform_T,
 )
-from coverfree.construct import rs_cff, trivial_cff
+from coverfree.cli import _METHODS
+from coverfree.construct import (
+    oa_construct,
+    oa_to_packing,
+    packing_to_cff,
+    random_cff,
+    random_uniform_cff,
+    recursive_cff,
+    rs_cff,
+    sperner_cff,
+    trivial_cff,
+)
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.verify import is_cff
+from helpers import entries
 
 ENTRY_NAMES = {
     "w1", "dfft", "engel1", "engel", "nbound2", "nbound3",
@@ -267,18 +280,18 @@ class TestLowerBoundsN:
         assert set(names) == ENTRY_NAMES
 
     def test_counting_bound_values(self):
-        rep = lower_bounds_N(2, 2, 0, 16)
-        assert rep.entry("dfft").value == pytest.approx(10.0)
-        assert rep.entry("engel1").value == pytest.approx(3 * log2(14))
-        assert rep.entry("engel").value == pytest.approx(4 * log2(14))
-        assert rep.entry("nbound2").value == pytest.approx(3.0)
-        assert rep.entry("nbound2-d").value == pytest.approx(2.625)
+        rep = entries(lower_bounds_N(2, 2, 0, 16))
+        assert rep["dfft"].value == pytest.approx(10.0)
+        assert rep["engel1"].value == pytest.approx(3 * log2(14))
+        assert rep["engel"].value == pytest.approx(4 * log2(14))
+        assert rep["nbound2"].value == pytest.approx(3.0)
+        assert rep["nbound2-d"].value == pytest.approx(2.625)
 
     def test_single_w_profile(self):
-        rep = lower_bounds_N(1, 2, 0, 8)
-        assert rep.entry("dfft").value == pytest.approx(4.0)
-        assert rep.entry("nbound2").value == pytest.approx(1.4195919455357793)
-        assert rep.entry("w1").applicable
+        rep = entries(lower_bounds_N(1, 2, 0, 8))
+        assert rep["dfft"].value == pytest.approx(4.0)
+        assert rep["nbound2"].value == pytest.approx(1.4195919455357793)
+        assert rep["w1"].applicable
 
     @pytest.mark.parametrize(
         "w,r,d,inapplicable",
@@ -303,12 +316,11 @@ class TestLowerBoundsN:
     def test_best_skips_asymptotic_entries(self):
         rep = lower_bounds_N(2, 2, 0, 16)
         # engel (asymptotic) is larger but must not win
-        assert rep.entry("engel").value > rep.entry("engel1").value
+        assert entries(rep)["engel"].value > entries(rep)["engel1"].value
         assert rep.best_lower_bound().name == "engel1"
 
     def test_unknown_entry(self):
-        with pytest.raises(KeyError):
-            lower_bounds_N(1, 2, 0, 8).entry("tightest")
+        assert "tightest" not in entries(lower_bounds_N(1, 2, 0, 8))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -481,6 +493,122 @@ def test_no_lower_bound_exceeds_the_least_n():
     assert violations == []
 
 
+def oa_cff(q, t, d):
+    return packing_to_cff(oa_to_packing(oa_construct(q, t)), d)
+
+
+def rs_degree(n, r, d):
+    """rs_cff's u: its words are the polynomials of degree < u."""
+    return (n - d - 1) // r + 1
+
+
+# small families from every construct method, each with at most 3000 blocks;
+# recursive_cff(2, 2, d, 2) is left out, since proving its 625 blocks at
+# w = 2 takes minutes
+SURVEY_FAMILIES = {
+    "trivial": [
+        (trivial_cff, (n, w, r))
+        for n in range(2, 9)
+        for w in range(1, n)
+        for r in range(1, n - w + 1)
+    ],
+    "sperner": [(sperner_cff, (N,)) for N in range(2, 9)],
+    "oa": [
+        (oa_cff, (q, t, d))
+        for q in (2, 3, 4, 5, 7)
+        for t in range(2, q + 1)
+        for d in range(3)
+        if q**t <= 3000 and d + t <= q + 1
+    ],
+    "rs": [
+        (rs_cff, (q, n, r, d))
+        for q in (2, 3, 4, 5, 7)
+        for n in range(2, q + 2)
+        for r in range(1, 4)
+        for d in range(3)
+        if 2 <= rs_degree(n, r, d) <= q and q ** rs_degree(n, r, d) <= 3000
+    ],
+    "shf-recursive": [
+        (recursive_cff, (w, r, d, levels))
+        for w in (1, 2)
+        for r in (1, 2)
+        for d in (0, 1)
+        for levels in range(3)
+        if (w, r, levels) != (2, 2, 2)
+    ],
+    "random": [
+        (random_cff, (w, r, d, T, seed))
+        for w, r, d, T in [(1, 1, 0, 8), (1, 2, 0, 10), (2, 1, 0, 10), (2, 2, 0, 8)]
+        for seed in range(3)
+    ],
+    "random-uniform": [
+        (random_uniform_cff, (ell, w, r, T, seed))
+        for ell, w, r, T in [(2, 1, 1, 6), (2, 2, 1, 6), (3, 1, 2, 6)]
+        for seed in range(3)
+    ],
+}
+
+
+def beaten_bounds(m, claim):
+    """The survey rows a proven (w, r; d)-family on N points with T blocks
+    beats, as (name, w, r, d, N, T). It is also a (w', r'; d')-family for
+    every w' <= w, r' <= r and d' <= d, since T >= w + r leaves blocks to
+    fill B and A out with, so the bounds at those parameters bind it too.
+    The bounds on T are for w' = 1."""
+    N, T = claim.N, claim.T
+    sizes = {row.bit_count() for row in m.rows}
+    beaten = set()
+    for r in range(1, claim.r + 1):
+        for d in range(claim.d + 1):
+            for w in range(1, claim.w + 1):
+                beaten |= {
+                    (e.name, w, r, d, N, T)
+                    for e in lower_bounds_N(w, r, d, T).entries
+                    # float formulas: a bound equal to N may land a rounding above it
+                    if e.applicable and not e.asymptotic and e.value > N + 1e-9
+                }
+            upper = []
+            if r == 1 and d == 0:
+                upper.append(("sperner", sperner_T(N)))
+            if r >= 2 and N > r + d * (r + 1):
+                upper.append(("gbound", gbound_T(N, r, d)))
+            if r == 2 and d >= 1:
+                # strict: T < value
+                upper.append(("2d", bound_2d_T(N, d) - 1))
+            if len(sizes) == 1:
+                upper.append(("uniform", uniform_T(N, *sizes, r)))
+            beaten |= {(name, 1, r, d, N, T) for name, value in upper if T > value}
+    return beaten
+
+
+# Survey rows that proven families beat, so the rows are wrong there. The
+# identity on T points is a (1, r; 0)-family with N = T, below engel1's
+# r * log2(T - r + 1) at r >= 4 and T <= 8. recursive_cff(1, 2, 1, 0) is a
+# (1, 2; 1)-family with N = 6 and T = 3, where 2d allows only T < 3.
+SURVEY_ROWS_BEATEN = {
+    ("engel1", 1, 4, 0, 6, 6),
+    ("engel1", 1, 4, 0, 7, 7),
+    ("engel1", 1, 5, 0, 7, 7),
+    ("engel1", 1, 4, 0, 8, 8),
+    ("engel1", 1, 5, 0, 8, 8),
+    ("engel1", 1, 6, 0, 8, 8),
+    ("2d", 1, 2, 1, 6, 3),
+}
+
+
+def test_no_proven_family_beats_a_bound():
+    assert SURVEY_FAMILIES.keys() == _METHODS.keys()
+    proven, beaten = 0, set()
+    for method, builds in SURVEY_FAMILIES.items():
+        for build, args in builds:
+            m, claim = build(*args)
+            assert is_cff(m, replace(claim, k=None), budget=10**30), (method, args)
+            proven += 1
+            beaten |= beaten_bounds(m, claim)
+    assert proven == 256
+    assert beaten == SURVEY_ROWS_BEATEN
+
+
 def rates(*args, **kwargs):
     return {e.name: e.value for e in rate_compare(*args, **kwargs)}
 
@@ -548,25 +676,23 @@ class TestRateCompare:
 
 class TestFullReport:
     def test_upper_bounds_widest_profile(self):
-        rep = full_report(1, 2, 1, 9, N=12, k=4)
-        assert rep.entry("gbound").value == 221
-        assert rep.entry("2d").value == 11
-        assert rep.entry("uniform").value == 22
+        rep = entries(full_report(1, 2, 1, 9, N=12, k=4))
+        assert rep["gbound"].value == 221
+        assert rep["2d"].value == 11
+        assert rep["uniform"].value == 22
         for name in ("gbound", "2d", "uniform"):
-            e = rep.entry(name)
+            e = rep[name]
             assert isinstance(e.value, int)
             assert e.direction == "upper bound on T"
-        assert rep.entry("rate-drr").asymptotic
-        assert rep.entry("rate-gbound").asymptotic
+        assert rep["rate-drr"].asymptotic
+        assert rep["rate-gbound"].asymptotic
 
     def test_antichain_profile_entries(self):
-        rep = full_report(1, 1, 0, 4, N=2)
-        assert rep.entry("sperner").value == 2
-        assert rep.entry("drr-rate").value == 1.0
-        with pytest.raises(KeyError):
-            rep.entry("2d")
-        with pytest.raises(KeyError):
-            rep.entry("rate-drr")
+        rep = entries(full_report(1, 1, 0, 4, N=2))
+        assert rep["sperner"].value == 2
+        assert rep["drr-rate"].value == 1.0
+        assert "2d" not in rep
+        assert "rate-drr" not in rep
 
     def test_gbound_needs_r_at_least_2(self):
         # a proven (1, 1; 0)-family with T = 9 > N = 6, above the formula's
@@ -574,10 +700,9 @@ class TestFullReport:
         m, claim = rs_cff(3, 2, 1)
         assert (claim.w, claim.r, claim.d, claim.T, claim.N) == (1, 1, 0, 9, 6)
         assert is_cff(m, claim)
-        rep = full_report(1, 1, 0, 9, N=6)
-        assert rep.entry("sperner").value == 20
-        with pytest.raises(KeyError):
-            rep.entry("gbound")
+        rep = entries(full_report(1, 1, 0, 9, N=6))
+        assert rep["sperner"].value == 20
+        assert "gbound" not in rep
         with pytest.raises(ValueError, match="r >= 2"):
             gbound_T(6, 1, 0)
 
@@ -585,14 +710,14 @@ class TestFullReport:
         # the identity on 5 points is a (1, 2; 0)-family at rate log2(5)/5
         m, claim = trivial_cff(5, 1, 2)
         assert (claim.T, claim.N) == (5, 5) and is_cff(m, claim)
-        entry = full_report(1, 2, 0, 5, N=5).entry("drr-rate")
+        entry = entries(full_report(1, 2, 0, 5, N=5))["drr-rate"]
         assert entry.value == pytest.approx(0.3219, abs=1e-4)
         assert log2(claim.T) / claim.N > entry.value
         assert entry.asymptotic
 
     def test_existence_never_wins_best(self):
         rep = full_report(1, 1, 0, 4, N=2)
-        best = rep.entry("existence")
+        best = entries(rep)["existence"]
         assert best.value > rep.best_lower_bound().value
         assert rep.best_lower_bound().name != "existence"
         assert rep.best_lower_bound().value == pytest.approx(2.0)

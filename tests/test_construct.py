@@ -27,6 +27,7 @@ from coverfree.construct import (
 )
 from coverfree.gf import field
 from coverfree.verify import BudgetExceededError, is_cff, is_disjunct, is_k_uniform
+from helpers import block_sizes, identity
 
 
 def check_packing(p):
@@ -57,11 +58,11 @@ def check_separating(shf):
 
 class TestTrivialDS:
     def test_singletons_when_i_side_smaller(self):
-        assert trivial_ds(4, 1, 2) == IncidenceMatrix.identity(4)
+        assert trivial_ds(4, 1, 2) == identity(4)
 
     def test_transpose_is_cover_free(self):
         m = trivial_ds(5, 2, 2)
-        assert m.num_blocks == 10 and m.block_sizes() == (2,) * 10
+        assert m.num_blocks == 10 and block_sizes(m) == (2,) * 10
         claim = CFFParams(w=2, r=2, d=0, N=10, T=5)
         assert trivial_cff(5, 2, 2) == (m.transpose(), claim)
         for t in (m.transpose(), trivial_cff(5, 2, 2)[0]):
@@ -69,7 +70,7 @@ class TestTrivialDS:
 
     def test_tie_prefers_i_subsets(self):
         m = trivial_ds(4, 3, 1)
-        assert m.num_blocks == 4 and m.block_sizes() == (3, 3, 3, 3)
+        assert m.num_blocks == 4 and block_sizes(m) == (3, 3, 3, 3)
 
     @pytest.mark.parametrize("n,i,j", [(3, 2, 2), (3, 0, 1), (3, 1, 0)])
     def test_rejects(self, n, i, j):
@@ -224,10 +225,18 @@ class TestReedSolomon:
             rs_cff(13, 14, 2)  # 13^7 blocks
 
 
+def horner(F, coeffs, x):
+    """sum(coeffs[i] * x^i) in F."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add[F.mul[acc][x]][c]
+    return acc
+
+
 def poly_words_by_digits(q, u, length):
     """Reference for the Horner-along-the-index evaluator: expand each index
-    into its base-q digits and evaluate the polynomial at every point with
-    ``eval_poly``; at length q+1 append the leading coefficient."""
+    into its base-q digits and evaluate the polynomial at every point by
+    Horner's rule; at length q+1 append the leading coefficient."""
     F = field(q)
     words = []
     for idx in range(q**u):
@@ -236,7 +245,7 @@ def poly_words_by_digits(q, u, length):
         for _ in range(u):
             coeffs.append(rem % q)
             rem //= q
-        word = [F.eval_poly(coeffs, x) for x in range(min(length, q))]
+        word = [horner(F, coeffs, x) for x in range(min(length, q))]
         if length == q + 1:
             word.append(coeffs[-1])
         words.append(tuple(word))
@@ -301,10 +310,10 @@ class TestSeparatingHash:
         assert is_cff(m, claim).ok
 
     def test_compose_rejects_mismatches(self):
-        base = IncidenceMatrix.identity(5)
+        base = identity(5)
         claim = CFFParams(w=1, r=1, d=0, N=5, T=5)
         with pytest.raises(ValueError, match="symbols"):
-            shf_compose(IncidenceMatrix.identity(3), claim, shf_modular(5, 1, 1))
+            shf_compose(identity(3), claim, shf_modular(5, 1, 1))
         with pytest.raises(ValueError, match="profile"):
             shf_compose(base, claim, shf_modular(5, 2, 2))
 

@@ -12,6 +12,7 @@ from coverfree.core import (
     read_matrix_file,
     write_matrix_file,
 )
+from helpers import block_sizes, identity
 
 
 def small_matrices(max_points=8, max_blocks=8):
@@ -49,20 +50,17 @@ class TestCFFParams:
 
 class TestIncidenceMatrix:
     def test_from_rows_and_get(self):
-        m = IncidenceMatrix.from_rows(3, [[1, 0, 1], [0, 1, 0]])
+        # bit j of rows[i] is entry (i, j)
+        m = IncidenceMatrix(3, (0b101, 0b010))
         assert m.num_points == 3
         assert m.num_blocks == 2
-        assert [[m.get(i, j) for j in range(3)] for i in range(2)] == [
-            [1, 0, 1],
-            [0, 1, 0],
-        ]
-        assert m.block(0) == (0, 2)
-        assert m.block(1) == (1,)
-        assert m.block_sizes() == (2, 1)
+        assert m.row_strings() == ["101", "010"]
+        assert m == IncidenceMatrix.from_blocks(3, [(0, 2), (1,)])
+        assert block_sizes(m) == (2, 1)
 
     def test_from_rows_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            IncidenceMatrix.from_rows(2, [[1, 2]])
+        with pytest.raises(ValueError, match="other than 0/1"):
+            parse_matrix("CFF 2 1 0 0 0\n12\n")
 
     def test_from_blocks(self):
         m = IncidenceMatrix.from_blocks(4, [(0, 3), (1,)])
@@ -83,11 +81,12 @@ class TestIncidenceMatrix:
             IncidenceMatrix(1, ())
 
     def test_identity(self):
-        m = IncidenceMatrix.identity(3)
+        m = identity(3)
         assert m.rows == (1, 2, 4)
+        assert m.transpose() == m
 
     def test_transpose_explicit(self):
-        m = IncidenceMatrix.from_rows(3, [[1, 1, 0], [0, 1, 1]])
+        m = IncidenceMatrix(3, (0b011, 0b110))
         t = m.transpose()
         assert t.num_points == 2
         assert t.num_blocks == 3
@@ -102,7 +101,7 @@ class TestIncidenceMatrix:
         t = m.transpose()
         for i in range(m.num_blocks):
             for j in range(m.num_points):
-                assert m.get(i, j) == t.get(j, i)
+                assert m.rows[i] >> j & 1 == t.rows[j] >> i & 1
 
     @given(small_matrices(max_points=80, max_blocks=12))
     def test_transpose_matches_per_bit_reference(self, m):
@@ -148,13 +147,13 @@ class TestIncidenceMatrix:
 
     def test_replicate_rejects_zero(self):
         with pytest.raises(ValueError):
-            IncidenceMatrix.identity(2).replicate_points(0)
+            identity(2).replicate_points(0)
 
     @given(small_matrices(max_points=6), st.integers(1, 4))
     def test_replicate_scales_block_sizes(self, m, copies):
         r = m.replicate_points(copies)
         assert r.num_points == m.num_points * copies
-        assert r.block_sizes() == tuple(s * copies for s in m.block_sizes())
+        assert block_sizes(r) == tuple(s * copies for s in block_sizes(m))
 
     @given(small_matrices(max_points=40), st.integers(1, 5))
     def test_replicate_matches_per_bit_reference(self, m, copies):
@@ -176,7 +175,7 @@ class TestIncidenceMatrix:
 
 class TestFileFormat:
     def test_format_explicit(self):
-        m = IncidenceMatrix.from_rows(3, [[1, 0, 1], [0, 1, 0]])
+        m = IncidenceMatrix(3, (0b101, 0b010))
         claim = CFFParams(w=1, r=1, d=0, N=3, T=2)
         assert format_matrix(m, claim) == "CFF 3 2 1 1 0\n101\n010\n"
 
@@ -185,7 +184,7 @@ class TestFileFormat:
         assert format_matrix(m) == "CFF 2 1 0 0 0\n10\n"
 
     def test_format_rejects_shape_mismatch(self):
-        m = IncidenceMatrix.identity(3)
+        m = identity(3)
         with pytest.raises(ValueError, match="does not match"):
             format_matrix(m, CFFParams(w=1, r=1, d=0, N=3, T=2))
 

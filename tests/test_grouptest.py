@@ -9,6 +9,7 @@ from coverfree.construct import rs_cff
 from coverfree.core import IncidenceMatrix
 from coverfree.grouptest import TestOutcome as Outcome
 from coverfree.grouptest import SimulationStats, decode, encode, inject_errors, simulate
+from helpers import identity
 from test_verify import counted
 
 
@@ -20,7 +21,9 @@ def pooling_matrix():
 
 class TestOutcomeType:
     def test_vector(self):
-        assert Outcome(num_pools=4, outcomes=0b1010).vector() == (0, 1, 0, 1)
+        # bit j of the outcomes is pool j: blocks {1} and {3} light pools 1, 3
+        outcome = encode(IncidenceMatrix(4, (0b0010, 0b1000)), {0, 1})
+        assert outcome == Outcome(num_pools=4, outcomes=0b1010)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -100,14 +103,14 @@ class TestDecode:
             decode(pooling_matrix, o, tolerance=-1)
 
     def test_exact_recovery_without_noise(self):
-        m = IncidenceMatrix.identity(5)
+        m = identity(5)
         for size in range(5):
             for defectives in combinations(range(5), size):
                 assert decode(m, encode(m, set(defectives))) == set(defectives)
 
     def test_exact_recovery_under_single_flips(self):
         # (1, 3; 2)-family: disjoint triples survive one flipped pool
-        m = IncidenceMatrix.identity(4).replicate_points(3)
+        m = identity(4).replicate_points(3)
         for size in range(4):
             for defectives in combinations(range(4), size):
                 honest = encode(m, set(defectives))
@@ -258,14 +261,14 @@ class TestSimulate:
         assert a == b
 
     def test_perfect_within_guarantee(self):
-        m = IncidenceMatrix.identity(4).replicate_points(3)
+        m = identity(4).replicate_points(3)
         stats = simulate(m, r=3, d=2, trials=60)
         assert stats.exact_rate == 1.0
         assert stats.false_positives == stats.false_negatives == 0
         assert (stats.tolerance, stats.max_errors) == (1, 1)
 
     def test_beyond_guarantee_reports_honestly(self):
-        m = IncidenceMatrix.identity(4)
+        m = identity(4)
         stats = simulate(m, r=2, d=0, trials=50, max_errors=3)
         assert stats.max_errors == 3 and stats.tolerance == 0
         assert 0 <= stats.exact <= stats.trials

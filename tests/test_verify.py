@@ -31,6 +31,7 @@ from coverfree.verify import (
     max_r,
     pair_count,
 )
+from helpers import identity
 
 
 def params(w, r, d, N, T):
@@ -186,7 +187,7 @@ class TestMatchesEnumeration:
             assert not refuted.ok
 
     def test_same_errors(self):
-        m = IncidenceMatrix.identity(4)
+        m = identity(4)
         for check in (is_cff, is_cff_by_enumeration):
             with pytest.raises(ValueError):
                 check(m, params(1, 1, 0, 5, 4))
@@ -244,12 +245,12 @@ def test_pair_count():
 
 class TestIsCff:
     def test_identity_separates_single_blocks(self):
-        m = IncidenceMatrix.identity(4)
+        m = identity(4)
         assert is_cff(m, params(1, 1, 0, 4, 4)).ok
         assert is_cff(m, params(1, 3, 0, 4, 4)).ok
 
     def test_identity_pairs_have_empty_intersection(self):
-        m = IncidenceMatrix.identity(4)
+        m = identity(4)
         res = is_cff(m, params(2, 1, 0, 4, 4))
         assert not res.ok
         assert res.witness == ViolationWitness((0, 1), (2,), 0)
@@ -263,12 +264,12 @@ class TestIsCff:
         assert res.witness.replay(m) == res.witness.residual == 0
 
     def test_shape_mismatch(self):
-        m = IncidenceMatrix.identity(4)
+        m = identity(4)
         with pytest.raises(ValueError, match="does not match"):
             is_cff(m, params(1, 1, 0, 5, 4))
 
     def test_budget_refusal_points_at_sampler(self):
-        m = IncidenceMatrix.identity(4)
+        m = identity(4)
         with pytest.raises(BudgetExceededError, match="is_cff_sampled"):
             is_cff(m, params(1, 1, 0, 4, 4), budget=1)
 
@@ -294,15 +295,33 @@ class TestIsCff:
         assert rows.reads == claim.T * (1 + heavy)
         assert columns.reads == claim.T * columns_per_b
 
+    @pytest.mark.parametrize(
+        "build, columns_per_b",
+        [
+            # u = 3: any three of a word's six positions fix it, so no other
+            # block holds the first three points of B
+            (lambda: rs_cff(5, 6, 2), 3),
+            (lambda: recursive_cff(1, 2, 0, 2), 5),
+        ],
+    )
+    def test_single_block_cover_ands_columns(self, build, columns_per_b):
+        m, claim = build()
+        copy, rows, columns = counted(m)
+        assert is_cff(copy, params(1, 1, 0, claim.N, claim.T)) == CheckResult(True)
+        # at (1, 1; 0) one block must hold every point of B: an AND over B's
+        # columns that ends once no other block is left, where a thermometer
+        # counter would read all of them (6 and 9 a B)
+        assert columns.reads == claim.T * columns_per_b
+
     def test_bool_protocol(self):
-        m = IncidenceMatrix.identity(3)
+        m = identity(3)
         assert is_cff(m, params(1, 1, 0, 3, 3))
         assert not is_cff(m, params(2, 1, 0, 3, 3))
 
 
 class TestIsCffSampled:
     def test_pass_records_method(self):
-        m = IncidenceMatrix.identity(4)
+        m = identity(4)
         res = is_cff_sampled(m, params(1, 1, 0, 4, 4), trials=50, seed=0)
         assert res.ok and res.method == "sampled"
 
@@ -319,14 +338,14 @@ class TestIsCffSampled:
         assert (a.ok, a.witness) == (b.ok, b.witness)
 
     def test_rejects_zero_trials(self):
-        m = IncidenceMatrix.identity(3)
+        m = identity(3)
         with pytest.raises(ValueError):
             is_cff_sampled(m, params(1, 1, 0, 3, 3), trials=0, seed=0)
 
 
 class TestIsDisjunct:
     def test_identity_is_disjunct(self):
-        assert is_disjunct(IncidenceMatrix.identity(3), 1, 1).ok
+        assert is_disjunct(identity(3), 1, 1).ok
 
     def test_failure_with_nonempty_p(self):
         # point 1 never appears without point 2
@@ -346,7 +365,7 @@ class TestIsDisjunct:
         assert res.witness.replay(m.transpose()) == 0
 
     def test_preconditions(self):
-        m = IncidenceMatrix.identity(3)
+        m = identity(3)
         with pytest.raises(ValueError):
             is_disjunct(m, 2, 2)
         with pytest.raises(ValueError):
@@ -354,7 +373,7 @@ class TestIsDisjunct:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            is_disjunct(IncidenceMatrix.identity(5), 2, 2, budget=3)
+            is_disjunct(identity(5), 2, 2, budget=3)
 
     @given(matrices(), st.integers(1, 2), st.integers(1, 2))
     @settings(max_examples=150, deadline=None)
@@ -430,6 +449,13 @@ class TestMaxRMatchesScan:
         assert rows.reads <= claim.T * (1 + 18 + 1)
         assert columns.reads < claim.T * (9 + 18 * 4)
 
+    def test_deeper_searches_go_heaviest_first(self):
+        m, claim = rs_cff(5, 5, 4)
+        copy, rows, columns = counted(m)
+        assert max_r(copy, claim.w, claim.d) == claim.r == 4
+        # pinned: visiting the heavy blocks in index order reads 655 rows
+        assert (rows.reads, columns.reads) == (715, 30)
+
     def test_pair_level_reads_no_rows(self):
         m, claim = random_cff(1, 2, 0, 12, seed=3)
         copy, rows, columns = counted(m)
@@ -471,7 +497,7 @@ def test_heavy_blocks_match_a_plain_count(case):
 
 class TestMaxR:
     def test_identity(self):
-        m = IncidenceMatrix.identity(5)
+        m = identity(5)
         assert max_r(m, 1, 0) == 4
         assert max_r(m, 2, 0) == 0
 
@@ -480,14 +506,14 @@ class TestMaxR:
         assert max_r(m, 1, 0) == 0
 
     def test_nonincreasing_in_d(self):
-        m = IncidenceMatrix.identity(4).replicate_points(3)
+        m = identity(4).replicate_points(3)
         values = [max_r(m, 1, d) for d in range(4)]
         assert values == [3, 3, 3, 0]
 
     def test_budget_refusal_names_only_the_budget(self):
         # max_r has no sampled mode to point at
         with pytest.raises(BudgetExceededError) as info:
-            max_r(IncidenceMatrix.identity(4), 1, 0, budget=1)
+            max_r(identity(4), 1, 0, budget=1)
         assert info.value.args == (
             "12 pair evaluations exceed the budget of 1",
             "raise the budget",
@@ -495,32 +521,32 @@ class TestMaxR:
 
     def test_rejects_w_zero(self):
         with pytest.raises(ValueError):
-            max_r(IncidenceMatrix.identity(3), 0, 0)
+            max_r(identity(3), 0, 0)
 
     @pytest.mark.parametrize("w", [1, 2, 3])
     def test_rejects_negative_d(self, w):
         # w = 3 leaves no r to try, so only an upfront check catches it
         with pytest.raises(ValueError, match="d must be non-negative"):
-            max_r(IncidenceMatrix.identity(3), w, -1)
+            max_r(identity(3), w, -1)
 
     def test_no_blocks_beyond_b(self):
-        assert max_r(IncidenceMatrix.identity(3), 3, 0) == 0
-        assert max_r(IncidenceMatrix.identity(3), 4, 0) == 0
+        assert max_r(identity(3), 3, 0) == 0
+        assert max_r(identity(3), 4, 0) == 0
 
 
 def test_is_k_uniform():
-    m = IncidenceMatrix.identity(4)
+    m = identity(4)
     assert is_k_uniform(m, 1)
     assert not is_k_uniform(m, 2)
 
 
 class TestCheckClaim:
     def test_picks_exhaustive_when_affordable(self):
-        m = IncidenceMatrix.identity(4)
+        m = identity(4)
         assert check_claim(m, params(1, 1, 0, 4, 4)).method == "exhaustive"
 
     def test_falls_back_to_sampling(self):
-        m = IncidenceMatrix.identity(4)
+        m = identity(4)
         res = check_claim(m, params(1, 1, 0, 4, 4), budget=1, trials=30)
         assert res.ok and res.method == "sampled"
 
