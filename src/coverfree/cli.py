@@ -333,7 +333,8 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
         "--budget",
         type=_int_at_least(0),
         default=DEFAULT_BUDGET,
-        help="max (B, A) evaluations for exhaustive checking",
+        help="max (B, A) evaluations for exhaustive checking, and max work of a "
+        "proof by a built family's symmetries past them; 0 samples",
     )
     p.add_argument(
         "--trials",

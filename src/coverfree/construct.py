@@ -128,6 +128,31 @@ def _poly_values(q: int, u: int, length: int) -> Iterator[tuple[int, ...]]:
         yield tuple(c // top for c in range(q**u))
 
 
+def _translations(q: int, u: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """The point maps that add a * x^j to every word of :func:`_poly_values`,
+    for a in the GF(p)-basis 1, p, ..., p^(e-1) of GF(q) and j < u: point
+    i*q + v goes to i*q + (v + a * x_i^j), and the point at infinity, the
+    coefficient of x^(u-1), gains a only when j = u - 1. Between them they
+    add every polynomial of degree < u, so they permute the words and
+    reach each word from any other."""
+    F = field(q)
+    maps = []
+    for j in range(u):
+        for a in (F.p**i for i in range(F.e)):
+            image = []
+            for x in range(length):
+                if x < q:
+                    power = 1
+                    for _ in range(j):
+                        power = F.mul[power][x]
+                    shift = F.mul[a][power]
+                else:
+                    shift = a if j == u - 1 else 0
+                image.extend(x * q + F.add[v][shift] for v in range(q))
+            maps.append(tuple(image))
+    return tuple(maps)
+
+
 def oa_construct(q: int, t: int) -> OrthogonalArray:
     """OA(t, q+1, q) by polynomial evaluation over GF(q).
 
@@ -223,7 +248,10 @@ def rs_cff(
     N_eff rows (any u positions fix the polynomial), so the family is
     ``packing_to_cff(oa_to_packing(...), d)``: word c becomes the block
     {i*q + c_i}. The packing supports floor((N_eff - d - 1)/(u - 1)) >= r;
-    the claim carries the requested r.
+    the claim carries the requested r. The matrix's ``symmetries`` are the
+    e * u translations by a * x^j (a in a GF(p)-basis of GF(q), j < u),
+    which act on the blocks transitively; past the pair budget ``is_cff``
+    checks them and then searches only the B-sets that hold block 0.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -263,7 +291,7 @@ def rs_cff(
         OrthogonalArray(t=u, k=n_eff, s=q, rows=tuple(_poly_values(q, u, n_eff)))
     )
     m, claim = packing_to_cff(packing, d)
-    return m, replace(claim, r=r)
+    return replace(m, symmetries=_translations(q, u, n_eff)), replace(claim, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +460,8 @@ def random_cff(
     this density. Each attempt draws from its own stream keyed by (seed,
     attempt), so results are reproducible no matter how attempts are
     scheduled; every returned matrix has been verified (exhaustively within
-    the pair budget, sampled above it).
+    the pair budget, sampled above it, since a random matrix carries no
+    symmetries for an orbit proof).
     """
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -68,10 +68,15 @@ class IncidenceMatrix:
     ``rows[i]`` is the bitmask of block i; bit j set means point j belongs
     to the block. ``columns`` is the same matrix read by point, built on
     first use and kept; it takes no part in ``==``, ``hash`` or ``repr``.
+    Nor does ``symmetries``: point permutations that a construction claims
+    map the set of rows onto itself, one tuple of images per permutation.
+    They are an untrusted hint the verifier checks before it uses them, and
+    the file format does not carry them.
     """
 
     num_points: int
     rows: tuple[int, ...]
+    symmetries: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_points < 1:

@@ -28,13 +28,27 @@ witness, only a size. Results never depend on scheduling. The budget is
 counted upfront in (B-set, A-set) pairs, the work of the plain enumeration,
 and a check above it is refused rather than run for hours; ``max_r``
 refuses exactly the calls the ascending scan would.
+
+Past the pair budget, ``is_cff`` tries one more route before it refuses: a
+proof reduced by the point permutations a construction lists in
+``IncidenceMatrix.symmetries``. They are checked, not trusted. Each must
+be a bijection of the points that maps every row onto a row (the rows
+distinct, at most 256 points), which makes it permute the blocks and keep
+every |∩B \\ ∪A|, and those block permutations must reach every block
+from block 0. Then every B-set has an image holding block 0 that passes
+or fails with it, and the cover search runs on those C(T - 1, w - 1)
+B-sets only. This route counts its own work, T per symmetry and one per
+cover-search call, stops once that passes the budget, and only ever
+passes: a check it cannot finish, or a B-set with a cover, ends in the
+same refusal as the plain scan, so witnesses still come from that scan or
+the sampler.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, pairwise
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -177,12 +191,18 @@ def is_cff(
     down to d points, and a colex branch-and-bound finds the witness at the
     first B it does not clear (see the module docstring), the same witness
     as the plain enumeration. ``budget`` caps the upfront pair count
-    C(T, w) * C(T - w, r), not the pairs the pruned search visits.
+    C(T, w) * C(T - w, r), not the pairs the pruned search visits. Past
+    that count a claim can still pass by the orbit proof over
+    ``m.symmetries``, which must fit its own work in ``budget`` (see the
+    module docstring); otherwise the call is refused.
     """
     _check_shape(m, params)
     w, r, d = params.w, params.r, params.d
     T = m.num_blocks
-    _afford(pair_count(T, w, r), budget, "use is_cff_sampled or raise the budget")
+    total = pair_count(T, w, r)
+    if total > budget and _by_orbits(m, params, budget):
+        return CheckResult(True)
+    _afford(total, budget, "use is_cff_sampled or raise the budget")
     rows = m.rows
     columns = m.columns
     every = (1 << T) - 1
@@ -338,12 +358,34 @@ def _bare(columns: Sequence[int], rows: Sequence[int], outside: int, mask: int) 
     return _uncovered(rows, mask, _members(outside))
 
 
+class _Meter:
+    """Work units left of a budget; spending past it raises
+    BudgetExceededError."""
+
+    def __init__(self, budget: int) -> None:
+        self.left = budget
+
+    def charge(self, units: int) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise BudgetExceededError("the orbit proof passed the budget")
+
+
 def _covers(
-    columns: Sequence[int], rows: Sequence[int], outside: int, uncovered: int, d: int, j: int
+    columns: Sequence[int],
+    rows: Sequence[int],
+    outside: int,
+    uncovered: int,
+    d: int,
+    j: int,
+    meter: _Meter | None = None,
 ) -> int | None:
     """The size of some cover by at most j blocks of the mask ``outside``
     that leaves at most d of the more than d points of ``uncovered``, or
-    None when there is none (see the module docstring)."""
+    None when there is none (see the module docstring). A ``meter`` is
+    charged one unit per call, nested calls included."""
+    if meter is not None:
+        meter.charge(1)
     excess = uncovered.bit_count() - d
     heavy = _heavy(columns, rows, outside, uncovered, -(-excess // j))
     # no cover at any size when all of outside leaves more than d points
@@ -364,10 +406,102 @@ def _covers(
             if _heavy(columns, rows, outside, left, excess) if d else _common(columns, outside, left):
                 return 2
         else:
-            found = _covers(columns, rows, outside, left, d, j - 1)
+            found = _covers(columns, rows, outside, left, d, j - 1, meter)
             if found is not None:
                 return found + 1
     return None
+
+
+def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[list[int]] | None:
+    """The block permutation each of ``m.symmetries`` induces, or None when
+    two rows are equal or some symmetry is not a bijection of the points
+    that maps every row onto a row.
+
+    Every row is written as its points, one byte each and highest first; a
+    point map is one ``bytes.translate`` of all of them, and each image is
+    looked up among the rows by its bytes, sorted only on a miss. Each map
+    charges ``meter`` T units before it runs.
+    """
+    n, T = m.num_points, m.num_blocks
+    points = bytearray()
+    ends = [0]
+    for row in m.rows:
+        while row:
+            top = row.bit_length() - 1
+            points.append(top)
+            row ^= 1 << top
+        ends.append(len(points))
+    flat = bytes(points)
+    spans = list(pairwise(ends))
+    index = {flat[a:b]: i for i, (a, b) in enumerate(spans)}
+    if len(index) != T:
+        return None
+    maps = []
+    for perm in m.symmetries:
+        meter.charge(T)
+        try:
+            table = bytes(perm)
+        except (TypeError, ValueError):
+            return None
+        if sorted(table) != list(range(n)):
+            return None
+        image = flat.translate(table + bytes(range(n, 256)))
+        keys = [image[a:b] for a, b in spans]
+        sigma = list(map(index.get, keys))
+        for i, j in enumerate(sigma):
+            if j is None:
+                j = index.get(bytes(sorted(keys[i], reverse=True)))
+                if j is None:
+                    return None
+                sigma[i] = j
+        maps.append(sigma)
+    return maps
+
+
+def _transitive(maps: Sequence[Sequence[int]], T: int) -> bool:
+    """Whether the block permutations ``maps`` reach every block from
+    block 0. Forward images suffice: a permutation's inverse is one of its
+    powers."""
+    seen = bytearray(T)
+    seen[0] = 1
+    reached = [0]
+    for i in reached:
+        for sigma in maps:
+            j = sigma[i]
+            if not seen[j]:
+                seen[j] = 1
+                reached.append(j)
+    return len(reached) == T
+
+
+def _by_orbits(m: IncidenceMatrix, params: CFFParams, budget: int) -> bool:
+    """Whether ``m.symmetries`` prove ``m`` a (w, r; d)-cover-free family
+    within ``budget`` work units (see the module docstring); False is no
+    verdict."""
+    w, r, d = params.w, params.r, params.d
+    T = m.num_blocks
+    if not m.symmetries or m.num_points > 256:
+        return False
+    meter = _Meter(budget)
+    try:
+        maps = _block_maps(m, meter)
+        if maps is None or not _transitive(maps, T):
+            return False
+        rows = m.rows
+        columns = m.columns
+        every = (1 << T) - 1
+        for rest in _colex(range(1, T), w - 1):
+            inter = rows[0]
+            for i in rest:
+                inter &= rows[i]
+            outside = every ^ 1 ^ sum(1 << i for i in rest)
+            if inter.bit_count() <= d:
+                return False
+            if _covers(columns, rows, outside, inter, d, r, meter) is not None:
+                return False
+    except BudgetExceededError:
+        return False
+    return True
 
 
 def max_r(
@@ -380,9 +514,9 @@ def max_r(
     than the fewest blocks A that leave at most d points of some ∩B. One
     colex pass over the B-sets finds that number with the cover search
     described in the module docstring. ``budget`` applies as in
-    the ascending scan of is_cff over r = 1, 2, ...: a call that scan would
-    refuse before it reaches a failing r is refused here, with the same
-    message.
+    the ascending scan of is_cff over r = 1, 2, ... on the bare rows: a
+    call that scan would refuse before it reaches a failing r is refused
+    here, with the same message. ``m.symmetries`` are not used.
     """
     if w < 1:
         raise ValueError("w must be positive")
@@ -433,11 +567,14 @@ def check_claim(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> CheckResult:
-    """Exhaustive check when it fits the budget, sampled otherwise.
+    """Exhaustive check when ``is_cff`` can prove or refute the claim
+    within the budget, by the plain scan or by orbits of ``m.symmetries``;
+    sampled otherwise.
 
     A claimed block size ``k`` is checked first: a matrix that is not
     k-uniform fails with method ``"k-uniform"`` and no witness. Otherwise
-    the result's ``method`` field records which cover-free check ran.
+    the result's ``method`` field records which cover-free check ran. A
+    budget of 0 always samples.
     """
     _check_shape(m, params)
     if params.k is not None and not is_k_uniform(m, params.k):

@@ -37,7 +37,7 @@ from coverfree.construct import (
     trivial_cff,
 )
 from coverfree.core import CFFParams, IncidenceMatrix
-from coverfree.verify import is_cff
+from coverfree.verify import CheckResult, is_cff
 from helpers import entries
 
 ENTRY_NAMES = {
@@ -607,6 +607,14 @@ def test_no_proven_family_beats_a_bound():
             beaten |= beaten_bounds(m, claim)
     assert proven == 256
     assert beaten == SURVEY_ROWS_BEATEN
+
+
+@pytest.mark.parametrize("args", [(7, 8, 3), (9, 10, 3), (13, 14, 3, 4)])
+def test_families_past_the_pair_budget_beat_no_bound(args):
+    # proven at the default budget through the symmetries rs_cff lists
+    m, claim = rs_cff(*args)
+    assert is_cff(m, replace(claim, k=None)) == CheckResult(True)
+    assert beaten_bounds(m, claim) <= SURVEY_ROWS_BEATEN
 
 
 def rates(*args, **kwargs):

@@ -187,6 +187,31 @@ def test_construct_output_is_pinned(capsys, tmp_path, name):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+class TestOrbitProofAtConstruct:
+    """rs_cff hands its symmetries to the claim check; a file does not carry
+    them, so a read-back matrix above the pair budget is sampled."""
+
+    def test_screening_design_is_proven(self, capsys, tmp_path):
+        out_file = tmp_path / "screen.cff"
+        rc, out, err = run_cli(
+            capsys, "construct", "--method", "rs", "--q", "13", "--n", "14", "--r", "3",
+            "--d", "4", "--out", str(out_file),
+        )
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-2:] == ["check exhaustive ok", f"wrote {out_file}"]
+
+    def test_the_file_and_a_zero_budget_sample(self, capsys, tmp_path):
+        # rs_cff(7, 8, 3): 2.27e9 pairs at r = 3, over the default budget
+        rs783 = ["construct", "--method", "rs", "--q", "7", "--n", "8", "--r", "3"]
+        path = str(tmp_path / "rs783.cff")
+        rc, out, _ = run_cli(capsys, *rs783, "--out", path)
+        assert rc == 0 and "check exhaustive ok\n" in out
+        rc, out, _ = run_cli(capsys, "verify", path, "--trials", "200")
+        assert rc == 0 and out.splitlines()[-1] == "check sampled ok"
+        rc, out, _ = run_cli(capsys, *rs783, "--budget", "0", "--trials", "200", "--out", path)
+        assert rc == 0 and "check sampled ok\n" in out
+
+
 TRIVIAL = ["construct", "--method", "trivial", "--n", "5", "--w", "2", "--r", "2"]
 
 

@@ -105,9 +105,12 @@ def max_r_by_enumeration(m, w, d):
 
 def max_r_by_scan(m, w, d, *, budget=DEFAULT_BUDGET):
     """Reference max_r: one is_cff scan per r = 1, 2, ... up to the first
-    that fails, each priced and refused on its own."""
+    that fails, each priced and refused on its own. The scans run on the
+    bare rows, since max_r prices its work as the plain scan does and
+    never reads the symmetries an orbit proof would use."""
     if w < 1:
         raise ValueError("w must be positive")
+    m = IncidenceMatrix(m.num_points, m.rows)
     best = 0
     for r in range(1, m.num_blocks - w + 1):
         if not is_cff(m, params(w, r, d, m.num_points, m.num_blocks), budget=budget):
@@ -229,12 +232,168 @@ class TestPastTheOldWall:
             max_r(m, claim.w, claim.d, budget=3 * 10**9)
         assert max_r(m, claim.w, claim.d, budget=pair_count(claim.T, claim.w, 4)) == 3
 
-    def test_default_budget_still_refuses(self):
+    def test_default_budget_proves_by_orbits(self):
         m, claim = rs_cff(7, 8, 3)
+        assert is_cff(m, claim) == check_claim(m, claim) == CheckResult(True)
+
+    def test_default_budget_still_refuses(self):
+        # the same rows without the symmetries rs_cff hands along
+        m, claim = rs_cff(7, 8, 3)
+        bare = IncidenceMatrix(m.num_points, m.rows)
         with pytest.raises(BudgetExceededError):
-            is_cff(m, claim)
-        res = check_claim(m, claim, trials=2000)
+            is_cff(bare, claim)
+        res = check_claim(bare, claim, trials=2000)
         assert res.ok and res.method == "sampled"
+
+
+def rs_degree(n, r, d):
+    return (n - d - 1) // r + 1
+
+
+# every rs_cff family with at most 3000 blocks, prime and prime-power q,
+# as rs_cff's arguments: length n, or shortened by s = 1, 2
+RS_UP_TO_3000 = [
+    (q, n, r, d, 0) if s == 0 else (q, None, r, d, s)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for s in range(3)
+    for n in (range(2, q + 2) if s == 0 else [q + 1 - s])
+    for r in range(1, 4)
+    for d in range(3)
+    if n >= 2 and s + d <= q
+    and 2 <= rs_degree(n, r, d) <= q and q ** rs_degree(n, r, d) <= 3000
+]
+
+
+def orbit_outcome(m, claim):
+    """is_cff with a budget one pair below the plain scan's price, so only
+    the orbit proof can pass; a refusal is returned as the error type."""
+    try:
+        return is_cff(m, claim, budget=pair_count(claim.T, claim.w, claim.r) - 1)
+    except BudgetExceededError as exc:
+        assert str(exc) == (
+            f"{pair_count(claim.T, claim.w, claim.r)} pair evaluations exceed the budget of "
+            f"{pair_count(claim.T, claim.w, claim.r) - 1}; use is_cff_sampled or raise the budget"
+        )
+        return BudgetExceededError
+
+
+class TestOrbitProof:
+    """Past the pair budget, is_cff proves a claim from the symmetries a
+    construction hands along, after checking them, and otherwise refuses
+    as before."""
+
+    @pytest.mark.parametrize("q", sorted({case[0] for case in RS_UP_TO_3000}))
+    def test_passes_exactly_where_the_plain_scan_passes(self, q):
+        for args in (case for case in RS_UP_TO_3000 if case[0] == q):
+            m, claim = rs_cff(*args)
+            claim = replace(claim, k=None)
+            claims = [claim, replace(claim, r=claim.r + 1), replace(claim, d=claim.d + 1)]
+            if claim.T <= 125:
+                # B-sets of two: the T - 1 that hold block 0 stand for all
+                claims += [replace(claim, w=2, r=r, d=d) for r, d in [(1, 0), (2, 0), (1, 1)]]
+            for c in claims:
+                if c.T < c.w + c.r:
+                    continue
+                plain = is_cff(m, c, budget=10**30)
+                # checking the symmetries alone costs T apiece
+                cheap = len(m.symmetries) * c.T < pair_count(c.T, c.w, c.r)
+                expected = CheckResult(True) if plain.ok and cheap else BudgetExceededError
+                assert orbit_outcome(m, c) == expected, (args, c)
+
+    def test_a_cyclic_family_is_proven_by_its_rotation(self):
+        # the shifts of {0, 1, 2} in Z_7: the B-set {0, 1} has no cover by
+        # one block, but {0, 2} has, so one B-set holding block 0 is not enough
+        m = IncidenceMatrix.from_blocks(7, [[(i + j) % 7 for j in range(3)] for i in range(7)])
+        m = IncidenceMatrix(7, m.rows, (tuple((p + 1) % 7 for p in range(7)),))
+        assert orbit_outcome(m, params(1, 1, 0, 7, 7)) == CheckResult(True)
+        for failing in (params(1, 2, 0, 7, 7), params(2, 1, 0, 7, 7)):
+            assert orbit_outcome(m, failing) is BudgetExceededError
+            assert not is_cff(m, failing).ok
+        assert is_cff(m, params(2, 1, 0, 7, 7)).witness == ViolationWitness((0, 2), (1,), 0)
+
+    def test_screening_design_charge_is_pinned(self):
+        m, claim = rs_cff(13, 14, 3, 4)
+        # 4 symmetries at T = 28561 apiece, and one cover search call
+        charge = 4 * 28561 + 1
+        assert is_cff(m, claim, budget=charge) == CheckResult(True)
+        with pytest.raises(BudgetExceededError):
+            is_cff(m, claim, budget=charge - 1)
+        assert check_claim(m, claim) == CheckResult(True, method="exhaustive")
+
+    @staticmethod
+    def refused(m, claim):
+        with pytest.raises(BudgetExceededError):
+            is_cff(m, claim, budget=pair_count(claim.T, claim.w, claim.r) - 1)
+        return check_claim(m, claim, budget=pair_count(claim.T, claim.w, claim.r) - 1, trials=50)
+
+    def test_a_flipped_bit_is_not_proven(self):
+        m, claim = rs_cff(5, 6, 2)
+        for i, point in [(7, 0), (7, 3), (0, m.rows[0].bit_length() - 1)]:
+            rows = list(m.rows)
+            rows[i] ^= 1 << point
+            flipped = IncidenceMatrix(m.num_points, tuple(rows), m.symmetries)
+            assert self.refused(flipped, replace(claim, k=None)).method == "sampled"
+
+    def test_a_generator_with_two_points_swapped_is_not_trusted(self):
+        m, claim = rs_cff(5, 6, 2)
+        first = list(m.symmetries[0])
+        first[0], first[1] = first[1], first[0]
+        swapped = IncidenceMatrix(m.num_points, m.rows, (tuple(first), *m.symmetries[1:]))
+        assert self.refused(swapped, claim) == CheckResult(True, method="sampled")
+
+    def test_a_generator_set_that_is_not_transitive_is_not_trusted(self):
+        m, claim = rs_cff(5, 6, 2)
+        for drop in range(len(m.symmetries)):
+            kept = m.symmetries[:drop] + m.symmetries[drop + 1 :]
+            partial = IncidenceMatrix(m.num_points, m.rows, kept)
+            assert self.refused(partial, claim) == CheckResult(True, method="sampled")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (0,) * 30,  # not a bijection
+            tuple(range(29)),  # too short
+            tuple(range(1, 31)),  # not onto the points
+            (300, *range(1, 30)),  # not a point at all
+            ("a",) * 30,
+        ],
+    )
+    def test_a_map_that_is_not_a_point_bijection_is_not_trusted(self, bad):
+        m, claim = rs_cff(5, 6, 2)
+        given = IncidenceMatrix(m.num_points, m.rows, (bad, *m.symmetries))
+        assert self.refused(given, claim) == CheckResult(True, method="sampled")
+
+    def test_block_maps_need_distinct_rows_and_rows_for_images(self):
+        m, _ = rs_cff(5, 6, 2)
+        assert len(verify._block_maps(m, verify._Meter(10**9))) == 3
+        rows = list(m.rows)
+        rows[7] ^= 1
+        flipped = IncidenceMatrix(m.num_points, tuple(rows), m.symmetries)
+        assert verify._block_maps(flipped, verify._Meter(10**9)) is None
+        twice = IncidenceMatrix(m.num_points, m.rows + m.rows, m.symmetries)
+        assert verify._block_maps(twice, verify._Meter(10**9)) is None
+
+    def test_repeated_rows_are_not_proven(self):
+        m, claim = rs_cff(5, 6, 2)
+        repeated = IncidenceMatrix(m.num_points, m.rows[:-1] + m.rows[:1], m.symmetries)
+        assert self.refused(repeated, claim).method == "sampled"
+
+    def test_a_zero_budget_samples(self):
+        m, claim = rs_cff(5, 6, 2)
+        with pytest.raises(BudgetExceededError):
+            is_cff(m, claim, budget=0)
+        assert check_claim(m, claim, budget=0, trials=50) == CheckResult(True, method="sampled")
+
+    def test_more_than_256_points_are_declined(self):
+        m, claim = rs_cff(17, 16, 15)  # 289 blocks over 272 points
+        assert len(m.symmetries) == 2
+        assert is_cff(m, claim, budget=10**30) == CheckResult(True)
+        assert self.refused(m, claim) == CheckResult(True, method="sampled")
+
+    def test_symmetries_take_no_part_in_equality(self):
+        m, _ = rs_cff(3, 4, 3)
+        bare = IncidenceMatrix(m.num_points, m.rows)
+        assert m.symmetries and m == bare and hash(m) == hash(bare) and repr(m) == repr(bare)
 
 
 def test_pair_count():
