@@ -113,15 +113,16 @@ def _poly_values(q: int, u: int, length: int) -> Iterator[tuple[int, ...]]:
     """The values of all q^u polynomials of degree < u over GF(q), one row
     per coordinate. Polynomial c has the base-q digits of c as coefficients
     (degree 0 first), so f_c(x) = (c mod q) + x * f_{c // q}(x), a Horner
-    step along the index. Coordinate x < q evaluates at field element x; at
-    length q+1 the final row holds the coefficient of x^(u-1), the point at
-    infinity."""
+    step along the index: the q words c = hi*q .. hi*q + q-1 are the row
+    ``F.add[x * f_hi(x)]``. Coordinate x < q evaluates at field element x;
+    at length q+1 the final row holds the coefficient of x^(u-1), the point
+    at infinity."""
     F = field(q)
     for x in range(min(length, q)):
         row = list(range(q))
         mul_x = F.mul[x]
-        for c in range(q, q**u):
-            row.append(F.add[mul_x[row[c // q]]][c % q])
+        for hi in range(1, q ** (u - 1)):
+            row.extend(F.add[mul_x[row[hi]]])
         yield tuple(row)
     if length == q + 1:
         top = q ** (u - 1)

@@ -12,7 +12,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 __all__ = [
     "CFFParams",
@@ -22,6 +23,11 @@ __all__ = [
     "read_matrix_file",
     "write_matrix_file",
 ]
+
+# rows per transposed block and lines per file write: every whole-matrix
+# pass holds one chunk as text, so its transient memory is of order
+# _CHUNK * N + T rather than T * N
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,17 @@ class IncidenceMatrix:
         """Bit i of ``columns[j]`` is entry (i, j): the blocks containing
         point j, as a mask over the blocks."""
         n = self.num_points
-        # row T-1 first, each written bit N-1 first, so every stride-N
-        # slice reads one column with block T-1 as its leading digit
-        flat = "".join(format(row, f"0{n}b") for row in reversed(self.rows))
-        return tuple(int(flat[n - 1 - j :: n], 2) for j in range(n))
+        columns = [0] * n
+        for start in range(0, len(self.rows), _CHUNK):
+            block = self.rows[start : start + _CHUNK]
+            # the block's last row first, each written bit N-1 first, so every
+            # stride-N slice reads one column with that row as its leading digit
+            flat = "".join(format(row, f"0{n}b") for row in reversed(block))
+            # each OR copies the column so far, about T^2 / (2 * _CHUNK) bits
+            # a column in all; at T = 10^6 that doubles the transpose's time
+            for j in range(n):
+                columns[j] |= int(flat[n - 1 - j :: n], 2) << start
+        return tuple(columns)
 
     @classmethod
     def from_blocks(cls, num_points: int, blocks: Iterable[Iterable[int]]) -> "IncidenceMatrix":
@@ -138,11 +151,6 @@ class IncidenceMatrix:
         rows = tuple(int(format(row, f"0{n}b").translate(widen), 2) for row in self.rows)
         return IncidenceMatrix(n * copies, rows)
 
-    def row_strings(self) -> list[str]:
-        """Each row as N characters of 0/1, point 0 first."""
-        n = self.num_points
-        return [format(row, f"0{n}b")[::-1] for row in self.rows]
-
 
 def _check_shape(m: IncidenceMatrix, claim: CFFParams) -> None:
     if claim.N != m.num_points or claim.T != m.num_blocks:
@@ -150,6 +158,20 @@ def _check_shape(m: IncidenceMatrix, claim: CFFParams) -> None:
             f"claim shape ({claim.N}, {claim.T}) does not match matrix "
             f"({m.num_points}, {m.num_blocks})"
         )
+
+
+def _lines(m: IncidenceMatrix, claim: CFFParams | None) -> Iterator[str]:
+    """The lines of :func:`format_matrix`, each with its LF; the claim's
+    shape is checked before the first line is made."""
+    if claim is None:
+        w = r = d = 0
+    else:
+        _check_shape(m, claim)
+        w, r, d = claim.w, claim.r, claim.d
+    n = m.num_points
+    header = f"CFF {n} {m.num_blocks} {w} {r} {d}\n"
+    # bit j of the mask is character j of the line
+    return chain((header,), (format(row, f"0{n}b")[::-1] + "\n" for row in m.rows))
 
 
 def format_matrix(m: IncidenceMatrix, claim: CFFParams | None = None) -> str:
@@ -160,67 +182,78 @@ def format_matrix(m: IncidenceMatrix, claim: CFFParams | None = None) -> str:
     line ends with a single LF and carries no other whitespace, so equal
     matrices serialize to identical bytes.
     """
-    if claim is None:
-        w = r = d = 0
-    else:
-        _check_shape(m, claim)
-        w, r, d = claim.w, claim.r, claim.d
-    header = f"CFF {m.num_points} {m.num_blocks} {w} {r} {d}"
-    return "\n".join([header, *m.row_strings()]) + "\n"
+    return "".join(_lines(m, claim))
 
 
 # the only spelling format_matrix writes: int() would also take "+2", "02",
 # "-0", "0_0" and non-ASCII digits, none of which format back to the input
 _HEADER_NUMBER = re.compile(r"0|[1-9][0-9]*")
+# a line and its LF, or a last line without one: split as a file read with
+# newline="\n" splits, at LF only
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def _parse_lines(lines: Iterator[str]) -> tuple[IncidenceMatrix, CFFParams | None]:
+    """Parse the exchange format from its lines, each with its LF (split at
+    LF only), one line at a time; strict about shape and characters, so
+    any lines it accepts are exactly what :func:`_lines` makes for the
+    result."""
+    header = next(lines, None)
+    if header is None:
+        raise ValueError("empty matrix file")
+    if not header.endswith("\n"):
+        raise ValueError("matrix file must end with a newline")
+    fields = header[:-1].split(" ")
+    if (
+        len(fields) != 6
+        or fields[0] != "CFF"
+        or not all(_HEADER_NUMBER.fullmatch(x) for x in fields[1:])
+    ):
+        raise ValueError(f"bad header {header[:-1]!r}")
+    n, t, w, r, d = map(int, fields[1:])
+    if n < 1 or t < 1:
+        raise ValueError(f"bad dimensions N={n}, T={t}")
+    if w == 0 or r == 0:
+        if (w, r, d) != (0, 0, 0):
+            raise ValueError("unclaimed matrices must zero-fill all of w, r, d")
+        claim = None
+    else:
+        claim = CFFParams(w=w, r=r, d=d, N=n, T=t)
+    rows = []
+    for idx, line in enumerate(islice(lines, t)):
+        if not line.endswith("\n"):
+            raise ValueError("matrix file must end with a newline")
+        if len(line) != n + 1:
+            raise ValueError(f"row {idx} has length {len(line) - 1}, expected {n}")
+        # strip stops at the first character other than 0/1 from either end
+        if line[:-1].strip("01"):
+            raise ValueError(f"row {idx} contains characters other than 0/1")
+        rows.append(int(line[-2::-1], 2))
+    extra = sum(1 for _ in lines)
+    if len(rows) != t or extra:
+        raise ValueError(f"header claims {t} blocks, file has {len(rows) + extra} rows")
+    return IncidenceMatrix(n, tuple(rows)), claim
 
 
 def parse_matrix(text: str) -> tuple[IncidenceMatrix, CFFParams | None]:
     """Parse the exchange format back; strict about shape and characters, so
     any text it accepts is exactly what :func:`format_matrix` writes for the
     result."""
-    if not text.endswith("\n"):
-        raise ValueError("matrix file must end with a newline")
-    lines = text.split("\n")
-    if lines[-1] != "":
-        raise ValueError("matrix file must end with a newline")
-    lines = lines[:-1]
-    if not lines:
-        raise ValueError("empty matrix file")
-    fields = lines[0].split(" ")
-    if (
-        len(fields) != 6
-        or fields[0] != "CFF"
-        or not all(_HEADER_NUMBER.fullmatch(x) for x in fields[1:])
-    ):
-        raise ValueError(f"bad header {lines[0]!r}")
-    n, t, w, r, d = map(int, fields[1:])
-    if n < 1 or t < 1:
-        raise ValueError(f"bad dimensions N={n}, T={t}")
-    if len(lines) - 1 != t:
-        raise ValueError(f"header claims {t} blocks, file has {len(lines) - 1} rows")
-    rows = []
-    for idx, line in enumerate(lines[1:]):
-        if len(line) != n:
-            raise ValueError(f"row {idx} has length {len(line)}, expected {n}")
-        if set(line) - {"0", "1"}:
-            raise ValueError(f"row {idx} contains characters other than 0/1")
-        # bit j of the mask is character j of the line
-        rows.append(int(line[::-1], 2))
-    m = IncidenceMatrix(n, tuple(rows))
-    if w == 0 or r == 0:
-        if (w, r, d) != (0, 0, 0):
-            raise ValueError("unclaimed matrices must zero-fill all of w, r, d")
-        return m, None
-    return m, CFFParams(w=w, r=r, d=d, N=n, T=t)
+    return _parse_lines(match.group() for match in _LINE.finditer(text))
 
 
 def write_matrix_file(
     path: str | os.PathLike[str], m: IncidenceMatrix, claim: CFFParams | None = None
 ) -> None:
+    """Write :func:`format_matrix`'s text, a chunk of lines at a time."""
+    lines = _lines(m, claim)
     with open(path, "w", newline="") as fh:
-        fh.write(format_matrix(m, claim))
+        while chunk := "".join(islice(lines, _CHUNK)):
+            fh.write(chunk)
 
 
 def read_matrix_file(path: str | os.PathLike[str]) -> tuple[IncidenceMatrix, CFFParams | None]:
-    with open(path, "r", newline="") as fh:
-        return parse_matrix(fh.read())
+    """Parse a file as :func:`parse_matrix` parses its text, one line at a
+    time."""
+    with open(path, "r", newline="\n") as fh:
+        return _parse_lines(fh)

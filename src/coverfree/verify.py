@@ -47,6 +47,7 @@ the sampler.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, combinations, pairwise
 from math import comb
@@ -412,10 +413,10 @@ def _covers(
     return None
 
 
-def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[list[int]] | None:
-    """The block permutation each of ``m.symmetries`` induces, or None when
-    two rows are equal or some symmetry is not a bijection of the points
-    that maps every row onto a row.
+def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[array] | None:
+    """The block permutation each of ``m.symmetries`` induces, as an array
+    of block indices, or None when two rows are equal or some symmetry is
+    not a bijection of the points that maps every row onto a row.
 
     Every row is written as its points, one byte each and highest first; a
     point map is one ``bytes.translate`` of all of them, and each image is
@@ -424,7 +425,7 @@ def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[list[int]] | None:
     """
     n, T = m.num_points, m.num_blocks
     points = bytearray()
-    ends = [0]
+    ends = array("L", [0])
     for row in m.rows:
         while row:
             top = row.bit_length() - 1
@@ -432,8 +433,8 @@ def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[list[int]] | None:
             row ^= 1 << top
         ends.append(len(points))
     flat = bytes(points)
-    spans = list(pairwise(ends))
-    index = {flat[a:b]: i for i, (a, b) in enumerate(spans)}
+    del points
+    index = {flat[a:b]: i for i, (a, b) in enumerate(pairwise(ends))}
     if len(index) != T:
         return None
     maps = []
@@ -446,14 +447,15 @@ def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[list[int]] | None:
         if sorted(table) != list(range(n)):
             return None
         image = flat.translate(table + bytes(range(n, 256)))
-        keys = [image[a:b] for a, b in spans]
-        sigma = list(map(index.get, keys))
-        for i, j in enumerate(sigma):
+        sigma = array("L")
+        for a, b in pairwise(ends):
+            key = image[a:b]
+            j = index.get(key)
             if j is None:
-                j = index.get(bytes(sorted(keys[i], reverse=True)))
+                j = index.get(bytes(sorted(key, reverse=True)))
                 if j is None:
                     return None
-                sigma[i] = j
+            sigma.append(j)
         maps.append(sigma)
     return maps
 

@@ -1,10 +1,14 @@
+import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coverfree.core import (
+    _CHUNK,
     CFFParams,
     IncidenceMatrix,
     format_matrix,
@@ -12,7 +16,33 @@ from coverfree.core import (
     read_matrix_file,
     write_matrix_file,
 )
-from helpers import block_sizes, identity
+from helpers import block_sizes, identity, row_strings
+
+
+def one_shot_columns(m):
+    """The transpose through one string: every row written bit N-1 first,
+    row T-1 first, and column j read off as one stride-N slice."""
+    n = m.num_points
+    flat = "".join(format(row, f"0{n}b") for row in reversed(m.rows))
+    return tuple(int(flat[n - 1 - j :: n], 2) for j in range(n))
+
+
+def outcome(parse, source):
+    """What ``parse(source)`` returns, or the type and message it raises."""
+    try:
+        return parse(source)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def read_back(text):
+    """The outcome of read_matrix_file on a file holding ``text``, written
+    with the encoding and newline handling write_matrix_file uses."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.cff"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return outcome(read_matrix_file, path)
 
 
 def small_matrices(max_points=8, max_blocks=8):
@@ -54,7 +84,7 @@ class TestIncidenceMatrix:
         m = IncidenceMatrix(3, (0b101, 0b010))
         assert m.num_points == 3
         assert m.num_blocks == 2
-        assert m.row_strings() == ["101", "010"]
+        assert row_strings(m) == ["101", "010"]
         assert m == IncidenceMatrix.from_blocks(3, [(0, 2), (1,)])
         assert block_sizes(m) == (2, 1)
 
@@ -114,6 +144,16 @@ class TestIncidenceMatrix:
         assert m.transpose() == IncidenceMatrix(m.num_blocks, tuple(cols))
         assert m.transpose().transpose() == m
 
+    @pytest.mark.parametrize("T", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("N", [1, 7, 64, 182])
+    def test_chunked_columns_match_one_shot(self, T, N):
+        rng = random.Random(f"{T}:{N}")
+        m = IncidenceMatrix(N, tuple(rng.getrandbits(N) for _ in range(T)))
+        assert m.columns == one_shot_columns(m)
+        assert m.transpose().transpose() == m
+        full = IncidenceMatrix(N, ((1 << N) - 1,) * T)
+        assert full.columns == ((1 << T) - 1,) * N
+
     @given(small_matrices())
     def test_columns_leave_identity_alone(self, m):
         fresh = IncidenceMatrix(m.num_points, m.rows)
@@ -168,9 +208,42 @@ class TestIncidenceMatrix:
 
     @given(small_matrices(max_points=80))
     def test_row_strings_match_per_bit_reference(self, m):
-        assert m.row_strings() == [
+        assert row_strings(m) == [
             "".join(str((row >> j) & 1) for j in range(m.num_points)) for row in m.rows
         ]
+
+
+# texts parse_matrix must refuse; the file reader must refuse them alike
+MALFORMED = [
+    "CFF 2 1 0 0 0\n10",  # missing final newline
+    "",
+    "CFF 2 1 0 0\n10\n",  # five header fields
+    "XFF 2 1 0 0 0\n10\n",
+    "CFF 2 x 0 0 0\n10\n",
+    "CFF 0 1 0 0 0\n\n",
+    "CFF 2 2 0 0 0\n10\n",  # row count mismatch
+    "CFF 2 1 0 0 0\n101\n",  # row length mismatch
+    "CFF 2 1 0 0 0\n12\n",  # bad character
+    "CFF 2 1 0 0 0\n10\r\n",  # CR smuggled in
+    "CFF 2 1 1 0 0\n10\n",  # half-claimed header
+    "CFF 2 1 0 0 3\n10\n",  # d without w, r
+    "CFF +2 1 0 0 0\n10\n",  # non-canonical numbers below
+    "CFF \u0662 1 0 0 0\n10\n",
+    "CFF 02 1 0 0 0\n10\n",
+    "CFF 2 1 -0 0 0\n10\n",
+    "CFF 2 1 0_0 0 0\n10\n",
+    "CFF 2 1 0 0 0\r\n10\r\n",  # CRLF line ends
+    "CFF 2 2 0 0 0\n10\r01\n",  # a lone CR between rows
+    "CFF 2 1 0 0 0\n10\r",  # a lone CR for the final newline
+    "CFF 2 1 0 0 0",  # header without a newline
+    "CFF 2 1 0 0 0\n10\n\n",  # trailing blank line
+    "CFF 2 1 0 0 0\n1\u00e9\n",  # non-ASCII character in a row
+    "CFF 2 1 0 0 0\n",  # header only
+    "\n",  # blank header
+    "CFF 2 3 0 0 0\n10\n01\n",  # too few rows
+    "CFF 2 1 0 0 0\n10\n01\n",  # too many rows
+    "CFF 2 2 0 0 0\n10\n01",  # last row without a newline
+]
 
 
 class TestFileFormat:
@@ -198,31 +271,56 @@ class TestFileFormat:
         assert claim is None
         assert m.rows == (0b01,)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "CFF 2 1 0 0 0\n10",  # missing final newline
-            "",
-            "CFF 2 1 0 0\n10\n",  # five header fields
-            "XFF 2 1 0 0 0\n10\n",
-            "CFF 2 x 0 0 0\n10\n",
-            "CFF 0 1 0 0 0\n\n",
-            "CFF 2 2 0 0 0\n10\n",  # row count mismatch
-            "CFF 2 1 0 0 0\n101\n",  # row length mismatch
-            "CFF 2 1 0 0 0\n12\n",  # bad character
-            "CFF 2 1 0 0 0\n10\r\n",  # CR smuggled in
-            "CFF 2 1 1 0 0\n10\n",  # half-claimed header
-            "CFF 2 1 0 0 3\n10\n",  # d without w, r
-            "CFF +2 1 0 0 0\n10\n",  # non-canonical numbers below
-            "CFF \u0662 1 0 0 0\n10\n",
-            "CFF 02 1 0 0 0\n10\n",
-            "CFF 2 1 -0 0 0\n10\n",
-            "CFF 2 1 0_0 0 0\n10\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED)
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_matrix(text)
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_file_reader_refuses_as_parse_does(self, text):
+        expected = outcome(parse_matrix, text)
+        assert isinstance(expected, tuple) and expected[0] is ValueError
+        assert read_back(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty matrix file"),
+            ("CFF 2 1 0 0 0", "must end with a newline"),
+            ("CFF 2 1 0 0 0\n10\n\n", "header claims 1 blocks, file has 2 rows"),
+            ("CFF 2 3 0 0 0\n10\n01\n", "header claims 3 blocks, file has 2 rows"),
+            ("CFF 2 2 0 0 0\n10\r01\n", "row 0 has length 5, expected 2"),
+            ("CFF 2 1 0 0 0\n1\u00e9\n", "row 0 contains characters other than 0/1"),
+        ],
+    )
+    def test_refusal_messages(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_matrix(text)
+
+    def test_file_reader_refuses_bytes_outside_ascii(self, tmp_path):
+        path = tmp_path / "m.cff"
+        path.write_bytes(b"CFF 2 1 0 0 0\n1\xff\n")
+        with pytest.raises(ValueError):
+            read_matrix_file(path)
+
+    @pytest.mark.parametrize("T", [_CHUNK - 1, _CHUNK, 2 * _CHUNK + 3])
+    def test_file_written_in_chunks_is_format_text(self, tmp_path, T):
+        rng = random.Random(T)
+        m = IncidenceMatrix(9, tuple(rng.getrandbits(9) for _ in range(T)))
+        claim = CFFParams(w=1, r=2, d=1, N=9, T=T)
+        text = format_matrix(m, claim)
+        assert text == "\n".join([f"CFF 9 {T} 1 2 1", *row_strings(m)]) + "\n"
+        path = tmp_path / "m.cff"
+        write_matrix_file(path, m, claim)
+        assert path.read_bytes() == text.encode()
+        assert read_matrix_file(path) == parse_matrix(text) == (m, claim)
+
+    def test_writer_checks_the_claim_first(self, tmp_path):
+        path = tmp_path / "m.cff"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match="does not match"):
+            write_matrix_file(path, identity(3), CFFParams(w=1, r=1, d=0, N=3, T=2))
+        assert path.read_bytes() == b"kept"
 
     def test_file_round_trip(self, tmp_path):
         m = IncidenceMatrix.from_blocks(4, [(0, 1), (2, 3), (1, 2)])
@@ -276,3 +374,8 @@ def test_parse_accepts_only_canonical_text(text):
     except ValueError:
         return
     assert format_matrix(*parsed) == text
+
+
+@given(mutated_files())
+def test_file_reader_matches_parse_on_mutations(text):
+    assert read_back(text) == outcome(parse_matrix, text)
