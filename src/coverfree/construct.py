@@ -251,8 +251,8 @@ def rs_cff(
     {i*q + c_i}. The packing supports floor((N_eff - d - 1)/(u - 1)) >= r;
     the claim carries the requested r. The matrix's ``symmetries`` are the
     e * u translations by a * x^j (a in a GF(p)-basis of GF(q), j < u),
-    which act on the blocks transitively; past the pair budget ``is_cff``
-    checks them and then searches only the B-sets that hold block 0.
+    which act on the blocks transitively; once the B-sets that hold block 0
+    pass, ``is_cff`` checks them and needs to search no other B-set.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -460,9 +460,9 @@ def random_cff(
     p = 1 - w^w * r^r / (w+r)^(w+r), the positive-probability threshold for
     this density. Each attempt draws from its own stream keyed by (seed,
     attempt), so results are reproducible no matter how attempts are
-    scheduled; every returned matrix has been verified (exhaustively within
-    the pair budget, sampled above it, since a random matrix carries no
-    symmetries for an orbit proof).
+    scheduled; every returned matrix has been verified (exhaustively when the
+    plain scan fits the node budget, sampled past it, since a random matrix
+    carries no symmetries for an orbit proof).
     """
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")

@@ -21,27 +21,29 @@ A-sets in colex order, dropping a branch whose remaining blocks, each at
 the best gain below the branch, cannot get the uncovered part of I down to
 d; the first leaf it reaches is the colex-least witness. ``max_r`` keeps
 ``least``, the fewest blocks found so far that leave at most d points of
-some ∩B, starting one above the largest r the budget affords, since larger
-covers never change the answer, and lowers it to the size each search finds
+some ∩B, starting at T - w + 1, and lowers it to the size each search finds
 for a cover by at most least - 1 blocks until a search fails; it needs no
-witness, only a size. Results never depend on scheduling. The budget is
-counted upfront in (B-set, A-set) pairs, the work of the plain enumeration,
-and a check above it is refused rather than run for hours; ``max_r``
-refuses exactly the calls the ascending scan would.
+witness, only a size. Results never depend on scheduling.
 
-Past the pair budget, ``is_cff`` tries one more route before it refuses: a
-proof reduced by the point permutations a construction lists in
-``IncidenceMatrix.symmetries``. They are checked, not trusted. Each must
-be a bijection of the points that maps every row onto a row (the rows
-distinct, at most 256 points), which makes it permute the blocks and keep
-every |∩B \\ ∪A|, and those block permutations must reach every block
+The budget counts nodes, the work a check has done, not a price set
+upfront: one for each B-set visited, each cover-search call and each call
+of the witness walk (``is_disjunct`` counts one for each (P, Q) pair). The
+count depends only on the matrix and the claim, never on the machine, and
+a check that would pass its budget stops with ``BudgetExceededError``,
+which gives the budget and the share of B-sets cleared. A check that ends
+within the budget returns what it would return with no budget at all.
+
+When ``m.symmetries`` is non-empty, ``is_cff`` first tries a proof reduced
+by those point permutations. It runs the cover search on the
+C(T - 1, w - 1) B-sets that hold block 0, and only if all of them pass does
+it check the permutations, T nodes each; they are checked, not trusted.
+Each must be a bijection of the points that maps every row onto a row (the
+rows distinct, at most 256 points), which makes it permute the blocks and
+keep every |∩B \\ ∪A|, and those block permutations must reach every block
 from block 0. Then every B-set has an image holding block 0 that passes
-or fails with it, and the cover search runs on those C(T - 1, w - 1)
-B-sets only. This route counts its own work, T per symmetry and one per
-cover-search call, stops once that passes the budget, and only ever
-passes: a check it cannot finish, or a B-set with a cover, ends in the
-same refusal as the plain scan, so witnesses still come from that scan or
-the sampler.
+or fails with it, and the claim holds. This route only ever passes: in
+every other case the plain colex scan runs on the same budget, so
+witnesses still come from that scan.
 """
 
 from __future__ import annotations
@@ -70,19 +72,15 @@ __all__ = [
     "pair_count",
 ]
 
-DEFAULT_BUDGET = 10**9
+# the nodes an exhaustive check may visit unless told otherwise
+DEFAULT_BUDGET = 250_000
 # the (B, A) pairs a sampled check draws unless told otherwise
 DEFAULT_TRIALS = 100_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive scan would exceed its evaluation budget.
-
-    A pair-budget refusal carries two arguments, the refusal and a remedy
-    that names library calls, so a front end can name its own flags."""
-
-    def __str__(self) -> str:
-        return "; ".join(map(str, self.args))
+    """Raised when an exhaustive check runs out of its budget of nodes, or
+    a construction would pass the library's block cap."""
 
 
 @dataclass(frozen=True)
@@ -125,26 +123,59 @@ class CheckResult:
 
 
 def pair_count(T: int, w: int, r: int) -> int:
-    """Number of (B-set, A-set) evaluations an exhaustive check performs."""
+    """Number of (B-set, A-set) pairs the plain enumeration evaluates."""
     return comb(T, w) * comb(T - w, r)
-
-
-def _afford(total: int, budget: int, remedy: str) -> None:
-    """Refuse a scan of ``total`` pairs above ``budget``, naming ``remedy``."""
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} pair evaluations exceed the budget of {budget}", remedy
-        )
 
 
 def _colex(items: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
     """k-subsets of ``items`` in colexicographic order (items ascending)."""
     if k == 0:
         yield ()
-        return
-    for last in range(k - 1, len(items)):
-        for rest in _colex(items[:last], k - 1):
-            yield rest + (items[last],)
+    elif k == 1:
+        # the base case ends a level early: one generator per subset fewer
+        for item in items:
+            yield (item,)
+    else:
+        for last in range(k - 1, len(items)):
+            for rest in _colex(items[:last], k - 1):
+                yield rest + (items[last],)
+
+
+class _Meter:
+    """The nodes left of a budget, and how many of a scan's ``total`` sets
+    it has cleared; spending past the budget raises BudgetExceededError."""
+
+    def __init__(self, budget: int, total: int) -> None:
+        self.budget = self.left = budget
+        self.total = total
+        self.cleared = 0
+
+    def charge(self, units: int = 1) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise BudgetExceededError(
+                f"the budget of {self.budget} nodes ran out with {self.cleared} of "
+                f"{self.total} B-sets cleared ({self.cleared / self.total:.1%})"
+            )
+
+
+def _scan(
+    m: IncidenceMatrix, b_sets: Iterable[tuple[int, ...]], meter: _Meter
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(B, ∩B, the mask of the blocks outside B) for each B of ``b_sets``,
+    charging ``meter`` one node for each; a B counts as cleared once the
+    caller asks for the next."""
+    rows = m.rows
+    every = (1 << m.num_blocks) - 1
+    meter.cleared = 0
+    for b_set in b_sets:
+        meter.charge()
+        inter, outside = -1, every  # -1: every bit set
+        for i in b_set:
+            inter &= rows[i]
+            outside ^= 1 << i
+        yield b_set, inter, outside
+        meter.cleared += 1
 
 
 def _walk(
@@ -155,9 +186,10 @@ def _walk(
     limit: int,
     j: int,
     uncovered: int,
+    meter: _Meter,
 ) -> tuple[int, ...] | None:
     """The colex-least j-subset of ``rest[:limit]`` that leaves at most d
-    points of ``uncovered``, or None.
+    points of ``uncovered``, or None; each call charges ``meter`` a node.
 
     The largest element runs ascending, as in ``_colex``. ``best[p]`` is the
     largest gain |I ∩ A| over ``rest[:p + 1]``, an upper bound on what any
@@ -165,6 +197,7 @@ def _walk(
     smaller blocks cannot remove the excess over d even at that gain each
     holds no witness.
     """
+    meter.charge()
     if j == 1:
         for p in range(limit):
             if (uncovered & ~rows[rest[p]]).bit_count() <= d:
@@ -174,7 +207,7 @@ def _walk(
         left = uncovered & ~rows[rest[p]]
         if left.bit_count() - d > (j - 1) * best[p - 1]:
             continue
-        found = _walk(rows, rest, best, d, p, j - 1, left)
+        found = _walk(rows, rest, best, d, p, j - 1, left, meter)
         if found is not None:
             return found + (rest[p],)
     return None
@@ -191,32 +224,25 @@ def is_cff(
     in colex order; a cover search clears each B that no r blocks cover
     down to d points, and a colex branch-and-bound finds the witness at the
     first B it does not clear (see the module docstring), the same witness
-    as the plain enumeration. ``budget`` caps the upfront pair count
-    C(T, w) * C(T - w, r), not the pairs the pruned search visits. Past
-    that count a claim can still pass by the orbit proof over
-    ``m.symmetries``, which must fit its own work in ``budget`` (see the
-    module docstring); otherwise the call is refused.
+    as the plain enumeration. A claim can also pass by the orbit proof
+    over ``m.symmetries``, tried first. ``budget`` caps the nodes both
+    visit together (see the module docstring); a check that runs out is
+    refused.
     """
     _check_shape(m, params)
     w, r, d = params.w, params.r, params.d
     T = m.num_blocks
-    total = pair_count(T, w, r)
-    if total > budget and _by_orbits(m, params, budget):
+    meter = _Meter(budget, comb(T, w))
+    if m.symmetries and _by_orbits(m, params, meter):
         return CheckResult(True)
-    _afford(total, budget, "use is_cff_sampled or raise the budget")
     rows = m.rows
     columns = m.columns
-    every = (1 << T) - 1
-    for b_set in _colex(range(T), w):
-        inter = rows[b_set[0]]
-        for i in b_set[1:]:
-            inter &= rows[i]
-        outside = every ^ sum(1 << i for i in b_set)
-        if inter.bit_count() > d and _covers(columns, rows, outside, inter, d, r) is None:
+    for b_set, inter, outside in _scan(m, _colex(range(T), w), meter):
+        if inter.bit_count() > d and _covers(columns, rows, outside, inter, d, r, meter) is None:
             continue
         rest = [i for i in range(T) if i not in b_set]
         gains = [(inter & rows[i]).bit_count() for i in rest]
-        a_set = _walk(rows, rest, list(accumulate(gains, max)), d, len(rest), r, inter)
+        a_set = _walk(rows, rest, list(accumulate(gains, max)), d, len(rest), r, inter, meter)
         return CheckResult(False, ViolationWitness(b_set, a_set, _residual(m, b_set, a_set)))
     return CheckResult(True)
 
@@ -257,7 +283,8 @@ def is_disjunct(
     some block must contain all of P and none of Q. Implemented directly on
     point subsets; the transpose of a passing matrix is an (i, j)-cover-free
     family and vice versa. A failure witness holds (P, Q) in its row fields
-    and replays against ``m.transpose()``.
+    and replays against ``m.transpose()``. ``budget`` caps the (P, Q) pairs
+    evaluated, and a refusal counts the sets P as the B-sets cleared.
     """
     if i < 1 or j < 1:
         raise ValueError("i and j must be positive")
@@ -265,15 +292,7 @@ def is_disjunct(
         raise ValueError(
             f"need i + j <= num_points, got i+j={i + j} with {m.num_points} points"
         )
-    total = sum(
-        comb(m.num_points, p) * comb(m.num_points - p, q)
-        for p in range(i + 1)
-        for q in range(j + 1)
-    )
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} (P, Q) evaluations exceed the budget of {budget}"
-        )
+    meter = _Meter(budget, sum(comb(m.num_points, p) for p in range(i + 1)))
     points = range(m.num_points)
     rows = m.rows
     for p_size in range(i + 1):
@@ -284,6 +303,7 @@ def is_disjunct(
             rest = [x for x in points if not (p_mask >> x) & 1]
             for q_size in range(j + 1):
                 for q_set in combinations(rest, q_size):
+                    meter.charge()
                     q_mask = 0
                     for x in q_set:
                         q_mask |= 1 << x
@@ -294,6 +314,7 @@ def is_disjunct(
                         return CheckResult(
                             False, ViolationWitness(p_set, q_set, 0)
                         )
+            meter.cleared += 1
     return CheckResult(True)
 
 
@@ -359,19 +380,6 @@ def _bare(columns: Sequence[int], rows: Sequence[int], outside: int, mask: int) 
     return _uncovered(rows, mask, _members(outside))
 
 
-class _Meter:
-    """Work units left of a budget; spending past it raises
-    BudgetExceededError."""
-
-    def __init__(self, budget: int) -> None:
-        self.left = budget
-
-    def charge(self, units: int) -> None:
-        self.left -= units
-        if self.left < 0:
-            raise BudgetExceededError("the orbit proof passed the budget")
-
-
 def _covers(
     columns: Sequence[int],
     rows: Sequence[int],
@@ -379,14 +387,13 @@ def _covers(
     uncovered: int,
     d: int,
     j: int,
-    meter: _Meter | None = None,
+    meter: _Meter,
 ) -> int | None:
     """The size of some cover by at most j blocks of the mask ``outside``
     that leaves at most d of the more than d points of ``uncovered``, or
-    None when there is none (see the module docstring). A ``meter`` is
-    charged one unit per call, nested calls included."""
-    if meter is not None:
-        meter.charge(1)
+    None when there is none (see the module docstring). Each call charges
+    ``meter`` a node, nested calls included."""
+    meter.charge()
     excess = uncovered.bit_count() - d
     heavy = _heavy(columns, rows, outside, uncovered, -(-excess // j))
     # no cover at any size when all of outside leaves more than d points
@@ -421,7 +428,7 @@ def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[array] | None:
     Every row is written as its points, one byte each and highest first; a
     point map is one ``bytes.translate`` of all of them, and each image is
     looked up among the rows by its bytes, sorted only on a miss. Each map
-    charges ``meter`` T units before it runs.
+    charges ``meter`` T nodes before it runs.
     """
     n, T = m.num_points, m.num_blocks
     points = bytearray()
@@ -476,34 +483,23 @@ def _transitive(maps: Sequence[Sequence[int]], T: int) -> bool:
     return len(reached) == T
 
 
-def _by_orbits(m: IncidenceMatrix, params: CFFParams, budget: int) -> bool:
+def _by_orbits(m: IncidenceMatrix, params: CFFParams, meter: _Meter) -> bool:
     """Whether ``m.symmetries`` prove ``m`` a (w, r; d)-cover-free family
-    within ``budget`` work units (see the module docstring); False is no
-    verdict."""
+    (see the module docstring); False is no verdict. The B-sets holding
+    block 0 are searched before the maps are checked, so a claim that
+    fails costs a search there, not T nodes per map."""
     w, r, d = params.w, params.r, params.d
     T = m.num_blocks
-    if not m.symmetries or m.num_points > 256:
+    if m.num_points > 256:
         return False
-    meter = _Meter(budget)
-    try:
-        maps = _block_maps(m, meter)
-        if maps is None or not _transitive(maps, T):
+    rows = m.rows
+    columns = m.columns
+    held = ((0, *rest) for rest in _colex(range(1, T), w - 1))
+    for _, inter, outside in _scan(m, held, meter):
+        if inter.bit_count() <= d or _covers(columns, rows, outside, inter, d, r, meter) is not None:
             return False
-        rows = m.rows
-        columns = m.columns
-        every = (1 << T) - 1
-        for rest in _colex(range(1, T), w - 1):
-            inter = rows[0]
-            for i in rest:
-                inter &= rows[i]
-            outside = every ^ 1 ^ sum(1 << i for i in rest)
-            if inter.bit_count() <= d:
-                return False
-            if _covers(columns, rows, outside, inter, d, r, meter) is not None:
-                return False
-    except BudgetExceededError:
-        return False
-    return True
+    maps = _block_maps(m, meter)
+    return maps is not None and _transitive(maps, T)
 
 
 def max_r(
@@ -515,44 +511,28 @@ def max_r(
     The property is monotone (downward) in r, so the answer is one less
     than the fewest blocks A that leave at most d points of some ∩B. One
     colex pass over the B-sets finds that number with the cover search
-    described in the module docstring. ``budget`` applies as in
-    the ascending scan of is_cff over r = 1, 2, ... on the bare rows: a
-    call that scan would refuse before it reaches a failing r is refused
-    here, with the same message. ``m.symmetries`` are not used.
+    described in the module docstring. ``budget`` caps the nodes that pass
+    visits, counted as in ``is_cff``. ``m.symmetries`` are not used.
     """
     if w < 1:
         raise ValueError("w must be positive")
     if d < 0:
         raise ValueError(f"d must be non-negative, got {d}")
     T = m.num_blocks
-    top = max(T - w, 0)
-    r_ok = 0
-    while r_ok < top and pair_count(T, w, r_ok + 1) <= budget:
-        r_ok += 1
-    least = r_ok + 1
+    least = max(T - w, 0) + 1
     rows = m.rows
     columns = m.columns
-    every = (1 << T) - 1
-    for b_set in _colex(range(T), w):
-        if least == 1:
-            break
-        inter = rows[b_set[0]]
-        for i in b_set[1:]:
-            inter &= rows[i]
+    meter = _Meter(budget, comb(T, w))
+    for _, inter, outside in _scan(m, _colex(range(T), w), meter):
         if inter.bit_count() <= d:
-            least = 1
-            break
-        outside = every ^ sum(1 << i for i in b_set)
+            return 0
         while least > 1:
-            found = _covers(columns, rows, outside, inter, d, least - 1)
+            found = _covers(columns, rows, outside, inter, d, least - 1, meter)
             if found is None:
                 break
             least = found
-    if least > top:
-        return top
-    if least > r_ok:
-        # the ascending scan would reach r_ok + 1, the first r refused
-        _afford(pair_count(T, w, r_ok + 1), budget, "raise the budget")
+        if least == 1:
+            return 0
     return least - 1
 
 
@@ -570,7 +550,7 @@ def check_claim(
     seed: int = 0,
 ) -> CheckResult:
     """Exhaustive check when ``is_cff`` can prove or refute the claim
-    within the budget, by the plain scan or by orbits of ``m.symmetries``;
+    within its node budget, by the plain scan or by orbits of ``m.symmetries``;
     sampled otherwise.
 
     A claimed block size ``k`` is checked first: a matrix that is not

@@ -100,7 +100,8 @@ class TestConstruct:
             "--w", "2", "--r", "2", "--levels", "4", "--out", str(tmp_path / "x"),
         )
         assert rc == 4
-        assert err.startswith("budget exceeded:")
+        # 5^16 blocks: refused by the block cap before any check runs
+        assert err == "budget exceeded: 5^(2^4) blocks exceed the cap of 1000000\n"
 
     def test_failed_random_search(self, capsys, tmp_path):
         rc, _, err = run_cli(
@@ -117,50 +118,50 @@ CHECK_AND_WRITE = "check exhaustive ok\nwrote OUT\n"
 GOLDEN_RUNS = {
     "trivial": (
         ["--method", "trivial", "--n", "5", "--w", "2", "--r", "2"],
-        "construct method=trivial n=5 w=2 r=2 seed=0 budget=1000000000 trials=100000\n"
+        "construct method=trivial n=5 w=2 r=2 seed=0 budget=250000 trials=100000\n"
         "claim w=2 r=2 d=0 N=10 T=5\n",
         "bc6d0dc1336c1ed3c11c20df91d2045c08d638235967f9690ce162ce3343fa2b",
     ),
     "sperner": (
         ["--method", "sperner", "--n", "5"],
-        "construct method=sperner n=5 seed=0 budget=1000000000 trials=100000\n"
+        "construct method=sperner n=5 seed=0 budget=250000 trials=100000\n"
         "claim w=1 r=1 d=0 N=5 T=10\n",
         "fdf1b58ed0ed2bd354a2c8a8439dda315ce5ee25259b728eeaf87942c44b3d1b",
     ),
     "oa": (
         ["--method", "oa", "--q", "3", "--t", "2"],
-        "construct method=oa q=3 t=2 d=0 seed=0 budget=1000000000 trials=100000\n"
+        "construct method=oa q=3 t=2 d=0 seed=0 budget=250000 trials=100000\n"
         "claim w=1 r=3 d=0 N=12 T=9\n",
         "e92ea37995399bff7b404e95b6deb823d93973600c8ec04e2948b7d47c953bba",
     ),
     "rs": (
         ["--method", "rs", "--q", "3", "--n", "4", "--r", "3"],
-        "construct method=rs q=3 n=4 r=3 d=0 s=0 seed=0 budget=1000000000 trials=100000\n"
+        "construct method=rs q=3 n=4 r=3 d=0 s=0 seed=0 budget=250000 trials=100000\n"
         "claim w=1 r=3 d=0 N=12 T=9\n",
         "e92ea37995399bff7b404e95b6deb823d93973600c8ec04e2948b7d47c953bba",
     ),
     "rs-shortened": (
         ["--method", "rs", "--q", "5", "--s", "2", "--r", "1", "--d", "1"],
-        "construct method=rs q=5 n=4 r=1 d=1 s=2 seed=0 budget=1000000000 trials=100000\n"
+        "construct method=rs q=5 n=4 r=1 d=1 s=2 seed=0 budget=250000 trials=100000\n"
         "claim w=1 r=1 d=1 N=20 T=125\n",
         "0c42f7091649a06ef7d97d20b81e2a28f1b8a13d59a984ab188136ad6507dd19",
     ),
     "shf-recursive": (
         ["--method", "shf-recursive", "--w", "1", "--r", "2"],
-        "construct method=shf-recursive w=1 r=2 d=0 levels=1 seed=0 budget=1000000000 "
+        "construct method=shf-recursive w=1 r=2 d=0 levels=1 seed=0 budget=250000 "
         "trials=100000\nclaim w=1 r=2 d=0 N=9 T=9\n",
         "6a54603685d5a775392834f222532b49bbde78cdf47b643790392f08a1bc4f84",
     ),
     "random": (
         ["--method", "random", "--w", "1", "--r", "1", "--T", "4"],
         "construct method=random w=1 r=1 d=0 T=4 N=10 max-attempts=50 seed=0 "
-        "budget=1000000000 trials=100000\nclaim w=1 r=1 d=0 N=10 T=4\n",
+        "budget=250000 trials=100000\nclaim w=1 r=1 d=0 N=10 T=4\n",
         "1c10ba7c3b858e6a0a73822498cd24f66cf5c734aacb98ebb8845ee0b9ba4ea8",
     ),
     "random-uniform": (
         ["--method", "random-uniform", "--ell", "2", "--w", "1", "--r", "1", "--T", "4"],
         "construct method=random-uniform ell=2 w=1 r=1 T=4 max-attempts=50 seed=0 "
-        "budget=1000000000 trials=100000\nclaim w=1 r=1 d=17 N=130 T=4\n",
+        "budget=250000 trials=100000\nclaim w=1 r=1 d=17 N=130 T=4\n",
         "4c4e1c71059eae9a840b6f5bf242e4aabe0e5a1b0231ed862006d53c884919fb",
     ),
     # argparse quotes the choices on some Python versions only, so quotes are dropped
@@ -189,7 +190,7 @@ def test_construct_output_is_pinned(capsys, tmp_path, name):
 
 class TestOrbitProofAtConstruct:
     """rs_cff hands its symmetries to the claim check; a file does not carry
-    them, so a read-back matrix above the pair budget is sampled."""
+    them, so a read-back matrix is proven by the plain scan."""
 
     def test_screening_design_is_proven(self, capsys, tmp_path):
         out_file = tmp_path / "screen.cff"
@@ -200,14 +201,14 @@ class TestOrbitProofAtConstruct:
         assert (rc, err) == (0, "")
         assert out.splitlines()[-2:] == ["check exhaustive ok", f"wrote {out_file}"]
 
-    def test_the_file_and_a_zero_budget_sample(self, capsys, tmp_path):
-        # rs_cff(7, 8, 3): 2.27e9 pairs at r = 3, over the default budget
+    def test_the_file_is_proven_and_a_zero_budget_samples(self, capsys, tmp_path):
+        # rs_cff(7, 8, 3): the file's plain scan visits 686 nodes
         rs783 = ["construct", "--method", "rs", "--q", "7", "--n", "8", "--r", "3"]
         path = str(tmp_path / "rs783.cff")
         rc, out, _ = run_cli(capsys, *rs783, "--out", path)
         assert rc == 0 and "check exhaustive ok\n" in out
         rc, out, _ = run_cli(capsys, "verify", path, "--trials", "200")
-        assert rc == 0 and out.splitlines()[-1] == "check sampled ok"
+        assert rc == 0 and out.splitlines()[-1] == "check exhaustive ok"
         rc, out, _ = run_cli(capsys, *rs783, "--budget", "0", "--trials", "200", "--out", path)
         assert rc == 0 and "check sampled ok\n" in out
 
@@ -271,7 +272,7 @@ class TestVerify:
         assert rc == 0
         assert out.splitlines()[0] == (
             f"verify file={path} w=1 r=3 d=0 N=12 T=9 sampled=False trials=100000 seed=0 "
-            "budget=1000000000"
+            "budget=250000"
         )
         _, out, _ = run_cli(capsys, "verify", path, "--sampled", "--trials", "7", "--seed", "5")
         assert " trials=7 seed=5 " in out.splitlines()[0]
@@ -322,16 +323,21 @@ class TestVerify:
         path, _ = rs_file
         rc, _, err = run_cli(capsys, "verify", path, "--max-r", "--budget", "1")
         assert rc == 4
-        # max_r has no sampled mode and the shell user has no library call
-        assert err == "budget exceeded: 72 pair evaluations exceed the budget of 1; pass a larger --budget\n"
+        # max_r has no sampled mode, and the message names no library call
+        assert err == (
+            "budget exceeded: the budget of 1 nodes ran out with 0 of 9 B-sets cleared (0.0%)\n"
+        )
 
     def test_claim_check_over_budget_samples_instead_of_refusing(self, capsys, rs_file):
         path, _ = rs_file
-        # 9 * C(8, 3) = 504 pairs: above the budget the claim is sampled, so
-        # verify has no refusal, and so no remedy, to print
-        rc, out, err = run_cli(capsys, "verify", path, "--budget", "503", "--trials", "50")
+        # 9 B-sets and a cover search each: below 18 nodes the claim is
+        # sampled, so verify has no refusal to print
+        rc, out, err = run_cli(capsys, "verify", path, "--budget", "17", "--trials", "50")
         assert rc == 0 and err == ""
         assert out.splitlines()[-1] == "check sampled ok"
+        rc, out, err = run_cli(capsys, "verify", path, "--budget", "18")
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-1] == "check exhaustive ok"
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "verify", str(tmp_path / "nowhere.cff"))
