@@ -381,15 +381,19 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     matrix is (w, r; 0)-cover-free exactly when every pair is separated by
     some point, and a point separates (B, A) when its column, the set of
     blocks holding it, contains B and misses A. A family is therefore N
-    column patterns (subsets of the T blocks, 2^T candidates), and the
-    least N is the least number of patterns that separate every pair.
+    column patterns (subsets of the T blocks), and the least N is the least
+    number of patterns that separate every pair. The patterns separating
+    (B, A) are B ∪ S for the subsets S of the other T - w - r blocks, so the
+    table of which pattern separates which pair is built from each pair's
+    own 2^(T-w-r) patterns (see :func:`_pattern_table`).
 
     For N = 1, 2, ... a depth-first search takes the lowest pair no chosen
     pattern separates yet and branches on each pattern that separates it;
     some pattern of every cover does, so no cover is lost. A branch is cut
     when the patterns left, times the most pairs any one pattern separates,
     are fewer than the open pairs. The family the chosen patterns make is
-    confirmed by one ``is_cff`` call before N is returned.
+    confirmed by one ``is_cff`` call before N is returned. Nothing is kept
+    between calls.
     """
     if w < 0 or r < 0:
         raise ValueError("w and r must be non-negative")
@@ -399,27 +403,49 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
         raise ValueError(f"need T >= w + r, got T={T}")
     if w == 0 or r == 0:
         return 1
-    pairs = [
-        (sum(1 << i for i in b), sum(1 << i for i in a))
-        for b in combinations(range(T), w)
-        for a in combinations([i for i in range(T) if i not in b], r)
-    ]
-    # separates[p]: bit k set when pattern p separates pairs[k]
-    separates = [
-        sum(1 << k for k, (b, a) in enumerate(pairs) if b & ~p == 0 and a & p == 0)
-        for p in range(1 << T)
-    ]
-    # options[k]: (p, separates[p]) for each pattern p that separates pairs[k]
-    options = [[(p, s) for p, s in enumerate(separates) if s >> k & 1] for k in range(len(pairs))]
-    most = max(s.bit_count() for s in separates)
+    _, options, most = _pattern_table(w, r, T)
     for N in range(1, cap_N + 1):
         chosen: list[int] = []
-        if _cover((1 << len(pairs)) - 1, N, most, options, chosen):
+        if _cover((1 << len(options)) - 1, N, most, options, chosen):
             rows = [sum(1 << j for j, p in enumerate(chosen) if p >> i & 1) for i in range(T)]
             if not is_cff(IncidenceMatrix(N, rows), CFFParams(w=w, r=r, d=0, N=N, T=T)):
                 raise ArithmeticError(f"cover search returned a family is_cff rejects: {rows}")
             return N
     return None
+
+
+def _pattern_table(
+    w: int, r: int, T: int
+) -> tuple[list[int], list[list[tuple[int, int]]], int]:
+    """(separates, options, most) for the pairs (B, A) of w and r of the T
+    blocks, numbered k = 0, 1, ... with B in lexicographic order and A
+    within it: bit k of ``separates[p]`` is set when pattern p separates
+    pair k, ``options[k]`` lists (p, separates[p]) for the patterns p that
+    separate pair k in ascending order, and ``most`` is the most pairs one
+    pattern separates."""
+    every = (1 << T) - 1
+    blocks = [1 << i for i in range(T)]
+    separates = [0] * (1 << T)
+    patterns = []
+    for b in combinations(blocks, w):
+        b_mask = sum(b)
+        for a in combinations([x for x in blocks if not x & b_mask], r):
+            free = every ^ b_mask ^ sum(a)
+            bit = 1 << len(patterns)
+            # the submasks s of free in ascending order, so b | s ascends too
+            own, s = [], 0
+            while True:
+                p = b_mask | s
+                separates[p] |= bit
+                own.append(p)
+                if s == free:
+                    break
+                s = (s - free) & free
+            patterns.append(own)
+    options = [[(p, separates[p]) for p in own] for own in patterns]
+    # a pattern of j blocks separates the pairs with B inside it and A outside
+    most = max(comb(j, w) * comb(T - j, r) for j in range(T + 1))
+    return separates, options, most
 
 
 def _cover(

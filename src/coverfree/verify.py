@@ -43,7 +43,9 @@ keep every |∩B \\ ∪A|, and those block permutations must reach every block
 from block 0. Then every B-set has an image holding block 0 that passes
 or fails with it, and the claim holds. This route only ever passes: in
 every other case the plain colex scan runs on the same budget, so
-witnesses still come from that scan.
+witnesses still come from that scan. The scan repeats none of the route's
+cover searches: it skips the B-sets holding block 0 that the route
+cleared and walks at once at the one that failed.
 """
 
 from __future__ import annotations
@@ -233,13 +235,22 @@ def is_cff(
     w, r, d = params.w, params.r, params.d
     T = m.num_blocks
     meter = _Meter(budget, comb(T, w))
-    if m.symmetries and _by_orbits(m, params, meter):
-        return CheckResult(True)
+    # the orbit route searches the B-sets holding block 0 up to the first
+    # that fails, so the scan repeats none of those searches
+    searched = bool(m.symmetries) and m.num_points <= 256
+    failed = None
+    if searched:
+        proved, failed = _by_orbits(m, params, meter)
+        if proved:
+            return CheckResult(True)
     rows = m.rows
     columns = m.columns
     for b_set, inter, outside in _scan(m, _colex(range(T), w), meter):
-        if inter.bit_count() > d and _covers(columns, rows, outside, inter, d, r, meter) is None:
-            continue
+        if b_set != failed:
+            if searched and b_set[0] == 0:
+                continue
+            if inter.bit_count() > d and _covers(columns, rows, outside, inter, d, r, meter) is None:
+                continue
         rest = [i for i in range(T) if i not in b_set]
         gains = [(inter & rows[i]).bit_count() for i in rest]
         a_set = _walk(rows, rest, list(accumulate(gains, max)), d, len(rest), r, inter, meter)
@@ -483,23 +494,26 @@ def _transitive(maps: Sequence[Sequence[int]], T: int) -> bool:
     return len(reached) == T
 
 
-def _by_orbits(m: IncidenceMatrix, params: CFFParams, meter: _Meter) -> bool:
-    """Whether ``m.symmetries`` prove ``m`` a (w, r; d)-cover-free family
-    (see the module docstring); False is no verdict. The B-sets holding
-    block 0 are searched before the maps are checked, so a claim that
-    fails costs a search there, not T nodes per map."""
+def _by_orbits(
+    m: IncidenceMatrix, params: CFFParams, meter: _Meter
+) -> tuple[bool, tuple[int, ...] | None]:
+    """(proved, failed): whether ``m.symmetries`` prove ``m`` a
+    (w, r; d)-cover-free family (see the module docstring), where not
+    proved is no verdict, and the first B-set holding block 0, in colex
+    order, that some r blocks cover down to d points, or None. Those B-sets
+    are searched in colex order before the maps are checked, so a claim
+    that fails costs a search there, not T nodes per map, and every one
+    searched before ``failed`` has no cover. ``m`` has at most 256 points."""
     w, r, d = params.w, params.r, params.d
     T = m.num_blocks
-    if m.num_points > 256:
-        return False
     rows = m.rows
     columns = m.columns
     held = ((0, *rest) for rest in _colex(range(1, T), w - 1))
-    for _, inter, outside in _scan(m, held, meter):
+    for b_set, inter, outside in _scan(m, held, meter):
         if inter.bit_count() <= d or _covers(columns, rows, outside, inter, d, r, meter) is not None:
-            return False
+            return False, b_set
     maps = _block_maps(m, meter)
-    return maps is not None and _transitive(maps, T)
+    return maps is not None and _transitive(maps, T), None
 
 
 def max_r(

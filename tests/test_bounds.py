@@ -472,6 +472,47 @@ class TestMinNBruteforce:
         min_N_bruteforce(w, r, T)
         assert cover.calls == nodes
 
+    # the oracle points of the explore benchmark's pool, (w, r, T, cap_N),
+    # with the least N each returns and the nodes its search visits, 496 in all
+    EXPLORE_ORACLE = [
+        (1, 1, 3, 8, 3, 6), (1, 1, 4, 8, 4, 20), (1, 1, 5, 8, 4, 406),
+        (1, 2, 3, 8, 3, 6), (1, 2, 4, 8, 4, 8), (1, 2, 5, 8, 5, 10),
+        (1, 2, 5, 4, None, 4), (1, 3, 4, 8, 4, 8), (1, 3, 5, 8, 5, 10),
+        (2, 1, 3, 8, 3, 6), (2, 1, 4, 8, 4, 12),
+    ]
+
+    @pytest.mark.parametrize("w,r,T,cap_N,least,nodes", EXPLORE_ORACLE)
+    def test_explore_oracle_nodes_are_pinned(self, monkeypatch, w, r, T, cap_N, least, nodes):
+        cover = CallCount(bounds._cover)
+        monkeypatch.setattr(bounds, "_cover", cover)
+        assert min_N_bruteforce(w, r, T, cap_N) == least
+        assert cover.calls == nodes
+        # a second identical call finds nothing kept from the first
+        assert min_N_bruteforce(w, r, T, cap_N) == least
+        assert cover.calls == 2 * nodes
+
+    @pytest.mark.parametrize(
+        "w,r,T", [(w, r, T) for T in range(2, 6) for w in range(1, T) for r in range(1, T - w + 1)]
+    )
+    def test_pattern_table_matches_per_pattern_reference(self, w, r, T):
+        assert bounds._pattern_table(w, r, T) == pattern_table_by_patterns(w, r, T)
+
+
+def pattern_table_by_patterns(w: int, r: int, T: int):
+    """Reference for ``bounds._pattern_table``: every one of the 2^T
+    patterns tested against every pair."""
+    pairs = [
+        (sum(1 << i for i in b), sum(1 << i for i in a))
+        for b in combinations(range(T), w)
+        for a in combinations([i for i in range(T) if i not in b], r)
+    ]
+    separates = [
+        sum(1 << k for k, (b, a) in enumerate(pairs) if b & ~p == 0 and a & p == 0)
+        for p in range(1 << T)
+    ]
+    options = [[(p, s) for p, s in enumerate(separates) if s >> k & 1] for k in range(len(pairs))]
+    return separates, options, max(s.bit_count() for s in separates)
+
 
 def test_no_lower_bound_exceeds_the_least_n():
     # every (w, r, T <= 5) whose least N is at most 8; (2,2,5), (2,3,5)

@@ -299,7 +299,16 @@ RS_UP_TO_3000 = [
 
 def orbit_outcome(m, claim):
     """Whether the orbit route alone proves the claim, given ample nodes."""
-    return verify._by_orbits(m, claim, verify._Meter(AMPLE, comb(claim.T, claim.w)))
+    if m.num_points > 256:
+        return False
+    proved, _ = verify._by_orbits(m, claim, verify._Meter(AMPLE, comb(claim.T, claim.w)))
+    return proved
+
+
+def cyclic_family():
+    """The shifts of {0, 1, 2} in Z_7, with the rotation as its symmetry."""
+    m = IncidenceMatrix.from_blocks(7, [[(i + j) % 7 for j in range(3)] for i in range(7)])
+    return IncidenceMatrix(7, m.rows, (tuple((p + 1) % 7 for p in range(7)),))
 
 
 class TestOrbitProof:
@@ -327,15 +336,32 @@ class TestOrbitProof:
                     assert is_cff(m, c, budget=AMPLE) == plain, (args, c)
 
     def test_a_cyclic_family_is_proven_by_its_rotation(self):
-        # the shifts of {0, 1, 2} in Z_7: the B-set {0, 1} has no cover by
-        # one block, but {0, 2} has, so one B-set holding block 0 is not enough
-        m = IncidenceMatrix.from_blocks(7, [[(i + j) % 7 for j in range(3)] for i in range(7)])
-        m = IncidenceMatrix(7, m.rows, (tuple((p + 1) % 7 for p in range(7)),))
+        # the B-set {0, 1} has no cover by one block, but {0, 2} has, so one
+        # B-set holding block 0 is not enough
+        m = cyclic_family()
         assert orbit_outcome(m, params(1, 1, 0, 7, 7)) is True
         for failing in (params(1, 2, 0, 7, 7), params(2, 1, 0, 7, 7)):
             assert orbit_outcome(m, failing) is False
             assert not is_cff(m, failing).ok
         assert is_cff(m, params(2, 1, 0, 7, 7)).witness == ViolationWitness((0, 2), (1,), 0)
+
+    def test_a_refuted_claim_repeats_no_search(self):
+        # rs_cff(5, 5, 4) at r = 5: the orbit route visits block 0's B-set
+        # and its cover search finds a cover in 4 nodes; the plain scan then
+        # visits that B-set again and, with no second search, walks 16 nodes
+        # down to the witness
+        m, claim = rs_cff(5, 5, 4)
+        refuted = replace(claim, r=5, k=None)
+        plain = is_cff(IncidenceMatrix(m.num_points, m.rows), refuted)
+        assert plain.witness == ViolationWitness((0,), (5, 6, 7, 8, 9), 0)
+        assert boundary(is_cff, m, refuted, at=1 + 4 + 1 + 16) == plain
+        # w = 2 on the cyclic family: the route clears (0, 1) and fails at
+        # (0, 2), a B-set and a search each; the scan visits both, searches
+        # neither again and walks one node at (0, 2)
+        m = cyclic_family()
+        refuted = params(2, 1, 0, 7, 7)
+        plain = is_cff(IncidenceMatrix(7, m.rows), refuted)
+        assert boundary(is_cff, m, refuted, at=2 + 2 + 1 + 1 + 1) == plain
 
     def test_screening_design_charge_is_pinned(self):
         m, claim = rs_cff(13, 14, 3, 4)
@@ -370,8 +396,9 @@ class TestOrbitProof:
         swapped = IncidenceMatrix(m.num_points, m.rows, (tuple(first), *m.symmetries[1:]))
         assert self.declined(swapped, claim) == CheckResult(True)
         # block 0's B-set and its search, the first map (T = 125 nodes),
-        # which fails, then the plain scan's B-set and search per block
-        assert boundary(is_cff, swapped, claim, at=2 + 125 + 2 * 125) == CheckResult(True)
+        # which fails, then the plain scan's B-set per block and search per
+        # block but block 0, which the orbit route cleared
+        assert boundary(is_cff, swapped, claim, at=2 + 125 + 2 * 125 - 1) == CheckResult(True)
 
     def test_a_generator_set_that_is_not_transitive_is_not_trusted(self):
         m, claim = rs_cff(5, 6, 2)
