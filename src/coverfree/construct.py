@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations
 from math import comb, factorial, gcd, log2
 from typing import Callable, Iterator
@@ -252,7 +253,8 @@ def rs_cff(
     the claim carries the requested r. The matrix's ``symmetries`` are the
     e * u translations by a * x^j (a in a GF(p)-basis of GF(q), j < u),
     which act on the blocks transitively; once the B-sets that hold block 0
-    pass, ``is_cff`` checks them and needs to search no other B-set.
+    pass, ``is_cff`` and ``max_r`` check them and need to search no other
+    B-set.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -378,6 +380,20 @@ def shf_compose(
     return m, claim
 
 
+def _lift(
+    below: Callable[[int], tuple[int, ...]], n: int, v: int, functions: int, a: int, b: int
+) -> tuple[int, ...]:
+    """The point map that the column translation (x, y) -> (x + a, y + b)
+    induces on ``shf_compose`` over ``shf_modular(n, ...)``: f_c shifts by
+    a + c*b, so segment c, at points c*v .. c*v + v-1, moves by
+    ``below(a + c*b mod n)``, the base's point map that adds that shift
+    to every block index."""
+    image: list[int] = []
+    for c in range(functions):
+        image.extend(c * v + p for p in below((a + c * b) % n))
+    return tuple(image)
+
+
 def recursive_cff(
     w: int, r: int, d: int = 0, levels: int = 0
 ) -> tuple[IncidenceMatrix, CFFParams]:
@@ -389,6 +405,20 @@ def recursive_cff(
     times to reach separation d. Each round squares the block count, giving
     a (w, r; d)-family with (w*r+1)^levels * (d+1) * N0 points and
     n0^(2^levels) blocks.
+
+    The matrix's ``symmetries`` are translations. At level 0 it is the
+    rotation i -> i+1 of the n0 ground elements, a map of the subset
+    points, widened over the d+1 copies. At level l >= 1 they are the
+    steps (u, 0) and (0, u) on the columns (x, y), where u is the product
+    of the block counts of the levels below l - 1 (1 at level 1, n0 at
+    level 2). Under the step (a, b), segment c shifts its block index by
+    a + c*b, a multiple of u, and the level below has a symmetry adding
+    any such multiple to every block index: the rotation at level 0, and
+    above it a step (k, 0), since adding k*u*n to x*n + y gives
+    (x + k*u)*n + y. A shift by 1 at level 1 would carry from y into x, so
+    at level 2 the steps (1, 0) and (0, 1) are not symmetries and the
+    group is not transitive: ``is_cff`` and ``max_r`` search one orbit of
+    blocks at a time.
     """
     if w < 1 or r < 1:
         raise ValueError("w and r must be positive")
@@ -405,12 +435,36 @@ def recursive_cff(
             f"{n0}^(2^{levels}) blocks exceed the cap of {DEFAULT_MAX_BLOCKS}"
         )
     m, claim = trivial_cff(n0, w, r)
+    # point p is the subset columns[p] of the ground elements, as a mask
+    subsets = m.columns
+    index = {mask: p for p, mask in enumerate(subsets)}
+    full = (1 << n0) - 1
+    copies = d + 1
+
+    def rotate(t: int) -> tuple[int, ...]:
+        image: list[int] = []
+        for mask in subsets:
+            p = index[(mask << t | mask >> (n0 - t)) & full]
+            image.extend(range(p * copies, p * copies + copies))
+        return tuple(image)
+
     if d > 0:
-        m = m.replicate_points(d + 1)
+        m = m.replicate_points(copies)
         claim = CFFParams(w=w, r=r, d=d, N=m.num_points, T=n0)
+    # shift(t) adds t, a multiple of ``step``, to every block index
+    shift, step, symmetries = rotate, 1, (rotate(1),)
+    functions = w * r + 1
     for _ in range(levels):
-        m, claim = shf_compose(m, claim, shf_modular(m.num_blocks, w, r))
-    return m, claim
+        n, v = m.num_blocks, m.num_points
+        m, claim = shf_compose(m, claim, shf_modular(n, w, r))
+        lift = partial(_lift, shift, n, v, functions)
+        symmetries = (lift(step, 0), lift(0, step))
+
+        def shift(t: int, lift=lift, n=n) -> tuple[int, ...]:
+            return lift(t // n, 0)
+
+        step *= n
+    return replace(m, symmetries=symmetries), claim
 
 
 # ---------------------------------------------------------------------------

@@ -33,19 +33,28 @@ a check that would pass its budget stops with ``BudgetExceededError``,
 which gives the budget and the share of B-sets cleared. A check that ends
 within the budget returns what it would return with no budget at all.
 
-When ``m.symmetries`` is non-empty, ``is_cff`` first tries a proof reduced
-by those point permutations. It runs the cover search on the
-C(T - 1, w - 1) B-sets that hold block 0, and only if all of them pass does
-it check the permutations, T nodes each; they are checked, not trusted.
-Each must be a bijection of the points that maps every row onto a row (the
-rows distinct, at most 256 points), which makes it permute the blocks and
-keep every |∩B \\ ∪A|, and those block permutations must reach every block
-from block 0. Then every B-set has an image holding block 0 that passes
-or fails with it, and the claim holds. This route only ever passes: in
-every other case the plain colex scan runs on the same budget, so
-witnesses still come from that scan. The scan repeats none of the route's
-cover searches: it skips the B-sets holding block 0 that the route
-cleared and walks at once at the one that failed.
+When ``m.symmetries`` is non-empty and ``m`` has at most 256 points,
+``is_cff`` and ``max_r`` first take the orbit route over those point
+permutations. (a) It runs the cover search on the C(T - 1, w - 1) B-sets
+that hold block 0, in colex order. (b) It checks the permutations, T nodes
+each; they are checked, not trusted. Each must be a bijection of the
+points that maps every row onto a row (the rows distinct), which makes it
+permute the blocks and keep every |∩B \\ ∪A|. With fewer than T nodes
+left for each, the route skips them and goes to the plain scan at once, and
+a passing claim then costs ``is_cff`` what its bare rows cost. (c) It
+labels each block orbit by its least block, searching from every block not
+yet reached in ascending order. (d) For each later orbit, with least block
+c and in ascending c, it searches the B-sets that hold c and whose other
+blocks lie in orbits whose least blocks are c or above. Every B-set has an
+image among those searched that passes or fails with it: map its member of
+the first orbit it meets onto that orbit's least block. So ``is_cff``
+passes when every search does, and ``max_r``'s fewest blocks, which do not
+depend on the order of the B-sets, are found. (e) If a map is rejected, or
+one of ``is_cff``'s searches finds a cover, the plain colex scan runs on
+the same budget, so witnesses still come from that scan. The scan repeats
+none of the route's cover searches on the B-sets holding block 0: it skips
+those the route cleared, visiting and charging none of them, and walks at
+once at the B-set where the route found a cover.
 """
 
 from __future__ import annotations
@@ -165,11 +174,10 @@ def _scan(
     m: IncidenceMatrix, b_sets: Iterable[tuple[int, ...]], meter: _Meter
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(B, ∩B, the mask of the blocks outside B) for each B of ``b_sets``,
-    charging ``meter`` one node for each; a B counts as cleared once the
-    caller asks for the next."""
+    charging ``meter`` one node for each; a B counts as cleared, on top of
+    those ``meter`` counts already, once the caller asks for the next."""
     rows = m.rows
     every = (1 << m.num_blocks) - 1
-    meter.cleared = 0
     for b_set in b_sets:
         meter.charge()
         inter, outside = -1, every  # -1: every bit set
@@ -226,7 +234,7 @@ def is_cff(
     in colex order; a cover search clears each B that no r blocks cover
     down to d points, and a colex branch-and-bound finds the witness at the
     first B it does not clear (see the module docstring), the same witness
-    as the plain enumeration. A claim can also pass by the orbit proof
+    as the plain enumeration. A claim can also pass by the orbit route
     over ``m.symmetries``, tried first. ``budget`` caps the nodes both
     visit together (see the module docstring); a check that runs out is
     refused.
@@ -235,22 +243,22 @@ def is_cff(
     w, r, d = params.w, params.r, params.d
     T = m.num_blocks
     meter = _Meter(budget, comb(T, w))
-    # the orbit route searches the B-sets holding block 0 up to the first
-    # that fails, so the scan repeats none of those searches
-    searched = bool(m.symmetries) and m.num_points <= 256
+    b_sets = _colex(range(T), w)
     failed = None
-    if searched:
+    if _routed(m):
         proved, failed = _by_orbits(m, params, meter)
         if proved:
             return CheckResult(True)
+        # the route cleared every B-set holding block 0 but ``failed``
+        b_sets = (b_set for b_set in b_sets if b_set[0] or b_set == failed)
     rows = m.rows
     columns = m.columns
-    for b_set, inter, outside in _scan(m, _colex(range(T), w), meter):
-        if b_set != failed:
-            if searched and b_set[0] == 0:
-                continue
-            if inter.bit_count() > d and _covers(columns, rows, outside, inter, d, r, meter) is None:
-                continue
+    for b_set, inter, outside in _scan(m, b_sets, meter):
+        # the route found a cover at ``failed``, so the scan walks at once
+        if b_set != failed and inter.bit_count() > d and _covers(
+            columns, rows, outside, inter, d, r, meter
+        ) is None:
+            continue
         rest = [i for i in range(T) if i not in b_set]
         gains = [(inter & rows[i]).bit_count() for i in rest]
         a_set = _walk(rows, rest, list(accumulate(gains, max)), d, len(rest), r, inter, meter)
@@ -431,6 +439,13 @@ def _covers(
     return None
 
 
+def _routed(m: IncidenceMatrix) -> bool:
+    """Whether ``is_cff`` and ``max_r`` take the orbit route: ``m`` lists
+    symmetries, and its points fit the byte a point takes in
+    ``_block_maps``."""
+    return bool(m.symmetries) and m.num_points <= 256
+
+
 def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[array] | None:
     """The block permutation each of ``m.symmetries`` induces, as an array
     of block indices, or None when two rows are equal or some symmetry is
@@ -478,20 +493,82 @@ def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[array] | None:
     return maps
 
 
-def _transitive(maps: Sequence[Sequence[int]], T: int) -> bool:
-    """Whether the block permutations ``maps`` reach every block from
-    block 0. Forward images suffice: a permutation's inverse is one of its
-    powers."""
+def _orbits(maps: Sequence[Sequence[int]], T: int) -> list[list[int]]:
+    """The orbits of the blocks under the block permutations ``maps``, in
+    ascending order of their least blocks, each listed breadth first from
+    its least block. Forward images suffice: a permutation's inverse is one
+    of its powers. A search starts at each block not yet reached, ascending,
+    and the last stops the pass, so a transitive group costs one search."""
     seen = bytearray(T)
-    seen[0] = 1
-    reached = [0]
-    for i in reached:
-        for sigma in maps:
-            j = sigma[i]
-            if not seen[j]:
-                seen[j] = 1
-                reached.append(j)
-    return len(reached) == T
+    orbits = []
+    left = T
+    for start in range(T):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        for i in orbit:
+            for sigma in maps:
+                j = sigma[i]
+                if not seen[j]:
+                    seen[j] = 1
+                    orbit.append(j)
+        orbits.append(orbit)
+        left -= len(orbit)
+        if not left:
+            break
+    return orbits
+
+
+def _held(c: int, others: Sequence[int], w: int) -> Iterator[tuple[int, ...]]:
+    """The B-sets of block c and w - 1 of ``others``, all above c, in colex
+    order."""
+    return ((c, *rest) for rest in _colex(others, w - 1))
+
+
+def _past_block_0(m: IncidenceMatrix, w: int, meter: _Meter) -> Iterator[tuple[int, ...]] | None:
+    """The B-sets the orbit route searches after those holding block 0:
+    for each later block orbit under ``m.symmetries``, with least block c
+    and in ascending c, those holding c whose other blocks lie in the
+    orbits whose least blocks are c or above. None, with the maps not run,
+    when ``meter`` has fewer than T nodes left for each, and None when
+    ``_block_maps`` rejects them (see the module docstring)."""
+    T = m.num_blocks
+    if meter.left < T * len(m.symmetries):
+        return None
+    maps = _block_maps(m, meter)
+    if maps is None:
+        return None
+    return _later_b_sets(_orbits(maps, T)[1:], w)
+
+
+def _later_b_sets(orbits: list[list[int]], w: int) -> Iterator[tuple[int, ...]]:
+    """For each of ``orbits`` in turn, the B-sets holding its least block
+    whose other blocks lie in it or in the orbits after it."""
+    if w == 1:
+        for orbit in orbits:
+            yield (orbit[0],)
+        return
+    # the blocks of the orbits not yet searched, ascending: the first is
+    # the least block of the next orbit
+    blocks = sorted(b for orbit in orbits for b in orbit)
+    for orbit in orbits:
+        yield from _held(orbit[0], blocks[1:], w)
+        done = set(orbit)
+        blocks = [b for b in blocks if b not in done]
+
+
+def _first_covered(
+    m: IncidenceMatrix, b_sets: Iterable[tuple[int, ...]], r: int, d: int, meter: _Meter
+) -> tuple[int, ...] | None:
+    """The first B of ``b_sets`` that some r blocks cover down to d
+    points, or None."""
+    rows = m.rows
+    columns = m.columns
+    for b_set, inter, outside in _scan(m, b_sets, meter):
+        if inter.bit_count() <= d or _covers(columns, rows, outside, inter, d, r, meter) is not None:
+            return b_set
+    return None
 
 
 def _by_orbits(
@@ -499,21 +576,44 @@ def _by_orbits(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """(proved, failed): whether ``m.symmetries`` prove ``m`` a
     (w, r; d)-cover-free family (see the module docstring), where not
-    proved is no verdict, and the first B-set holding block 0, in colex
-    order, that some r blocks cover down to d points, or None. Those B-sets
+    proved is no verdict, and the first B-set the route searched that some
+    r blocks cover down to d points, or None. The B-sets holding block 0
     are searched in colex order before the maps are checked, so a claim
-    that fails costs a search there, not T nodes per map, and every one
-    searched before ``failed`` has no cover. ``m`` has at most 256 points."""
+    that fails there costs a search, not T nodes per map. With no verdict,
+    ``meter.cleared`` counts the B-sets holding block 0 cleared, all of
+    those searched before ``failed`` or all of them."""
     w, r, d = params.w, params.r, params.d
-    T = m.num_blocks
+    failed = _first_covered(m, _held(0, range(1, m.num_blocks), w), r, d, meter)
+    zero = meter.cleared
+    if failed is None:
+        later = _past_block_0(m, w, meter)
+        if later is not None:
+            failed = _first_covered(m, later, r, d, meter)
+            if failed is None:
+                return True, None
+    meter.cleared = zero
+    return False, failed
+
+
+def _lower(
+    m: IncidenceMatrix, b_sets: Iterable[tuple[int, ...]], d: int, least: int, meter: _Meter
+) -> int:
+    """``least`` lowered to the fewest blocks outside some B of ``b_sets``
+    that leave at most d points of ∩B, when those are fewer; the pass stops
+    once it is 1."""
     rows = m.rows
     columns = m.columns
-    held = ((0, *rest) for rest in _colex(range(1, T), w - 1))
-    for b_set, inter, outside in _scan(m, held, meter):
-        if inter.bit_count() <= d or _covers(columns, rows, outside, inter, d, r, meter) is not None:
-            return False, b_set
-    maps = _block_maps(m, meter)
-    return maps is not None and _transitive(maps, T), None
+    for _, inter, outside in _scan(m, b_sets, meter):
+        if inter.bit_count() <= d:
+            return 1
+        while least > 1:
+            found = _covers(columns, rows, outside, inter, d, least - 1, meter)
+            if found is None:
+                break
+            least = found
+        if least == 1:
+            return 1
+    return least
 
 
 def max_r(
@@ -525,8 +625,9 @@ def max_r(
     The property is monotone (downward) in r, so the answer is one less
     than the fewest blocks A that leave at most d points of some ∩B. One
     colex pass over the B-sets finds that number with the cover search
-    described in the module docstring. ``budget`` caps the nodes that pass
-    visits, counted as in ``is_cff``. ``m.symmetries`` are not used.
+    described in the module docstring, or the orbit route over
+    ``m.symmetries`` finds it from one B-set of each orbit. ``budget`` caps
+    the nodes visited, counted as in ``is_cff``.
     """
     if w < 1:
         raise ValueError("w must be positive")
@@ -534,20 +635,18 @@ def max_r(
         raise ValueError(f"d must be non-negative, got {d}")
     T = m.num_blocks
     least = max(T - w, 0) + 1
-    rows = m.rows
-    columns = m.columns
     meter = _Meter(budget, comb(T, w))
-    for _, inter, outside in _scan(m, _colex(range(T), w), meter):
-        if inter.bit_count() <= d:
-            return 0
-        while least > 1:
-            found = _covers(columns, rows, outside, inter, d, least - 1, meter)
-            if found is None:
-                break
-            least = found
+    b_sets = _colex(range(T), w)
+    if _routed(m):
+        # the fewest blocks do not depend on the order the B-sets come in
+        least = _lower(m, _held(0, range(1, T), w), d, least, meter)
         if least == 1:
             return 0
-    return least - 1
+        later = _past_block_0(m, w, meter)
+        if later is not None:
+            return _lower(m, later, d, least, meter) - 1
+        b_sets = (b_set for b_set in b_sets if b_set[0])
+    return _lower(m, b_sets, d, least, meter) - 1
 
 
 def is_k_uniform(m: IncidenceMatrix, k: int) -> bool:

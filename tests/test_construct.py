@@ -354,6 +354,39 @@ class TestRecursive:
         with pytest.raises(ValueError, match="levels must be non-negative"):
             recursive_cff(1, 2, 0, -1)
 
+    @pytest.mark.parametrize(
+        "args, u",
+        [
+            # level 0: the rotation of the n0 ground elements, block i -> i + 1
+            ((1, 2, 0, 0), None),
+            ((1, 2, 1, 0), None),
+            # level l: the steps (u, 0) and (0, u), with u = 1 at level 1,
+            # n0 at level 2 and n0^3 at level 3
+            ((2, 2, 0, 1), 1),
+            ((1, 2, 1, 2), 3),
+            ((1, 1, 0, 3), 8),
+        ],
+    )
+    def test_lists_translations_that_map_rows_onto_rows(self, args, u):
+        m, _ = recursive_cff(*args)
+        T = m.num_blocks
+        if u is None:
+            moves = [lambda i: (i + 1) % T]
+        else:
+            # block x*n + y goes to (x + a mod n)*n + (y + b mod n)
+            n = round(T**0.5)
+            moves = [
+                lambda i, a=a, b=b: (i // n + a) % n * n + (i % n + b) % n
+                for a, b in [(u, 0), (0, u)]
+            ]
+        assert len(m.symmetries) == len(moves)
+        blocks = {row: i for i, row in enumerate(m.rows)}
+        for perm, move in zip(m.symmetries, moves):
+            assert sorted(perm) == list(range(m.num_points))
+            for i, row in enumerate(m.rows):
+                image = sum(1 << perm[p] for p in range(m.num_points) if row >> p & 1)
+                assert blocks[image] == move(i)
+
 
 class TestRandom:
     def test_default_size_small_profile(self):
