@@ -403,7 +403,7 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
         raise ValueError(f"need T >= w + r, got T={T}")
     if w == 0 or r == 0:
         return 1
-    _, options, most = _pattern_table(w, r, T)
+    options, most = _pattern_table(w, r, T)
     for N in range(1, cap_N + 1):
         chosen: list[int] = []
         if _cover((1 << len(options)) - 1, N, most, options, chosen):
@@ -414,15 +414,13 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     return None
 
 
-def _pattern_table(
-    w: int, r: int, T: int
-) -> tuple[list[int], list[list[tuple[int, int]]], int]:
-    """(separates, options, most) for the pairs (B, A) of w and r of the T
-    blocks, numbered k = 0, 1, ... with B in lexicographic order and A
-    within it: bit k of ``separates[p]`` is set when pattern p separates
-    pair k, ``options[k]`` lists (p, separates[p]) for the patterns p that
-    separate pair k in ascending order, and ``most`` is the most pairs one
-    pattern separates."""
+def _pattern_table(w: int, r: int, T: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """(options, most) for the pairs (B, A) of w and r of the T blocks,
+    numbered k = 0, 1, ... with B in lexicographic order and A within it:
+    ``options[k]`` lists (p, separates[p]) for the patterns p that separate
+    pair k in ascending order, where bit k of ``separates[p]`` is set when
+    pattern p separates pair k, and ``most`` is the most pairs one pattern
+    separates."""
     every = (1 << T) - 1
     blocks = [1 << i for i in range(T)]
     separates = [0] * (1 << T)
@@ -445,7 +443,7 @@ def _pattern_table(
     options = [[(p, separates[p]) for p in own] for own in patterns]
     # a pattern of j blocks separates the pairs with B inside it and A outside
     most = max(comb(j, w) * comb(T - j, r) for j in range(T + 1))
-    return separates, options, most
+    return options, most
 
 
 def _cover(

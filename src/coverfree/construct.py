@@ -31,7 +31,6 @@ __all__ = [
     "OrthogonalArray",
     "PackingDesign",
     "SHFTable",
-    "check_orthogonal_array",
     "oa_construct",
     "oa_to_packing",
     "packing_to_cff",
@@ -169,20 +168,6 @@ def oa_construct(q: int, t: int) -> OrthogonalArray:
     if not 1 <= t <= q:
         raise ValueError(f"need 1 <= t <= q, got t={t} with q={q}")
     return OrthogonalArray(t=t, k=q + 1, s=q, rows=tuple(_poly_values(q, t, q + 1)))
-
-
-def check_orthogonal_array(oa: OrthogonalArray) -> bool:
-    """Exhaustive strength check; exponential in t, desk scale only."""
-    want = oa.s**oa.t
-    if len(oa.rows) != oa.k or any(len(row) != want for row in oa.rows):
-        return False
-    for selection in combinations(range(oa.k), oa.t):
-        seen = set()
-        for j in range(want):
-            seen.add(tuple(oa.rows[i][j] for i in selection))
-        if len(seen) != want:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

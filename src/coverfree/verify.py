@@ -1,4 +1,4 @@
-"""Ground-truth property checkers for cover-free and disjunct matrices.
+"""Ground-truth property checkers for cover-free families.
 
 ``is_cff`` decides the same question as enumerating every (B-set, A-set)
 pair in colexicographic order and reports the same colex-least violation,
@@ -27,34 +27,37 @@ witness, only a size. Results never depend on scheduling.
 
 The budget counts nodes, the work a check has done, not a price set
 upfront: one for each B-set visited, each cover-search call and each call
-of the witness walk (``is_disjunct`` counts one for each (P, Q) pair). The
-count depends only on the matrix and the claim, never on the machine, and
-a check that would pass its budget stops with ``BudgetExceededError``,
-which gives the budget and the share of B-sets cleared. A check that ends
-within the budget returns what it would return with no budget at all.
+of the witness walk. The count depends only on the matrix and the claim,
+never on the machine, and a check that would pass its budget stops with
+``BudgetExceededError``, which gives the budget and the share of B-sets
+cleared. A check that ends within the budget returns what it would return
+with no budget at all.
 
 When ``m.symmetries`` is non-empty and ``m`` has at most 256 points,
-``is_cff`` and ``max_r`` first take the orbit route over those point
+``is_cff`` and ``max_r`` take the orbit route over those point
 permutations. (a) It runs the cover search on the C(T - 1, w - 1) B-sets
 that hold block 0, in colex order. (b) It checks the permutations, T nodes
 each; they are checked, not trusted. Each must be a bijection of the
 points that maps every row onto a row (the rows distinct), which makes it
 permute the blocks and keep every |∩B \\ ∪A|. With fewer than T nodes
-left for each, the route skips them and goes to the plain scan at once, and
-a passing claim then costs ``is_cff`` what its bare rows cost. (c) It
-labels each block orbit by its least block, searching from every block not
-yet reached in ascending order. (d) For each later orbit, with least block
-c and in ascending c, it searches the B-sets that hold c and whose other
-blocks lie in orbits whose least blocks are c or above. Every B-set has an
-image among those searched that passes or fails with it: map its member of
-the first orbit it meets onto that orbit's least block. So ``is_cff``
-passes when every search does, and ``max_r``'s fewest blocks, which do not
-depend on the order of the B-sets, are found. (e) If a map is rejected, or
-one of ``is_cff``'s searches finds a cover, the plain colex scan runs on
-the same budget, so witnesses still come from that scan. The scan repeats
-none of the route's cover searches on the B-sets holding block 0: it skips
-those the route cleared, visiting and charging none of them, and walks at
-once at the B-set where the route found a cover.
+left for each, the route skips them, and a passing claim then costs
+``is_cff`` what its bare rows cost. (c) It labels each block orbit by its
+least block, searching from every block not yet reached in ascending
+order. (d) For each later orbit, with least block c and in ascending c, it
+searches the B-sets that hold c and whose other blocks lie in orbits whose
+least blocks are c or above. Every B-set has an image among those searched
+that passes or fails with it: map its member of the first orbit it meets
+onto that orbit's least block. So ``is_cff`` passes when every search
+does, and ``max_r``'s fewest blocks, which do not depend on the order of
+the B-sets, are found. (e) When the maps are skipped or rejected, the
+B-sets without block 0 follow in colex order instead, which completes the
+plain scan. Both checks draw their B-sets from this one order. ``max_r``
+lowers its fewest blocks over it. ``is_cff`` stops at the first B-set some
+r blocks cover down to d points. One found in the colex part is the
+colex-least; one found by (a) or (d) may not be, so a colex pass then
+searches the B-sets before it that the route did not clear, and the walk
+runs at the first of them r blocks cover, or else at the route's. So
+witnesses are the plain scan's, and no B-set is searched twice.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate, pairwise, takewhile
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -77,7 +80,6 @@ __all__ = [
     "check_claim",
     "is_cff",
     "is_cff_sampled",
-    "is_disjunct",
     "is_k_uniform",
     "max_r",
     "pair_count",
@@ -230,40 +232,39 @@ def is_cff(
 
     Decides, for every choice of w blocks B and r further blocks A, whether
     ``|intersection(B) \\ union(A)| > d``; on failure returns the
-    colex-least violating pair (B-major order) as the witness. B-sets run
-    in colex order; a cover search clears each B that no r blocks cover
-    down to d points, and a colex branch-and-bound finds the witness at the
-    first B it does not clear (see the module docstring), the same witness
-    as the plain enumeration. A claim can also pass by the orbit route
-    over ``m.symmetries``, tried first. ``budget`` caps the nodes both
-    visit together (see the module docstring); a check that runs out is
-    refused.
+    colex-least violating pair (B-major order) as the witness. A cover
+    search clears each B that no r blocks cover down to d points, over the
+    B-sets in colex order or, with ``m.symmetries``, in the orbit route's
+    order, and a colex branch-and-bound finds the witness at the
+    colex-least B it does not clear (see the module docstring), the same
+    witness as the plain enumeration. ``budget`` caps the nodes both visit
+    together (see the module docstring); a check that runs out is refused.
     """
     _check_shape(m, params)
     w, r, d = params.w, params.r, params.d
     T = m.num_blocks
     meter = _Meter(budget, comb(T, w))
-    b_sets = _colex(range(T), w)
-    failed = None
-    if _routed(m):
-        proved, failed = _by_orbits(m, params, meter)
-        if proved:
-            return CheckResult(True)
-        # the route cleared every B-set holding block 0 but ``failed``
-        b_sets = (b_set for b_set in b_sets if b_set[0] or b_set == failed)
+    orbits: list[list[int]] = []
+    failed = _first_covered(m, _search_order(m, w, meter, orbits), r, d, meter)
+    if failed is None:
+        return CheckResult(True)
+    if _routed(m) and (not failed[0] or orbits):
+        # the route found ``failed`` among block 0's B-sets or, once the
+        # maps checked out, the later orbits'. It cleared those before it,
+        # so the other B-sets before it are searched in colex order
+        later = set(takewhile(failed.__ne__, _later_b_sets(orbits[1:], w)))
+        skipped = takewhile(failed.__ne__, _colex(range(T), w))
+        failed = _first_covered(
+            m, (b for b in skipped if b[0] and b not in later), r, d, meter
+        ) or failed
     rows = m.rows
-    columns = m.columns
-    for b_set, inter, outside in _scan(m, b_sets, meter):
-        # the route found a cover at ``failed``, so the scan walks at once
-        if b_set != failed and inter.bit_count() > d and _covers(
-            columns, rows, outside, inter, d, r, meter
-        ) is None:
-            continue
-        rest = [i for i in range(T) if i not in b_set]
-        gains = [(inter & rows[i]).bit_count() for i in rest]
-        a_set = _walk(rows, rest, list(accumulate(gains, max)), d, len(rest), r, inter, meter)
-        return CheckResult(False, ViolationWitness(b_set, a_set, _residual(m, b_set, a_set)))
-    return CheckResult(True)
+    inter = -1
+    for i in failed:
+        inter &= rows[i]
+    rest = [i for i in range(T) if i not in failed]
+    gains = [(inter & rows[i]).bit_count() for i in rest]
+    a_set = _walk(rows, rest, list(accumulate(gains, max)), d, len(rest), r, inter, meter)
+    return CheckResult(False, ViolationWitness(failed, a_set, _residual(m, failed, a_set)))
 
 
 def is_cff_sampled(
@@ -291,50 +292,6 @@ def is_cff_sampled(
         if residual <= d:
             return CheckResult(False, ViolationWitness(b_set, a_set, residual), "sampled")
     return CheckResult(True, method="sampled")
-
-
-def is_disjunct(
-    m: IncidenceMatrix, i: int, j: int, *, budget: int = DEFAULT_BUDGET
-) -> CheckResult:
-    """Exhaustively decide whether ``m`` is (i, j)-disjunct.
-
-    For every pair of disjoint point sets P, Q with |P| <= i and |Q| <= j,
-    some block must contain all of P and none of Q. Implemented directly on
-    point subsets; the transpose of a passing matrix is an (i, j)-cover-free
-    family and vice versa. A failure witness holds (P, Q) in its row fields
-    and replays against ``m.transpose()``. ``budget`` caps the (P, Q) pairs
-    evaluated, and a refusal counts the sets P as the B-sets cleared.
-    """
-    if i < 1 or j < 1:
-        raise ValueError("i and j must be positive")
-    if i + j > m.num_points:
-        raise ValueError(
-            f"need i + j <= num_points, got i+j={i + j} with {m.num_points} points"
-        )
-    meter = _Meter(budget, sum(comb(m.num_points, p) for p in range(i + 1)))
-    points = range(m.num_points)
-    rows = m.rows
-    for p_size in range(i + 1):
-        for p_set in combinations(points, p_size):
-            p_mask = 0
-            for x in p_set:
-                p_mask |= 1 << x
-            rest = [x for x in points if not (p_mask >> x) & 1]
-            for q_size in range(j + 1):
-                for q_set in combinations(rest, q_size):
-                    meter.charge()
-                    q_mask = 0
-                    for x in q_set:
-                        q_mask |= 1 << x
-                    if not any(
-                        (row & p_mask) == p_mask and not (row & q_mask)
-                        for row in rows
-                    ):
-                        return CheckResult(
-                            False, ViolationWitness(p_set, q_set, 0)
-                        )
-            meter.cleared += 1
-    return CheckResult(True)
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -526,22 +483,6 @@ def _held(c: int, others: Sequence[int], w: int) -> Iterator[tuple[int, ...]]:
     return ((c, *rest) for rest in _colex(others, w - 1))
 
 
-def _past_block_0(m: IncidenceMatrix, w: int, meter: _Meter) -> Iterator[tuple[int, ...]] | None:
-    """The B-sets the orbit route searches after those holding block 0:
-    for each later block orbit under ``m.symmetries``, with least block c
-    and in ascending c, those holding c whose other blocks lie in the
-    orbits whose least blocks are c or above. None, with the maps not run,
-    when ``meter`` has fewer than T nodes left for each, and None when
-    ``_block_maps`` rejects them (see the module docstring)."""
-    T = m.num_blocks
-    if meter.left < T * len(m.symmetries):
-        return None
-    maps = _block_maps(m, meter)
-    if maps is None:
-        return None
-    return _later_b_sets(_orbits(maps, T)[1:], w)
-
-
 def _later_b_sets(orbits: list[list[int]], w: int) -> Iterator[tuple[int, ...]]:
     """For each of ``orbits`` in turn, the B-sets holding its least block
     whose other blocks lie in it or in the orbits after it."""
@@ -571,28 +512,29 @@ def _first_covered(
     return None
 
 
-def _by_orbits(
-    m: IncidenceMatrix, params: CFFParams, meter: _Meter
-) -> tuple[bool, tuple[int, ...] | None]:
-    """(proved, failed): whether ``m.symmetries`` prove ``m`` a
-    (w, r; d)-cover-free family (see the module docstring), where not
-    proved is no verdict, and the first B-set the route searched that some
-    r blocks cover down to d points, or None. The B-sets holding block 0
-    are searched in colex order before the maps are checked, so a claim
-    that fails there costs a search, not T nodes per map. With no verdict,
-    ``meter.cleared`` counts the B-sets holding block 0 cleared, all of
-    those searched before ``failed`` or all of them."""
-    w, r, d = params.w, params.r, params.d
-    failed = _first_covered(m, _held(0, range(1, m.num_blocks), w), r, d, meter)
-    zero = meter.cleared
-    if failed is None:
-        later = _past_block_0(m, w, meter)
-        if later is not None:
-            failed = _first_covered(m, later, r, d, meter)
-            if failed is None:
-                return True, None
-    meter.cleared = zero
-    return False, failed
+def _search_order(
+    m: IncidenceMatrix, w: int, meter: _Meter, orbits: list[list[int]] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The B-sets ``is_cff`` and ``max_r`` search, in order: every B-set in
+    colex order, or, on the orbit route, those holding block 0, then either
+    those of the later block orbits or, when the maps are skipped or
+    rejected, the other B-sets in colex order (see the module docstring).
+    ``orbits``, when given, receives the block orbits once the maps check
+    out."""
+    T = m.num_blocks
+    if not _routed(m):
+        yield from _colex(range(T), w)
+        return
+    yield from _held(0, range(1, T), w)
+    # the maps are checked only once block 0's B-sets are all cleared
+    maps = None if meter.left < T * len(m.symmetries) else _block_maps(m, meter)
+    if maps is None:
+        yield from (b_set for b_set in _colex(range(T), w) if b_set[0])
+        return
+    found = _orbits(maps, T)
+    if orbits is not None:
+        orbits.extend(found)
+    yield from _later_b_sets(found[1:], w)
 
 
 def _lower(
@@ -623,30 +565,19 @@ def max_r(
     fails, and T - w if every r does.
 
     The property is monotone (downward) in r, so the answer is one less
-    than the fewest blocks A that leave at most d points of some ∩B. One
-    colex pass over the B-sets finds that number with the cover search
-    described in the module docstring, or the orbit route over
-    ``m.symmetries`` finds it from one B-set of each orbit. ``budget`` caps
-    the nodes visited, counted as in ``is_cff``.
+    than the fewest blocks A that leave at most d points of some ∩B, which
+    does not depend on the order of the B-sets. One pass over the B-sets
+    ``is_cff`` searches, in the same order, finds that number with the
+    cover search described in the module docstring. ``budget`` caps the
+    nodes visited, counted as in ``is_cff``.
     """
     if w < 1:
         raise ValueError("w must be positive")
     if d < 0:
         raise ValueError(f"d must be non-negative, got {d}")
-    T = m.num_blocks
-    least = max(T - w, 0) + 1
-    meter = _Meter(budget, comb(T, w))
-    b_sets = _colex(range(T), w)
-    if _routed(m):
-        # the fewest blocks do not depend on the order the B-sets come in
-        least = _lower(m, _held(0, range(1, T), w), d, least, meter)
-        if least == 1:
-            return 0
-        later = _past_block_0(m, w, meter)
-        if later is not None:
-            return _lower(m, later, d, least, meter) - 1
-        b_sets = (b_set for b_set in b_sets if b_set[0])
-    return _lower(m, b_sets, d, least, meter) - 1
+    meter = _Meter(budget, comb(m.num_blocks, w))
+    least = max(m.num_blocks - w, 0) + 1
+    return _lower(m, _search_order(m, w, meter), d, least, meter) - 1
 
 
 def is_k_uniform(m: IncidenceMatrix, k: int) -> bool:

@@ -1,6 +1,9 @@
-"""Small builders the test modules share."""
+"""Small builders and brute-force oracles the test modules share."""
+
+from itertools import combinations
 
 from coverfree.core import IncidenceMatrix
+from coverfree.verify import CheckResult, ViolationWitness
 
 
 def identity(n):
@@ -21,3 +24,36 @@ def row_strings(m):
 def entries(report):
     """A bound report's entries by name."""
     return {e.name: e for e in report.entries}
+
+
+def is_disjunct(m, i, j):
+    """Brute-force oracle: whether ``m`` is (i, j)-disjunct, that is, every
+    two disjoint point sets P, Q with |P| <= i and |Q| <= j have a block
+    holding all of P and none of Q. The transpose of an (i, j)-disjunct
+    matrix is an (i, j)-cover-free family and vice versa. A failure's
+    witness holds the first such (P, Q), by |P|, P, |Q| and Q, in its row
+    fields and replays against ``m.transpose()``."""
+    points = range(m.num_points)
+    for p_size in range(i + 1):
+        for p_set in combinations(points, p_size):
+            p_mask = sum(1 << x for x in p_set)
+            rest = [x for x in points if x not in p_set]
+            for q_size in range(j + 1):
+                for q_set in combinations(rest, q_size):
+                    q_mask = sum(1 << x for x in q_set)
+                    if not any(row & p_mask == p_mask and not row & q_mask for row in m.rows):
+                        return CheckResult(False, ViolationWitness(p_set, q_set, 0))
+    return CheckResult(True)
+
+
+def check_orthogonal_array(oa):
+    """Brute-force oracle: whether ``oa`` has k rows of s^t entries and any
+    t of its rows show every t-tuple of symbols once."""
+    want = oa.s**oa.t
+    if len(oa.rows) != oa.k or any(len(row) != want for row in oa.rows):
+        return False
+    for selection in combinations(range(oa.k), oa.t):
+        seen = {tuple(oa.rows[i][j] for i in selection) for j in range(want)}
+        if len(seen) != want:
+            return False
+    return True

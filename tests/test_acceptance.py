@@ -25,7 +25,6 @@ from coverfree.bounds import (
 from coverfree.cli import main
 from coverfree.construct import (
     ConstructionFailedError,
-    check_orthogonal_array,
     oa_construct,
     oa_to_packing,
     packing_to_cff,
@@ -37,8 +36,8 @@ from coverfree.construct import (
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.grouptest import TestOutcome as Outcome
 from coverfree.grouptest import decode, encode
-from coverfree.verify import is_cff, is_disjunct, is_k_uniform, pair_count
-from helpers import block_sizes, entries
+from coverfree.verify import is_cff, is_k_uniform, pair_count
+from helpers import block_sizes, check_orthogonal_array, entries, is_disjunct
 
 
 _CAPSYS = None

@@ -500,7 +500,7 @@ class TestMinNBruteforce:
 
 def pattern_table_by_patterns(w: int, r: int, T: int):
     """Reference for ``bounds._pattern_table``: every one of the 2^T
-    patterns tested against every pair."""
+    patterns tested against every pair, as (options, most)."""
     pairs = [
         (sum(1 << i for i in b), sum(1 << i for i in a))
         for b in combinations(range(T), w)
@@ -511,7 +511,7 @@ def pattern_table_by_patterns(w: int, r: int, T: int):
         for p in range(1 << T)
     ]
     options = [[(p, s) for p, s in enumerate(separates) if s >> k & 1] for k in range(len(pairs))]
-    return separates, options, max(s.bit_count() for s in separates)
+    return options, max(s.bit_count() for s in separates)
 
 
 def test_no_lower_bound_exceeds_the_least_n():

@@ -11,7 +11,6 @@ from coverfree.construct import (
     ConstructionFailedError,
     OrthogonalArray,
     PackingDesign,
-    check_orthogonal_array,
     oa_construct,
     oa_to_packing,
     packing_to_cff,
@@ -26,8 +25,8 @@ from coverfree.construct import (
     trivial_ds,
 )
 from coverfree.gf import field
-from coverfree.verify import BudgetExceededError, is_cff, is_disjunct, is_k_uniform
-from helpers import block_sizes, identity
+from coverfree.verify import BudgetExceededError, is_cff, is_k_uniform
+from helpers import block_sizes, check_orthogonal_array, identity, is_disjunct
 
 
 def check_packing(p):

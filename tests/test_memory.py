@@ -14,7 +14,7 @@ import pytest
 
 from coverfree.construct import rs_cff
 from coverfree.core import IncidenceMatrix, read_matrix_file, write_matrix_file
-from coverfree.verify import check_claim
+from coverfree.verify import CheckResult, check_claim, is_cff
 
 # sha256 of the screening design's file, recorded with the one-shot writer
 SCREEN_DIGEST = "e34c2b3c289a992cbf60ed06be25f07a439db5c6ff3e354c0531643c190e89a7"
@@ -60,6 +60,18 @@ def test_orbit_proof(screen):
     # measured 1.08, columns included: the row index and the block maps
     assert peak_per_cell(m, lambda: results.append(check_claim(m, claim))) < 1.5
     assert results[0].ok and results[0].method == "exhaustive"
+
+
+def test_fallback_past_unaffordable_maps(screen):
+    m, claim = fresh(screen[0]), screen[1]
+    m.columns
+    results = []
+    # block 0's B-set and its search, then 4 maps at T nodes apiece that do
+    # not fit in the budget, so the other blocks' B-sets are searched in
+    # colex order. Measured 0.007 (37 kB) above the columns: the scan keeps
+    # no B-set it has cleared, where a set of them peaked at 0.85
+    assert peak_per_cell(m, lambda: results.append(is_cff(m, claim, budget=100_000))) < 0.02
+    assert results == [CheckResult(True)]
 
 
 def test_write(screen, tmp_path):

@@ -27,12 +27,11 @@ from coverfree.verify import (
     check_claim,
     is_cff,
     is_cff_sampled,
-    is_disjunct,
     is_k_uniform,
     max_r,
     pair_count,
 )
-from helpers import identity
+from helpers import identity, is_disjunct
 
 
 def params(w, r, d, N, T):
@@ -63,6 +62,11 @@ def cff_cases(draw):
     r = draw(st.integers(1, t - w))
     d = draw(st.integers(0, 2))
     return IncidenceMatrix(num_points=n, rows=tuple(rows)), params(w, r, d, n, t)
+
+
+def fixed(m):
+    """``m`` with the identity map of its points as its one symmetry."""
+    return IncidenceMatrix(m.num_points, m.rows, (tuple(range(m.num_points)),))
 
 
 def colex(items, k):
@@ -221,7 +225,12 @@ class TestMatchesEnumeration:
     @settings(max_examples=600, deadline=None)
     def test_random_matrices(self, case):
         m, claim = case
-        assert is_cff(m, claim) == is_cff_by_enumeration(m, claim)
+        expected = is_cff_by_enumeration(m, claim)
+        assert is_cff(m, claim) == expected
+        # the identity map makes each block its own orbit, so the route
+        # searches the B-sets in lexicographic order, not colex; equal rows
+        # reject it, and the colex fallback runs
+        assert is_cff(fixed(m), claim) == expected
 
     @pytest.mark.parametrize("build", SMALL_FAMILIES)
     def test_constructor_families(self, build):
@@ -317,11 +326,17 @@ RS_UP_TO_3000 = [
 
 
 def orbit_outcome(m, claim):
-    """Whether the orbit route alone proves the claim, given ample nodes."""
+    """Whether the orbit route alone proves the claim, given ample nodes:
+    the maps check out, and no B-set searched for block 0's orbit or a
+    later one has a cover."""
     if m.num_points > 256:
         return False
-    proved, _ = verify._by_orbits(m, claim, verify._Meter(AMPLE, comb(claim.T, claim.w)))
-    return proved
+    meter = verify._Meter(AMPLE, comb(claim.T, claim.w))
+    maps = verify._block_maps(m, meter)
+    if maps is None:
+        return False
+    searched = verify._later_b_sets(verify._orbits(maps, m.num_blocks), claim.w)
+    return verify._first_covered(m, searched, claim.r, claim.d, meter) is None
 
 
 def nearby_claims(claim):
@@ -508,21 +523,35 @@ class TestOrbitProof:
 
     def test_a_refuted_claim_repeats_no_search(self):
         # rs_cff(5, 5, 4) at r = 5: the orbit route visits block 0's B-set
-        # and its cover search finds a cover in 4 nodes; the plain scan then
-        # visits that B-set again and, with no second search, walks 16 nodes
-        # down to the witness
+        # and its cover search finds a cover in 4 nodes; no B-set comes
+        # before it in colex order, so the walk runs there at once and takes
+        # 16 nodes down to the witness
         m, claim = rs_cff(5, 5, 4)
         refuted = replace(claim, r=5, k=None)
         plain = is_cff(IncidenceMatrix(m.num_points, m.rows), refuted)
         assert plain.witness == ViolationWitness((0,), (5, 6, 7, 8, 9), 0)
-        assert boundary(is_cff, m, refuted, at=1 + 4 + 1 + 16) == plain
+        assert boundary(is_cff, m, refuted, at=1 + 4 + 16) == plain
         # w = 2 on the cyclic family: the route clears (0, 1) and fails at
-        # (0, 2), a B-set and a search each; the scan skips (0, 1), visits
-        # (0, 2), searches it not again and walks one node there
+        # (0, 2), a B-set and a search each; the B-sets before (0, 2) all
+        # hold block 0, so the walk runs at once and takes one node
         m = cyclic_family()
         refuted = params(2, 1, 0, 7, 7)
         plain = is_cff(IncidenceMatrix(7, m.rows), refuted)
-        assert boundary(is_cff, m, refuted, at=2 + 2 + 1 + 1) == plain
+        assert boundary(is_cff, m, refuted, at=2 + 2 + 1) == plain
+
+    def test_a_failure_on_block_0_hands_its_b_set_to_the_scan(self):
+        # the identity map leaves every block its own orbit, so the route
+        # searches (0, 1), (0, 2) and (0, 3), where {2} lies in block 4; but
+        # (1, 2) comes first in colex order, and {3} lies in block 4 too
+        blocks = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 6], [2, 3, 7]]
+        m = fixed(IncidenceMatrix.from_blocks(8, blocks))
+        claim = params(2, 1, 0, 8, 5)
+        plain = is_cff(IncidenceMatrix(8, m.rows), claim)
+        assert plain.witness == ViolationWitness((1, 2), (4,), 0)
+        # the route: three B-sets and a search each; the colex pass before
+        # (0, 3) skips (0, 1) and (0, 2), visits and searches (1, 2), and
+        # the walk takes one node there
+        assert spent(is_cff, m, claim) == (plain, 3 * 2 + 2 + 1)
 
     def test_a_later_orbit_that_fails_hands_its_b_set_to_the_scan(self):
         # swapping points 0, 1 and 2, 3 swaps blocks 0 and 1 and fixes
@@ -534,12 +563,18 @@ class TestOrbitProof:
         assert plain.witness == ViolationWitness((3,), (0,), 0)
         assert orbits(m) == [[0, 1], [2], [3]]
         # the route: (0,) and its search, the map (T = 4 nodes), (2,) and
-        # (3,) with a search each; the scan skips (0,), visits and searches
-        # (1,) and (2,), and walks one node at (3,)
-        assert spent(is_cff, m, claim) == (plain, 2 + 4 + 2 * 2 + 2 * 2 + 2)
-        # refused at the second search of (2,): (0,) and (1,) are cleared
+        # (3,) with a search each; the colex pass before (3,) skips (0,)
+        # and (2,), which the route cleared, and visits and searches (1,);
+        # then the walk takes one node at (3,)
+        assert spent(is_cff, m, claim) == (plain, 2 + 4 + 2 * 2 + 2 + 1)
+        # the plain scan: a B-set and a search for each block, then the walk
+        assert spent(is_cff, IncidenceMatrix(6, m.rows), claim) == (plain, 4 * 2 + 1)
+        # refused at the search of (1,) with (0,) and (2,) cleared, and at
+        # the walk with (1,) cleared as well
         with pytest.raises(BudgetExceededError, match="with 2 of 4 B-sets cleared"):
-            is_cff(m, claim, budget=13)
+            is_cff(m, claim, budget=11)
+        with pytest.raises(BudgetExceededError, match="with 3 of 4 B-sets cleared"):
+            is_cff(m, claim, budget=12)
 
     def test_screening_design_charge_is_pinned(self):
         m, claim = rs_cff(13, 14, 3, 4)
@@ -700,9 +735,9 @@ class TestIsCff:
             # C(25, 2) = 300 B-sets and searches each
             (lambda: recursive_cff(2, 2, 0, 1), None, False, 2 * 24 + 2 * 25),
             # refuted at the first B-set: the route visits it and finds a
-            # cover, then the scan visits it again and walks down to the
-            # colex-least witness
-            (lambda: recursive_cff(2, 2, 0, 1), params(2, 3, 0, 50, 25), False, 28),
+            # cover, and the walk runs there at once down to the colex-least
+            # witness
+            (lambda: recursive_cff(2, 2, 0, 1), params(2, 3, 0, 50, 25), False, 27),
         ],
     )
     def test_node_counts_are_pinned(self, build, claim, bare, at):
@@ -805,24 +840,6 @@ class TestIsDisjunct:
         assert res.witness.a_rows == (0,)
         assert res.witness.replay(m.transpose()) == 0
 
-    def test_preconditions(self):
-        m = identity(3)
-        with pytest.raises(ValueError):
-            is_disjunct(m, 2, 2)
-        with pytest.raises(ValueError):
-            is_disjunct(m, 0, 1)
-
-    def test_budget(self):
-        # one node per (P, Q) pair: (1, 4) passes after all 31 + 5 * 16 of
-        # them; (2, 2) fails at P = {0, 1}, Q = {}, after the 16 + 5 * 11
-        # pairs with a smaller P
-        assert boundary(is_disjunct, identity(5), 1, 4, at=111) == CheckResult(True)
-        assert boundary(is_disjunct, identity(5), 2, 2, at=72) == CheckResult(
-            False, ViolationWitness((0, 1), (), 0)
-        )
-        with pytest.raises(BudgetExceededError, match="with 5 of 6 B-sets cleared"):
-            is_disjunct(identity(5), 1, 4, budget=110)
-
     @given(matrices(), st.integers(1, 2), st.integers(1, 2))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_cff_on_transpose(self, m, i, j):
@@ -842,6 +859,7 @@ class TestMaxRMatchesScan:
         m, claim = case
         expected = max_r_by_scan(m, claim.w, claim.d)
         assert max_r(m, claim.w, claim.d, budget=AMPLE) == expected
+        assert max_r(fixed(m), claim.w, claim.d, budget=AMPLE) == expected
         # a smaller budget may refuse, but never changes the value
         small = outcome(max_r, m, claim.w, claim.d, budget=budget)
         assert small == expected or small[0] is BudgetExceededError
