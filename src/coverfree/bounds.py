@@ -6,17 +6,15 @@ note) rows, and a formula is evaluated only where its hypothesis holds.
 value None exactly where it does not apply. :func:`full_report` adds the
 existence threshold and, for w = 1 with N given, the upper bounds on the
 block count T and on the rate whose hypotheses hold. Beside the survey live
-the bound functions it calls, the rates the code-based families reach as
-rows of the same type (:func:`rate_compare`), an entropy-recurrence rate
-bound, and an exact minimum-N search for tiny instances. All
-logarithms are base 2 and binomial coefficients are exact big-integer
-values.
+the bound functions it calls, an entropy-recurrence rate bound, and an
+exact minimum-N search for tiny instances. All logarithms are base 2 and
+binomial coefficients are exact big-integer values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb, log2
@@ -36,7 +34,6 @@ __all__ = [
     "lower_bounds_N",
     "min_N_bruteforce",
     "rate_asymptotic",
-    "rate_compare",
     "sperner_T",
     "uniform_T",
 ]
@@ -118,9 +115,14 @@ class BoundEntry:
     name: str
     direction: str
     value: int | float | None
-    applicable: bool
+    # whether the hypotheses hold, which is exactly when there is a value;
+    # a field, not a property, so it stays in the repr and the equality
+    applicable: bool = field(init=False)
     asymptotic: bool = False
     note: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "applicable", self.value is not None)
 
 
 @dataclass(frozen=True)
@@ -137,10 +139,7 @@ class BoundReport:
         candidates = [
             e
             for e in self.entries
-            if e.applicable
-            and not e.asymptotic
-            and e.direction == _LOWER
-            and e.value is not None
+            if e.applicable and not e.asymptotic and e.direction == _LOWER
         ]
         return max(candidates, key=lambda e: e.value) if candidates else None
 
@@ -200,7 +199,7 @@ def lower_bounds_N(w: int, r: int, d: int, T: int, c: float = DEFAULT_C) -> Boun
         ("nbound3-d", pair_ok, lambda: nbound3() + extra, True, "needs w + r > 2; " + large_T),
     )
     entries = tuple(
-        BoundEntry(name, _LOWER, formula() if holds else None, holds, asymptotic, note)
+        BoundEntry(name, _LOWER, formula() if holds else None, asymptotic, note)
         for name, holds, formula, asymptotic, note in rows
     )
     return BoundReport(w=w, r=r, d=d, T=T, c=c, entries=entries)
@@ -464,42 +463,6 @@ def _cover(
     return False
 
 
-def rate_compare(q: int, r: int, d: int = 0, s: int = 1) -> tuple[BoundEntry, ...]:
-    """Rates log2(T)/N of the code-based families at one parameter point,
-    as survey rows: the Reed-Solomon family and its shortened variant over
-    GF(q), against the Reed-Solomon and algebraic-geometry families over
-    GF(q^2).
-
-    rs           = (q + r - d)     / (r q (q+1))      * log2(q)
-    rs-shortened = (q + r - d - s) / (r q (q+1-s))    * log2(q)
-    rs-square    = (q^2 + r - d)   / (r q^2 (q^2+1))  * log2(q^2)
-    ag           = (q - r - 1)     / (r q^2 (q-1))    * log2(q^2)
-
-    Shortening helps exactly when r > d + 1; the AG family wins when r is
-    small against d (its rate does not decay with d).
-    """
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if r < 1:
-        raise ValueError("r must be positive")
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    # pure formula evaluation: only keep the shortened length positive
-    if not 0 <= s <= q:
-        raise ValueError(f"need 0 <= s <= q, got s={s}")
-    lg = log2(q)
-    rows = (
-        ("rs", (q + r - d) / (r * q * (q + 1)) * lg, "GF(q), length q+1"),
-        ("rs-shortened", (q + r - d - s) / (r * q * (q + 1 - s)) * lg,
-         f"GF(q), length q+1-s, s={s}"),
-        ("rs-square", (q * q + r - d) / (r * q * q * (q * q + 1)) * (2.0 * lg),
-         "GF(q^2), length q^2+1"),
-        ("ag", (q - r - 1) / (r * q * q * (q - 1)) * (2.0 * lg), "GF(q^2), towered curve"),
-    )
-    return tuple(BoundEntry(name, "rate of construction", value, True, False, note)
-                 for name, value, note in rows)
-
-
 # ---------------------------------------------------------------------------
 # combined report
 
@@ -523,14 +486,15 @@ def full_report(
     entries = [
         *lower_bounds_N(w, r, d, T, c).entries,
         BoundEntry("existence", "sufficient N (existence)", existence_threshold_N(w, r, d, T),
-                   True, False, "a random family exists above this N"),
+                   False, "a random family exists above this N"),
     ]
     if N is not None and w == 1:
         on_T, on_rate = "upper bound on T", "upper bound on rate"
         # (name, direction, hypothesis, formula, asymptotic, note); a
         # (1, r; d)-family is in particular (1, r; 0), so uniform holds for every d
         rows = (
-            ("sperner", on_T, r == 1 and d == 0, lambda: sperner_T(N), False, "exact maximum"),
+            ("sperner", on_T, r == 1 and d == 0 and N >= 2, lambda: sperner_T(N), False,
+             "exact maximum"),
             ("gbound", on_T, r >= 2 and N > r + d * (r + 1), lambda: gbound_T(N, r, d), False,
              "largest admissible T"),
             ("2d", on_T, r == 2 and d >= 1, lambda: bound_2d_T(N, d), False, "strict: T < value"),
@@ -542,7 +506,7 @@ def full_report(
             ("rate-gbound", on_rate, r >= 2, lambda: rate_asymptotic(r, d, N, "gbound"), True, ""),
         )
         entries += (
-            BoundEntry(name, direction, formula(), True, asymptotic, note)
+            BoundEntry(name, direction, formula(), asymptotic, note)
             for name, direction, holds, formula, asymptotic, note in rows
             if holds
         )

@@ -66,9 +66,9 @@ def _report(result: CheckResult) -> bool:
 # construct
 
 class _Method(NamedTuple):
-    """A construction method: the flags it needs ("n/s" is met by either
-    one), one builder call, and the parameters its run echoes, read after
-    the builder has resolved its defaults into the claim."""
+    """A construction method: the flags it needs, one builder call, and the
+    parameters its run echoes, read after the builder has resolved its
+    defaults into the claim."""
 
     requires: tuple[str, ...]
     build: Callable[[argparse.Namespace], tuple[IncidenceMatrix, CFFParams]]
@@ -92,9 +92,9 @@ _METHODS: dict[str, _Method] = {
         lambda a, c: [("q", a.q), ("t", a.t), ("d", a.d)],
     ),
     "rs": _Method(
-        ("q", "r", "n/s"),
-        lambda a: cons.rs_cff(a.q, a.n, a.r, a.d, a.s or 0),
-        lambda a, c: [("q", a.q), ("n", c.k), ("r", a.r), ("d", a.d), ("s", a.s or 0)],
+        ("q", "r", "n"),
+        lambda a: cons.rs_cff(a.q, a.n, a.r, a.d),
+        lambda a, c: [("q", a.q), ("n", a.n), ("r", a.r), ("d", a.d)],
     ),
     "shf-recursive": _Method(
         ("w", "r"),
@@ -127,12 +127,9 @@ _METHODS: dict[str, _Method] = {
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     method = _METHODS[args.method]
-    missing = [
-        f for f in method.requires if all(getattr(args, g) is None for g in f.split("/"))
-    ]
+    missing = [f"--{f}" for f in method.requires if getattr(args, f) is None]
     if missing:
-        flags = ", ".join("--" + f.replace("/", " or --") for f in missing)
-        raise UsageError(f"method {args.method} requires {flags}")
+        raise UsageError(f"method {args.method} requires {', '.join(missing)}")
     m, claim = method.build(args)
     _echo(
         "construct",
@@ -161,7 +158,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     m, header = read_matrix_file(args.file)
     if args.max_r:
-        for flag in ("r", "sampled", "trials", "seed"):
+        for flag in ("r", "trials", "seed"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"--max-r takes no --{flag}: it measures the best r exhaustively")
         w = args.w if args.w is not None else (header.w if header else 1)
@@ -189,15 +186,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ("d", d),
             ("N", claim.N),
             ("T", claim.T),
-            ("sampled", bool(args.sampled)),
             ("trials", trials),
             ("seed", seed),
             ("budget", args.budget),
         ],
     )
-    # a budget of 0 refuses every exhaustive scan, so --sampled samples
-    budget = 0 if args.sampled else args.budget
-    result = check_claim(m, claim, budget=budget, trials=trials, seed=seed)
+    result = check_claim(m, claim, budget=args.budget, trials=trials, seed=seed)
     return EXIT_OK if _report(result) else EXIT_CHECK_FAILED
 
 
@@ -356,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=0, help="claimed residual slack (default 0)")
     p.add_argument("--q", type=int, help="field order (oa/rs)")
     p.add_argument("--t", type=int, help="orthogonal-array strength (oa)")
-    p.add_argument("--s", type=int, help="shortening amount (rs, default 0)")
     p.add_argument("--levels", type=int, default=1, help="composition rounds (shf-recursive)")
     p.add_argument("--T", type=int, help="block count (random methods)")
     p.add_argument("--ell", type=int, help="group size (random-uniform)")
@@ -370,10 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, help="override the claimed r")
     p.add_argument("--d", type=int, help="override the claimed d")
     p.add_argument("--max-r", action="store_true", help="measure the best r instead")
-    p.add_argument("--sampled", action="store_true", help="force Monte-Carlo checking")
     _add_check_flags(p)
     # unset until resolved, so that --max-r can tell which of them were given
-    p.set_defaults(func=_cmd_verify, sampled=None, trials=None, seed=None)
+    p.set_defaults(func=_cmd_verify, trials=None, seed=None)
 
     p = sub.add_parser("bounds", help="evaluate size bounds at a parameter point")
     p.add_argument("--w", type=int, required=True)

@@ -211,30 +211,22 @@ def packing_to_cff(p: PackingDesign, d: int = 0) -> tuple[IncidenceMatrix, CFFPa
 # ---------------------------------------------------------------------------
 # Reed-Solomon families
 
-def rs_cff(
-    q: int,
-    N: int | None,
-    r: int,
-    d: int = 0,
-    s: int = 0,
-) -> tuple[IncidenceMatrix, CFFParams]:
-    """(r; d)-cover-free family from a (shortened) Reed-Solomon code.
+def rs_cff(q: int, N: int, r: int, d: int = 0) -> tuple[IncidenceMatrix, CFFParams]:
+    """(r; d)-cover-free family from a Reed-Solomon code of length N.
 
-    The code evaluates all polynomials of degree < u over GF(q) at N_eff
-    points, where u = floor((N_eff - d - 1)/r) + 1 is the largest exponent
-    whose minimum distance D = N_eff - u + 1 still supports r (two words
-    share at most u - 1 positions, so r blocks cover at most r*(u-1) <=
-    N_eff - d - 1 points of another block). With s = 0 the length is N
-    (at N = q+1 the final coordinate is the leading coefficient, the point
-    at infinity); with s > 0 the code is shortened to N_eff = q + 1 - s by
-    zeroing the top s coefficients and dropping s evaluation points, which
-    keeps the distance of the length-(q+1) parent. Yields q**u blocks of
-    size N_eff over q * N_eff points.
+    The code evaluates all polynomials of degree < u over GF(q) at N
+    points, where u = floor((N - d - 1)/r) + 1 is the largest exponent
+    whose minimum distance D = N - u + 1 still supports r (two words share
+    at most u - 1 positions, so r blocks cover at most r*(u-1) <= N - d - 1
+    points of another block). At N = q+1 the final coordinate is the
+    leading coefficient, the point at infinity; a length below q + 1 is
+    the shortened code, which evaluates at the first N field elements.
+    Yields q**u blocks of size N over q * N points.
 
     The words are the columns of an orthogonal array of strength u with
-    N_eff rows (any u positions fix the polynomial), so the family is
+    N rows (any u positions fix the polynomial), so the family is
     ``packing_to_cff(oa_to_packing(...), d)``: word c becomes the block
-    {i*q + c_i}. The packing supports floor((N_eff - d - 1)/(u - 1)) >= r;
+    {i*q + c_i}. The packing supports floor((N - d - 1)/(u - 1)) >= r;
     the claim carries the requested r. The matrix's ``symmetries`` are the
     e * u translations by a * x^j (a in a GF(p)-basis of GF(q), j < u),
     which act on the blocks transitively; once the B-sets that hold block 0
@@ -245,27 +237,13 @@ def rs_cff(
         raise ValueError("r must be positive")
     if d < 0:
         raise ValueError("d must be non-negative")
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    if s == 0:
-        if N is None:
-            raise ValueError("N is required when s = 0")
-        if not 2 <= N <= q + 1:
-            raise ValueError(f"need 2 <= N <= q+1, got N={N} with q={q}")
-        n_eff = N
-    else:
-        n_eff = q + 1 - s
-        if N is not None and N != n_eff:
-            raise ValueError(f"shortening by s={s} fixes the length to {n_eff}, got N={N}")
-        if s + d > q:
-            raise ValueError(f"need s + d <= q, got {s} + {d} > {q}")
-        if n_eff < 2:
-            raise ValueError(f"shortening by s={s} leaves length {n_eff} < 2")
+    if not 2 <= N <= q + 1:
+        raise ValueError(f"need 2 <= N <= q+1, got N={N} with q={q}")
     field(q)  # a q that is not a prime power is refused before u is
-    u = (n_eff - d - 1) // r + 1
+    u = (N - d - 1) // r + 1
     if u < 2:
         raise ValueError(
-            f"no usable exponent: need length - d - 1 >= r, got length {n_eff}, d={d}, r={r}"
+            f"no usable exponent: need length - d - 1 >= r, got length {N}, d={d}, r={r}"
         )
     if u > q:
         raise ValueError(
@@ -276,10 +254,10 @@ def rs_cff(
         raise BudgetExceededError(f"{q**u} blocks exceed the cap of {DEFAULT_MAX_BLOCKS}")
     # the array is freed before the matrix is built: one copy of the words at a time
     packing = oa_to_packing(
-        OrthogonalArray(t=u, k=n_eff, s=q, rows=tuple(_poly_values(q, u, n_eff)))
+        OrthogonalArray(t=u, k=N, s=q, rows=tuple(_poly_values(q, u, N)))
     )
     m, claim = packing_to_cff(packing, d)
-    return replace(m, symmetries=_translations(q, u, n_eff)), replace(claim, r=r)
+    return replace(m, symmetries=_translations(q, u, N)), replace(claim, r=r)
 
 
 # ---------------------------------------------------------------------------

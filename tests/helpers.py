@@ -1,6 +1,7 @@
 """Small builders and brute-force oracles the test modules share."""
 
 from itertools import combinations
+from math import log2
 
 from coverfree.core import IncidenceMatrix
 from coverfree.verify import CheckResult, ViolationWitness
@@ -57,3 +58,28 @@ def check_orthogonal_array(oa):
         if len(seen) != want:
             return False
     return True
+
+
+def rs_degree(n, r, d):
+    """rs_cff's u: its words are the polynomials of degree < u."""
+    return (n - d - 1) // r + 1
+
+
+# every rs_cff family with at most 3000 blocks, prime and prime-power q,
+# as rs_cff's arguments (q, N, r, d); a length below q + 1 is the shortened code
+RS_UP_TO_3000 = [
+    (q, n, r, d)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for n in range(2, q + 2)
+    for r in range(1, 4)
+    for d in range(3)
+    if 2 <= rs_degree(n, r, d) <= q and q ** rs_degree(n, r, d) <= 3000
+]
+
+
+def rs_rate(q, n, r, d):
+    """The rate log2(T)/(q n) of the (r; d) Reed-Solomon family of length n
+    over GF(q), on its q n points, when r divides n - d - 1:
+    (n + r - d - 1)/(r q n) * log2(q). At n = q + 1 - s it is the rate of
+    the code shortened by s."""
+    return (n + r - d - 1) / (r * q * n) * log2(q)

@@ -20,7 +20,6 @@ from coverfree.bounds import (
     lower_bounds_N,
     min_N_bruteforce,
     rate_asymptotic,
-    rate_compare,
     sperner_T,
     uniform_T,
 )
@@ -38,7 +37,7 @@ from coverfree.construct import (
 )
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.verify import CheckResult, is_cff
-from helpers import entries
+from helpers import RS_UP_TO_3000, entries, rs_degree, rs_rate
 
 ENTRY_NAMES = {
     "w1", "dfft", "engel1", "engel", "nbound2", "nbound3",
@@ -538,11 +537,6 @@ def oa_cff(q, t, d):
     return packing_to_cff(oa_to_packing(oa_construct(q, t)), d)
 
 
-def rs_degree(n, r, d):
-    """rs_cff's u: its words are the polynomials of degree < u."""
-    return (n - d - 1) // r + 1
-
-
 # small families from every construct method, each with at most 3000 blocks;
 # recursive_cff(2, 2, d, 2) is left out, since proving its 625 blocks at
 # w = 2 takes minutes
@@ -658,69 +652,36 @@ def test_families_past_the_pair_budget_beat_no_bound(args):
     assert beaten_bounds(m, claim) <= SURVEY_ROWS_BEATEN
 
 
-def rates(*args, **kwargs):
-    return {e.name: e.value for e in rate_compare(*args, **kwargs)}
-
-
-# Recorded while rate_compare still returned its own dataclass: one sha256
-# over the .hex() of the rs, shortened, square-field and AG rates, in that
-# order, at every point of the grid below.
-RATES_DIGEST = "f0ceffb5948abd5c7445f7dde1d04b68b1c7768a79fa969cdbd02c60ccb39e55"
-
-
 class TestRateCompare:
-    def test_rates_are_pinned(self):
-        digest = hashlib.sha256()
-        for q, r, d, s in [*product((4, 5), range(1, 5), range(4), (0, 1, 2)), (9, 1, 60, 1)]:
-            for value in rates(q, r, d, s).values():
-                digest.update(value.hex().encode())
-        assert digest.hexdigest() == RATES_DIGEST
+    """``rs_rate``, the rate of the Reed-Solomon families, against the
+    families rs_cff builds and at full length against its shortenings."""
 
-    def test_rows_are_survey_entries(self):
-        rows = rate_compare(4, 2)
-        assert all(isinstance(e, BoundEntry) and e.applicable for e in rows)
-        assert [e.name for e in rows] == ["rs", "rs-shortened", "rs-square", "ag"]
+    def test_rs_families_reach_the_rate_exactly_when_r_divides(self):
+        for q, n, r, d in RS_UP_TO_3000:
+            _, claim = rs_cff(q, n, r, d)
+            rate, bound = log2(claim.T) / claim.N, rs_rate(q, n, r, d)
+            assert rate <= bound * (1 + 1e-12), (q, n, r, d)
+            assert (rate == pytest.approx(bound, rel=1e-12)) == ((n - d - 1) % r == 0)
 
     def test_no_shortening_is_identity(self):
-        cmp = rates(5, 3, 1, s=0)
-        assert cmp["rs-shortened"] == cmp["rs"]
+        # the full-length rate (q + r - d) / (r q (q+1)) * log2(q)
+        assert rs_rate(5, 6, 3, 1) == (5 + 3 - 1) / (3 * 5 * 6) * log2(5)
 
     def test_frozen_point(self):
-        cmp = rates(4, 2, 0, 1)
-        assert cmp["rs"] == pytest.approx(0.3)
-        assert cmp["rs-shortened"] == pytest.approx(0.3125)
-        assert cmp["rs-square"] == pytest.approx(0.1323529411764706)
-        assert cmp["ag"] == pytest.approx(1 / 24)
-        # shortening helps, and Reed-Solomon beats the AG family over GF(16)
-        assert cmp["rs-shortened"] > cmp["rs"] and cmp["rs-square"] > cmp["ag"]
+        full, short = rs_rate(4, 5, 2, 0), rs_rate(4, 4, 2, 0)
+        assert full == pytest.approx(0.3)
+        assert short == pytest.approx(0.3125)
+        assert short > full
 
     @pytest.mark.parametrize("q", [4, 5])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     @pytest.mark.parametrize("s", [1, 2])
     def test_shortening_helps_iff_r_exceeds_d_plus_one(self, q, r, d, s):
-        cmp = rates(q, r, d, s)
-        assert (cmp["rs-shortened"] > cmp["rs"]) == (r > d + 1)
+        full, short = rs_rate(q, q + 1, r, d), rs_rate(q, q + 1 - s, r, d)
+        assert (short > full) == (r > d + 1)
         if r == d + 1:
-            assert cmp["rs-shortened"] == pytest.approx(cmp["rs"], rel=1e-12)
-
-    def test_geometry_wins_at_high_separation(self):
-        cmp = rates(9, 1, 60)
-        assert cmp["ag"] > cmp["rs-square"]
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(q=1, r=1),
-            dict(q=4, r=0),
-            dict(q=4, r=1, d=-1),
-            dict(q=4, r=1, s=-1),
-            dict(q=4, r=1, s=5),
-        ],
-    )
-    def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            rate_compare(**kwargs)
+            assert short == pytest.approx(full, rel=1e-12)
 
 
 class TestFullReport:
@@ -792,8 +753,9 @@ class TestFullReport:
 
 
 def test_bound_entry_defaults():
-    e = BoundEntry(name="x", direction="lower bound on N", value=1.0, applicable=True)
-    assert not e.asymptotic and e.note == ""
+    e = BoundEntry(name="x", direction="lower bound on N", value=1.0)
+    assert e.applicable and not e.asymptotic and e.note == ""
+    assert not BoundEntry(name="x", direction="lower bound on N", value=None).applicable
 
 
 # One sha256 over the repr of every report in the grid, or over the

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import subprocess
 import sys
 
 import pytest
 
-from coverfree.cli import main
+from coverfree.cli import build_parser, main
 from coverfree.core import CFFParams, read_matrix_file, write_matrix_file
 from coverfree.construct import rs_cff
 
@@ -17,6 +18,31 @@ CONSTRUCT_ARGS = {
     "random": ["--w", "1", "--r", "1", "--T", "4"],
     "random-uniform": ["--ell", "2", "--w", "1", "--r", "1", "--T", "4"],
 }
+
+
+# Every option string each subcommand accepts, besides -h and --help: a new
+# option, or a second spelling of one, changes this table.
+OPTION_STRINGS = {
+    "construct": {
+        "--method", "--out", "--n", "--w", "--r", "--d", "--q", "--t", "--levels", "--T",
+        "--ell", "--max-attempts", "--seed", "--budget", "--trials",
+    },
+    "verify": {"--w", "--r", "--d", "--max-r", "--seed", "--budget", "--trials"},
+    "bounds": {"--w", "--r", "--T", "--d", "--n", "--N", "--k", "--c", "--csv"},
+    "simulate": {"--trials", "--seed", "--errors"},
+    "oracle": {"--min-n", "--w", "--r", "--T", "--cap"},
+}
+
+
+def test_option_strings_are_pinned():
+    (commands,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    accepted = {
+        name: set(p._option_string_actions) - {"-h", "--help"}
+        for name, p in commands.choices.items()
+    }
+    assert accepted == OPTION_STRINGS
 
 
 def run_cli(capsys, *argv):
@@ -136,13 +162,13 @@ GOLDEN_RUNS = {
     ),
     "rs": (
         ["--method", "rs", "--q", "3", "--n", "4", "--r", "3"],
-        "construct method=rs q=3 n=4 r=3 d=0 s=0 seed=0 budget=250000 trials=100000\n"
+        "construct method=rs q=3 n=4 r=3 d=0 seed=0 budget=250000 trials=100000\n"
         "claim w=1 r=3 d=0 N=12 T=9\n",
         "e92ea37995399bff7b404e95b6deb823d93973600c8ec04e2948b7d47c953bba",
     ),
     "rs-shortened": (
-        ["--method", "rs", "--q", "5", "--s", "2", "--r", "1", "--d", "1"],
-        "construct method=rs q=5 n=4 r=1 d=1 s=2 seed=0 budget=250000 trials=100000\n"
+        ["--method", "rs", "--q", "5", "--n", "4", "--r", "1", "--d", "1"],
+        "construct method=rs q=5 n=4 r=1 d=1 seed=0 budget=250000 trials=100000\n"
         "claim w=1 r=1 d=1 N=20 T=125\n",
         "0c42f7091649a06ef7d97d20b81e2a28f1b8a13d59a984ab188136ad6507dd19",
     ),
@@ -256,7 +282,7 @@ class TestVerify:
         assert "max_r 3" in out
 
     @pytest.mark.parametrize(
-        "flags", [("--r", "7"), ("--sampled",), ("--trials", "3"), ("--seed", "9"), ("--seed", "0")]
+        "flags", [("--r", "7"), ("--trials", "3"), ("--seed", "9"), ("--seed", "0")]
     )
     def test_max_r_refuses_claim_flags(self, capsys, rs_file, flags):
         path, _ = rs_file
@@ -271,10 +297,10 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify", path)
         assert rc == 0
         assert out.splitlines()[0] == (
-            f"verify file={path} w=1 r=3 d=0 N=12 T=9 sampled=False trials=100000 seed=0 "
+            f"verify file={path} w=1 r=3 d=0 N=12 T=9 trials=100000 seed=0 "
             "budget=250000"
         )
-        _, out, _ = run_cli(capsys, "verify", path, "--sampled", "--trials", "7", "--seed", "5")
+        _, out, _ = run_cli(capsys, "verify", path, "--budget", "0", "--trials", "7", "--seed", "5")
         assert " trials=7 seed=5 " in out.splitlines()[0]
 
     def test_overclaim_fails_with_witness(self, capsys, tmp_path, rs_file):
@@ -299,7 +325,7 @@ class TestVerify:
 
     def test_sampled_mode(self, capsys, rs_file):
         path, _ = rs_file
-        rc, out, _ = run_cli(capsys, "verify", path, "--sampled", "--trials", "200")
+        rc, out, _ = run_cli(capsys, "verify", path, "--budget", "0", "--trials", "200")
         assert rc == 0
         assert "check sampled ok" in out
 
@@ -307,10 +333,10 @@ class TestVerify:
         _, m = rs_file
         path = str(tmp_path / "over.cff")
         write_matrix_file(path, m, CFFParams(w=1, r=4, d=0, N=12, T=9))
-        rc, out, err = run_cli(capsys, "verify", path, "--sampled", "--trials", "200")
+        rc, out, err = run_cli(capsys, "verify", path, "--budget", "0", "--trials", "200")
         assert rc == 1
         assert out.splitlines()[-1] == "check sampled FAILED"
-        # the stderr line as printed before --sampled went through check_claim
+        # the stderr line as printed before the sampled check went through check_claim
         assert err == "witness: intersect blocks {8}, subtract blocks {3,4,5,7}, residual 0\n"
 
     def test_tiny_budget(self, capsys, rs_file):
@@ -412,6 +438,12 @@ class TestBounds:
         rc, out, err = run_cli(capsys, "bounds", *point)
         assert rc == 2
         assert out == "" and err.startswith("usage error: --N")
+
+    def test_one_point_has_no_sperner_row(self, capsys):
+        # the antichain bound needs two points, so it is left out, not raised
+        rc, out, err = run_cli(capsys, "bounds", "--w", "1", "--r", "1", "--T", "4", "--N", "1")
+        assert (rc, err) == (0, "")
+        assert not any(line.startswith("sperner") for line in out.splitlines())
 
 
 

@@ -192,13 +192,8 @@ class TestReedSolomon:
         assert m_rs == m_oa
         assert is_cff(m_rs, claim_rs).ok
 
-    def test_shortening_equals_direct_shorter_length(self):
-        direct, claim_direct = rs_cff(5, 5, 4)
-        short, claim_short = rs_cff(5, None, 4, 0, 1)
-        assert short == direct and claim_short == claim_direct
-
     def test_shortened_with_separation(self):
-        m, claim = rs_cff(5, None, 2, 1, 1)
+        m, claim = rs_cff(5, 5, 2, 1)
         assert claim == CFFParams(w=1, r=2, d=1, N=25, T=25, k=5)
         assert is_cff(m, claim).ok
 
@@ -207,12 +202,11 @@ class TestReedSolomon:
         [
             (5, 1, 2),  # N below 2
             (5, 7, 2),  # N above q+1
-            (5, None, 2),  # N required when not shortening
             (3, 3, 3),  # exponent collapses below 2
             (3, 4, 1),  # exponent exceeds q
-            (3, None, 1, 2, 2),  # s + d too large
-            (5, 5, 2, 0, 2),  # explicit N contradicts shortening
-            (3, None, 1, 0, 3),  # shortened away to length 1
+            (5, 5, 0),  # r not positive
+            (5, 5, 2, -1),  # d negative
+            (6, 5, 2),  # q not a prime power
         ],
     )
     def test_rejects(self, args):
@@ -281,9 +275,6 @@ class TestPolynomialEvaluator:
                 # r = 1 and d = length - u give exponent u
                 m, _ = rs_cff(q, length, 1, length - u)
                 assert m == expected
-                if length <= q:
-                    short, _ = rs_cff(q, None, 1, length - u, q + 1 - length)
-                    assert short == expected
 
 
 class TestSeparatingHash:

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Public names no library, CLI or bench code reads, kept on purpose.
 ONLY_TESTS_READ = {
-    "rate_compare",  # survey rows; a CLI route to them would be a new flag
     # the file format as one string; the file functions stream the same lines
     "format_matrix",
     "parse_matrix",
@@ -35,7 +34,7 @@ def test_exports_are_the_modules_exports():
     union = set()
     for name in MODULES:
         union |= set(importlib.import_module(f"coverfree.{name}").__all__)
-    assert len(coverfree.__all__) == len(set(coverfree.__all__)) == 56
+    assert len(coverfree.__all__) == len(set(coverfree.__all__)) == 55
     assert set(coverfree.__all__) == union
     assert {"DEFAULT_MAX_BLOCKS", "trivial_cff"} <= union
     for name in coverfree.__all__:

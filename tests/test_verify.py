@@ -31,7 +31,7 @@ from coverfree.verify import (
     max_r,
     pair_count,
 )
-from helpers import identity, is_disjunct
+from helpers import RS_UP_TO_3000, identity, is_disjunct
 
 
 def params(w, r, d, N, T):
@@ -213,7 +213,7 @@ SMALL_FAMILIES = [
     lambda: packing_to_cff(oa_to_packing(oa_construct(4, 3)), 0),
     lambda: rs_cff(4, 5, 2),
     lambda: rs_cff(5, 5, 4),
-    lambda: rs_cff(4, None, 1, 1, 1),
+    lambda: rs_cff(4, 4, 1, 1),
     lambda: recursive_cff(2, 2, 0, 1),
     lambda: random_cff(2, 1, 0, 10, seed=1),
     lambda: random_uniform_cff(2, 1, 2, 8, seed=1),
@@ -305,24 +305,6 @@ class TestPastTheOldWall:
         m, claim = rs_cff(7, 8, 3)
         bare = IncidenceMatrix(m.num_points, m.rows)
         assert is_cff(bare, claim) == check_claim(bare, claim) == CheckResult(True)
-
-
-def rs_degree(n, r, d):
-    return (n - d - 1) // r + 1
-
-
-# every rs_cff family with at most 3000 blocks, prime and prime-power q,
-# as rs_cff's arguments: length n, or shortened by s = 1, 2
-RS_UP_TO_3000 = [
-    (q, n, r, d, 0) if s == 0 else (q, None, r, d, s)
-    for q in (2, 3, 4, 5, 7, 8, 9)
-    for s in range(3)
-    for n in (range(2, q + 2) if s == 0 else [q + 1 - s])
-    for r in range(1, 4)
-    for d in range(3)
-    if n >= 2 and s + d <= q
-    and 2 <= rs_degree(n, r, d) <= q and q ** rs_degree(n, r, d) <= 3000
-]
 
 
 def orbit_outcome(m, claim):
@@ -1035,7 +1017,7 @@ class TestCheckClaim:
             lambda: sperner_cff(6),
             lambda: packing_to_cff(oa_to_packing(oa_construct(3, 2)), 1),
             lambda: rs_cff(3, 4, 3),
-            lambda: rs_cff(5, None, 1, 1, 2),
+            lambda: rs_cff(5, 4, 1, 1),
             lambda: recursive_cff(1, 2, 0, 1),
             lambda: random_cff(1, 2, 0, 8, seed=3),
             lambda: random_uniform_cff(2, 1, 2, 6, seed=3),
