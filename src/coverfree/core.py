@@ -73,7 +73,8 @@ class IncidenceMatrix:
 
     ``rows[i]`` is the bitmask of block i; bit j set means point j belongs
     to the block. ``columns`` is the same matrix read by point, built on
-    first use and kept; it takes no part in ``==``, ``hash`` or ``repr``.
+    first use and kept; it takes no part in ``==``, ``hash`` or ``repr``,
+    and neither does the split of the points into classes kept beside it.
     Nor does ``symmetries``: point permutations that a construction claims
     map the set of rows onto itself, one tuple of images per permutation.
     They are an untrusted hint the verifier checks before it uses them, and
@@ -119,6 +120,29 @@ class IncidenceMatrix:
             for j in range(n):
                 columns[j] |= int(flat[n - 1 - j :: n], 2) << start
         return tuple(columns)
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, int], ...]:
+        """The points split, in index order, into contiguous runs whose
+        columns are pairwise disjoint and together hold every block, as
+        ``(start, stop)`` pairs; empty when a column overlaps the run it
+        falls in or points are left after the last run. Each run is then
+        a class: every block holds exactly one of its points.
+        Built from the matrix on first use and kept, like ``columns``."""
+        every = (1 << len(self.rows)) - 1
+        classes = []
+        start = held = 0
+        for j, column in enumerate(self.columns):
+            if held & column:
+                return ()
+            held |= column
+            # a run closes as soon as it holds every block, so a point in
+            # no block joins the run after it, and a trailing one leaves
+            # no classes
+            if held == every:
+                classes.append((start, j + 1))
+                start, held = j + 1, 0
+        return tuple(classes) if start == self.num_points else ()
 
     @classmethod
     def from_blocks(cls, num_points: int, blocks: Iterable[Iterable[int]]) -> "IncidenceMatrix":

@@ -5,12 +5,19 @@ when bit j of row t is set. On a (1, r; d)-cover-free matrix the naive
 threshold decoder is exact for up to r defectives, because every clean
 item keeps more than d honest negative pools while flipping e outcomes
 can darken at most e pools of a defective item.
+
+Transversal designs, such as the Reed-Solomon and orthogonal-array
+families, are decoded one class of pools at a time: when the pools split,
+in index order, into runs that each hold every item exactly once, an
+item's negative pools are counted by the runs whose negative part holds
+it, so no pool is visited on its own and no row is read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .core import IncidenceMatrix
 from .verify import _reach
@@ -88,17 +95,29 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
     most floor(d/2) pools to flips, and a clean block retains more than
     d - floor(d/2) >= floor(d/2) + 1 negative pools.
 
-    The negative pools are split, in index order, into tolerance + 1
-    contiguous groups, and the columns inside each group are ORed. A block
-    in at most ``tolerance`` negative pools misses every pool of some group
-    (pigeonhole), so only the blocks outside some group's union are
-    candidates, and each candidate's row is checked exactly. With tolerance
-    0 the one group's complement is the answer: the classical rule (COMP),
-    defective iff every pool containing the item is positive. When the
-    candidates would cost more to check than saturating bit-plane counters
-    over the negative columns, as with many more defectives than the design
-    guarantees, the counters decide instead. Either way the result is the
-    same set.
+    When the points split, in index order, into contiguous classes whose
+    columns are disjoint and together hold every block (the runs of a
+    transversal design, found once per matrix and kept), every block holds
+    exactly one point of each class. Its negative pools are then counted
+    exactly by the classes whose "miss" mask holds it: the blocks whose
+    point in that class is negative. Since a class partitions the blocks,
+    that mask is the OR of its negative columns or every block outside the
+    OR of its positive ones, whichever side has fewer pools, so a round
+    with few positive pools costs a few operations a class. Saturating
+    bit-plane counters over the miss masks give the blocks in more than
+    ``tolerance`` negative pools, and the answer is the rest.
+
+    Other matrices split the negative pools, in index order, into
+    tolerance + 1 contiguous groups, and the columns inside each group are
+    ORed. A block in at most ``tolerance`` negative pools misses every pool
+    of some group (pigeonhole), so only the blocks outside some group's
+    union are candidates, and each candidate's row is checked exactly. With
+    tolerance 0 the one group's complement is the answer: the classical
+    rule (COMP), defective iff every pool containing the item is positive.
+    When the candidates would cost more to check than saturating bit-plane
+    counters over the negative columns, as with many more defectives than
+    the design guarantees, the counters decide instead. Every path returns
+    the same set.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
@@ -106,9 +125,16 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
         raise ValueError(
             f"outcome covers {o.num_pools} pools, matrix has {m.num_points} points"
         )
+    every = (1 << m.num_blocks) - 1
+    classes = m._classes
+    if classes:
+        # a block in more than len(classes) negative pools does not exist,
+        # so the counter needs no more planes than that
+        level = min(tolerance, len(classes)) + 1
+        misses = _misses(m.columns, classes, o.outcomes, every)
+        return _positions(every & ~_reach(misses, level))
     outcomes = format(o.outcomes, f"0{o.num_pools}b")[::-1]
     pools = [col for col, positive in zip(m.columns, outcomes) if positive == "0"]
-    every = (1 << m.num_blocks) - 1
     groups = tolerance + 1
     # measured at T = 28 561, a candidate's row check costs about 1.2
     # bitwise operations on the T-bit columns and the counters take
@@ -133,15 +159,51 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
     return {t for t in candidates if (rows[t] & negative).bit_count() <= tolerance}
 
 
+def _misses(
+    columns: Sequence[int], classes: Iterable[tuple[int, int]], outcomes: int, every: int
+) -> Iterator[int]:
+    """For each class of points, the blocks whose point in it is negative.
+
+    A class partitions the blocks, so this is the OR of its negative
+    columns or, when fewer of its pools are positive, every block outside
+    the OR of its positive columns."""
+    for start, stop in classes:
+        width = stop - start
+        positive = outcomes >> start & ((1 << width) - 1)
+        if 2 * positive.bit_count() < width:
+            side, misses = positive, every
+        else:
+            side, misses = positive ^ ((1 << width) - 1), 0
+        # the columns of a class are disjoint, so XOR adds or removes each
+        while side:
+            low = side & -side
+            side ^= low
+            misses ^= columns[start + low.bit_length() - 1]
+        yield misses
+
+
+# the bit positions of each byte value, and a table that maps every
+# nonzero byte to 1
+_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+_NONZERO = bytes([0] + [1] * 255)
+
+
 def _positions(mask: int) -> set[int]:
-    """The set bits of ``mask``, read off its binary string, which costs
-    far less than peeling one bit at a time off a T-bit integer."""
-    bits = format(mask, "b")[::-1]
+    """The set bits of ``mask``, a table lookup for each nonzero byte.
+
+    This costs far less than peeling one bit at a time off a T-bit
+    integer. Against one ``str.find`` per bit of its binary string it
+    takes a quarter of the time for a few bits and 0.6 of it for every
+    bit, and up to 1.2 times it for a few hundred to a few thousand
+    scattered bits."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    nonzero = data.translate(_NONZERO)
     found = set()
-    t = bits.find("1")
-    while t >= 0:
-        found.add(t)
-        t = bits.find("1", t + 1)
+    i = nonzero.find(1)
+    while i >= 0:
+        for bit in _BITS[data[i]]:
+            found.add(8 * i + bit)
+        i = nonzero.find(1, i + 1)
     return found
 
 

@@ -158,11 +158,34 @@ class TestIncidenceMatrix:
     def test_columns_leave_identity_alone(self, m):
         fresh = IncidenceMatrix(m.num_points, m.rows)
         m.columns
-        assert m == fresh and hash(m) == hash(fresh)
+        m._classes
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
         assert replace(m) == fresh
-        # a replaced matrix builds its own columns rather than inheriting them
+        # a replaced matrix builds its own columns and classes rather than
+        # inheriting them
+        assert {"columns", "_classes"}.isdisjoint(vars(replace(m)))
         wider = replace(m, num_points=m.num_points + 1)
         assert wider.columns == (*m.columns, 0)
+        # the new point, in no block, lies outside every class
+        assert wider._classes == ()
+
+    @pytest.mark.parametrize(
+        "n, rows, classes",
+        [
+            # one point a block: the points are one class
+            (3, (0b001, 0b010, 0b100), ((0, 3),)),
+            # a point in no block joins the run that follows it
+            (4, (0b1001, 0b1010), ((0, 2), (2, 4))),
+            (2, (0b11, 0b11), ((0, 1), (1, 2))),
+            # two points of a block in one run, a point after the last
+            # class, a block in no point
+            (3, (0b011, 0b100), ()),
+            (3, (0b011, 0b011), ()),
+            (1, (0b1, 0), ()),
+        ],
+    )
+    def test_classes(self, n, rows, classes):
+        assert IncidenceMatrix(n, rows)._classes == classes
 
     def test_repr_of_wide_rows(self):
         # decimal str() of a 30000-bit int exceeds Python's digit limit

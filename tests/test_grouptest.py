@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from coverfree.construct import rs_cff
 from coverfree.core import IncidenceMatrix
 from coverfree.grouptest import TestOutcome as Outcome
-from coverfree.grouptest import SimulationStats, decode, encode, inject_errors, simulate
+from coverfree.grouptest import (
+    SimulationStats,
+    _positions,
+    decode,
+    encode,
+    inject_errors,
+    simulate,
+)
 from helpers import identity
 from test_verify import counted
 
@@ -197,13 +204,16 @@ class TestDecodeMatchesRowScan:
 
     @pytest.mark.parametrize("count", [5, 8, 12, 20])
     def test_far_more_defectives_than_the_design_takes(self, count):
-        # r = 2: past it the filter weakens until the counters decide
+        # r = 2: past it the class counter still counts exactly; each point
+        # twice leaves no classes, and the filter weakens until the bit-plane
+        # counters decide
         m, _ = rs_cff(7, 8, 2, 4)
-        for seed in range(10):
-            rng = random.Random(seed)
-            defectives = set(rng.sample(range(49), count))
-            o = inject_errors(encode(m, defectives), rng.randint(0, 4), seed=seed)
-            assert decode(m, o, 2) == decode_by_rows(m, o, 2)
+        for design in (m, m.replicate_points(2)):
+            for seed in range(10):
+                rng = random.Random(seed)
+                defectives = set(rng.sample(range(49), count))
+                o = inject_errors(encode(design, defectives), rng.randint(0, 4), seed=seed)
+                assert decode(design, o, 2) == decode_by_rows(design, o, 2)
 
     def test_every_item_decoded(self):
         m, _ = rs_cff(7, 8, 2, 4)
@@ -211,32 +221,173 @@ class TestDecodeMatchesRowScan:
         assert decode(m, everyone) == set(range(m.num_blocks))
 
 
+def rows_read_within_the_guarantee(copies, tolerance):
+    """The rows ``decode`` reads over 40 noisy rounds on rs_cff(7, 8, 2, 4)
+    with each point ``copies`` times."""
+    base, claim = rs_cff(7, 8, 2, 4)
+    m = base.replicate_points(copies)
+    copy, rows, _ = counted(m)
+    for seed in range(40):
+        rng = random.Random(seed)
+        defectives = set(rng.sample(range(claim.T), rng.randint(0, claim.r)))
+        o = inject_errors(encode(m, defectives), rng.randint(0, tolerance), seed=seed)
+        assert decode(copy, o, tolerance) == defectives
+    return rows.reads
+
+
 class TestDecodeWork:
     """How many matrix rows ``decode`` reads (see ``test_verify.RowReads``)."""
 
     def test_rows_read_within_the_guarantee(self):
-        m, claim = rs_cff(7, 8, 2, 4)
-        copy, rows, _ = counted(m)
-        tolerance = claim.d // 2
-        for seed in range(40):
-            rng = random.Random(seed)
-            defectives = set(rng.sample(range(claim.T), rng.randint(0, claim.r)))
-            o = inject_errors(encode(m, defectives), rng.randint(0, tolerance), seed=seed)
-            assert decode(copy, o, tolerance) == defectives
-        # the filter leaves under two candidates a round; checking every
-        # block would read 40 * 49 = 1960 rows, and a filter short of a
-        # group lets a different set through
-        assert rows.reads == 69
+        # 8 classes of 7 points: counted by class, no row is read
+        assert rows_read_within_the_guarantee(1, 2) == 0
+
+    def test_rows_read_without_classes(self):
+        # each point twice, so no classes: the filter leaves under 14
+        # candidates a round; checking every block would read 40 * 49 =
+        # 1960 rows, and a filter short of a group lets a different set
+        # through
+        assert rows_read_within_the_guarantee(2, 4) == 539
 
     def test_counters_decide_far_past_the_guarantee(self):
-        m, _ = rs_cff(7, 8, 2, 4)
-        copy, rows, _ = counted(m)
-        for seed in range(10):
+        base, _ = rs_cff(7, 8, 2, 4)
+        for m, tolerance in ((base, 2), (base.replicate_points(2), 4)):
+            copy, rows, _ = counted(m)
+            for seed in range(10):
+                rng = random.Random(seed)
+                o = inject_errors(encode(m, set(rng.sample(range(49), 16))), 2, seed=seed)
+                assert decode(copy, o, tolerance) == decode_by_rows(m, o, tolerance)
+            # the class counter reads no row; without classes there are too
+            # many candidates to check, and the bit-plane counters read none
+            assert rows.reads == 0
+
+    @pytest.mark.parametrize(
+        "count, reads",
+        [
+            # few positive pools: the positive columns, where the negative
+            # ones would be 1896
+            (None, 344),
+            # mostly positive pools: the negative columns, where the
+            # positive ones would be 515
+            (16, 45),
+        ],
+    )
+    def test_class_counter_reads_the_fewer_side(self, count, reads):
+        m, claim = rs_cff(7, 8, 2, 4)
+        copy, _, columns = counted(m)
+        copy._classes
+        columns.reads = 0
+        for seed in range(40 if count is None else 10):
             rng = random.Random(seed)
-            o = inject_errors(encode(m, set(rng.sample(range(49), 16))), 2, seed=seed)
+            size = rng.randint(0, claim.r) if count is None else count
+            defectives = set(rng.sample(range(claim.T), size))
+            flips = rng.randint(0, 2) if count is None else 2
+            o = inject_errors(encode(m, defectives), flips, seed=seed)
             assert decode(copy, o, 2) == decode_by_rows(m, o, 2)
-        # too many candidates to check: the bit-plane counters read no row
-        assert rows.reads == 0
+        assert columns.reads == reads
+
+
+@st.composite
+def transversal_designs(draw):
+    """k groups of 1-4 points, in index order, and blocks holding one
+    point of each group."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    starts = [sum(sizes[:g]) for g in range(len(sizes))]
+    blocks = draw(
+        st.lists(
+            st.tuples(*(st.integers(s, s + size - 1) for s, size in zip(starts, sizes))),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return IncidenceMatrix.from_blocks(sum(sizes), blocks), len(sizes)
+
+
+def near_misses():
+    """Variants of a transversal design whose points split into no classes."""
+    m, _ = rs_cff(7, 8, 2, 4)
+    n, rows = m.num_points, m.rows
+    point = rows[0] & -rows[0]
+    # block 0 also takes the next point of its first class
+    overlap = (rows[0] | point << 1, *rows[1:])
+    # block 0 drops its point of the first class
+    short = (rows[0] ^ point, *rows[1:])
+    # a trailing point held by the first two blocks
+    trailing = (rows[0] | 1 << n, rows[1] | 1 << n, *rows[2:])
+    # the last point taken out of every block
+    zero = tuple(row & ~(1 << (n - 1)) for row in rows)
+    order = list(range(n))
+    random.Random(1).shuffle(order)
+    shuffled = [[order[j] for j in range(n) if row >> j & 1] for row in rows]
+    return {
+        "overlap": IncidenceMatrix(n, overlap),
+        "short": IncidenceMatrix(n, short),
+        "trailing": IncidenceMatrix(n + 1, trailing),
+        "zero": IncidenceMatrix(n, zero),
+        "replicated": m.replicate_points(2),
+        "shuffled": IncidenceMatrix.from_blocks(n, shuffled),
+    }
+
+
+@pytest.fixture(scope="module")
+def screening_design():
+    return rs_cff(13, 14, 3, 4)[0]
+
+
+class TestDecodeByClass:
+    @given(transversal_designs(), st.data(), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_transversal_designs(self, drawn, data, tolerance):
+        m, k = drawn
+        copy, rows, _ = counted(m)
+        # every group is a class unless the last point is in no block
+        assert len(copy._classes) == (k if m.columns[-1] else 0)
+        o = Outcome(m.num_points, data.draw(st.integers(0, 2**m.num_points - 1)))
+        assert decode(copy, o, tolerance) == decode_by_rows(m, o, tolerance)
+        if copy._classes:
+            assert rows.reads == 0
+
+    @pytest.mark.parametrize("name", sorted(near_misses()))
+    def test_near_misses_take_the_generic_path(self, name):
+        m = near_misses()[name]
+        assert m._classes == ()
+        rng = random.Random(name)
+        for tolerance in range(5):
+            for _ in range(15):
+                defectives = set(rng.sample(range(m.num_blocks), rng.randint(0, 6)))
+                o = inject_errors(encode(m, defectives), rng.randint(0, 4), seed=rng.random())
+                assert decode(m, o, tolerance) == decode_by_rows(m, o, tolerance)
+            o = Outcome(m.num_points, rng.getrandbits(m.num_points))
+            assert decode(m, o, tolerance) == decode_by_rows(m, o, tolerance)
+
+    @pytest.mark.parametrize("count", range(4))
+    @pytest.mark.parametrize("flips", range(3))
+    def test_screening_design_within_the_guarantee(self, screening_design, count, flips):
+        m = screening_design
+        assert len(m._classes) == 14
+        rng = random.Random(f"{count}:{flips}")
+        for _ in range(2):
+            defectives = set(rng.sample(range(m.num_blocks), count))
+            o = inject_errors(encode(m, defectives), flips, seed=rng.random())
+            assert decode(m, o, 2) == decode_by_rows(m, o, 2) == defectives
+
+    @pytest.mark.parametrize("count", [5, 12, 20, 60])
+    def test_screening_design_past_the_guarantee(self, screening_design, count):
+        m = screening_design
+        rng = random.Random(count)
+        for tolerance in (0, 2):
+            defectives = set(rng.sample(range(m.num_blocks), count))
+            o = inject_errors(encode(m, defectives), rng.randint(0, 4), seed=rng.random())
+            assert decode(m, o, tolerance) == decode_by_rows(m, o, tolerance)
+
+    def test_positions_lists_every_set_bit(self, screening_design):
+        width = screening_design.num_blocks
+        rng = random.Random(0)
+        counts = [0, 1, width // 64 - 1, width // 64, width // 64 + 1, width // 4]
+        masks = [sum(1 << t for t in rng.sample(range(width), c)) for c in counts]
+        masks += [1 | 1 << (width - 1), 0xFF << 8 * 100, (1 << width) - 1]
+        for mask in masks:
+            assert _positions(mask) == {t for t in range(width) if mask >> t & 1}
 
 
 class TestSimulate:

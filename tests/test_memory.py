@@ -54,6 +54,15 @@ def test_columns(screen):
     assert peak_per_cell(m, lambda: m.columns) < 0.4
 
 
+def test_classes(screen):
+    m = fresh(screen[0])
+    m.columns
+    # measured 0.0023 (12 kB) above the columns: a run's union and the
+    # T-bit temporaries of one step
+    assert peak_per_cell(m, lambda: m._classes) < 0.01
+    assert len(m._classes) == 14
+
+
 def test_orbit_proof(screen):
     m, claim = fresh(screen[0]), screen[1]
     results = []

@@ -26,7 +26,8 @@ MEMBERS_ONLY_TESTS_READ = set()
 # The underscore names one module reads from another, as "reader <- owner.name".
 CROSS_MODULE_PRIVATE_READS = {
     "verify <- core._check_shape",  # one shape check for every claim
-    "grouptest <- verify._reach",  # decode's fallback is the cover search's counter
+    "grouptest <- verify._reach",  # decode's counters are the cover search's counter
+    "grouptest <- core._classes",  # decode counts by the classes the matrix keeps
 }
 
 
