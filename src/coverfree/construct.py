@@ -2,10 +2,11 @@
 them: subset systems, orthogonal arrays, packing designs, Reed-Solomon
 codes, modular hash families, recursive composition, and random sampling.
 
-A code of large distance gives a family one way only: its words are the
-columns of an orthogonal array, :func:`oa_to_packing` turns each column
-into a block, and :func:`packing_to_cff` reads off r. :func:`rs_cff` is
-that route for (shortened) Reed-Solomon codes.
+A code of large distance gives a family: its words are the columns of an
+orthogonal array, :func:`oa_to_packing` turns each column into a block, and
+:func:`packing_to_cff` reads off r. :func:`rs_cff` gives the same family
+for (shortened) Reed-Solomon codes column-first: each point's blocks are
+read off one coordinate of the words, and no array or packing is built.
 
 Every generator returns ``(matrix, claim)``; claims are what the checkers in
 :mod:`coverfree.verify` are meant to confirm, and the probabilistic
@@ -21,7 +22,7 @@ from itertools import combinations
 from math import comb, factorial, gcd, log2
 from typing import Callable, Iterator
 
-from .core import CFFParams, IncidenceMatrix
+from .core import CFFParams, IncidenceMatrix, _from_columns
 from .gf import field
 from .verify import BudgetExceededError, DEFAULT_BUDGET, DEFAULT_TRIALS, check_claim
 
@@ -224,14 +225,17 @@ def rs_cff(q: int, N: int, r: int, d: int = 0) -> tuple[IncidenceMatrix, CFFPara
     Yields q**u blocks of size N over q * N points.
 
     The words are the columns of an orthogonal array of strength u with
-    N rows (any u positions fix the polynomial), so the family is
-    ``packing_to_cff(oa_to_packing(...), d)``: word c becomes the block
-    {i*q + c_i}. The packing supports floor((N - d - 1)/(u - 1)) >= r;
-    the claim carries the requested r. The matrix's ``symmetries`` are the
-    e * u translations by a * x^j (a in a GF(p)-basis of GF(q), j < u),
-    which act on the blocks transitively; once the B-sets that hold block 0
-    pass, ``is_cff`` and ``max_r`` check them and need to search no other
-    B-set.
+    N rows (any u positions fix the polynomial), so the family is the one
+    ``packing_to_cff(oa_to_packing(...), d)`` gives: word c becomes the
+    block {i*q + c_i}. The packing supports floor((N - d - 1)/(u - 1)) >= r;
+    the claim carries the requested r. The matrix is built column-first:
+    point i*q + v holds the words whose coordinate i is v, read off that
+    coordinate's values in one pass, and the rows are those columns
+    transposed, which the matrix keeps as its ``columns``. Its
+    ``symmetries`` are the e * u translations by a * x^j (a in a
+    GF(p)-basis of GF(q), j < u), which act on the blocks transitively;
+    once the B-sets that hold block 0 pass, ``is_cff`` and ``max_r`` check
+    them and need to search no other B-set.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -250,14 +254,18 @@ def rs_cff(q: int, N: int, r: int, d: int = 0) -> tuple[IncidenceMatrix, CFFPara
             "degenerate exponent u > q (leading coefficients are invisible to "
             "evaluation); shorten the code or increase r or d"
         )
-    if q**u > DEFAULT_MAX_BLOCKS:
-        raise BudgetExceededError(f"{q**u} blocks exceed the cap of {DEFAULT_MAX_BLOCKS}")
-    # the array is freed before the matrix is built: one copy of the words at a time
-    packing = oa_to_packing(
-        OrthogonalArray(t=u, k=N, s=q, rows=tuple(_poly_values(q, u, N)))
-    )
-    m, claim = packing_to_cff(packing, d)
-    return replace(m, symmetries=_translations(q, u, N)), replace(claim, r=r)
+    T = q**u
+    if T > DEFAULT_MAX_BLOCKS:
+        raise BudgetExceededError(f"{T} blocks exceed the cap of {DEFAULT_MAX_BLOCKS}")
+    # point i*q + v holds the words whose coordinate i is v: one text of
+    # 0/1 per point, word T-1 first so that int() reads word c as bit c
+    columns = []
+    for values in _poly_values(q, u, N):
+        word = bytes(values)[::-1]
+        for v in range(q):
+            columns.append(int(word.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2))
+    m = _from_columns(tuple(columns), T, _translations(q, u, N))
+    return m, CFFParams(w=1, r=r, d=d, N=q * N, T=T, k=N)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
-from typing import Iterable, Iterator
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "CFFParams",
@@ -24,10 +24,32 @@ __all__ = [
     "write_matrix_file",
 ]
 
-# rows per transposed block and lines per file write: every whole-matrix
-# pass holds one chunk as text, so its transient memory is of order
-# _CHUNK * N + T rather than T * N
+# masks and bits per transposed block, and lines per file write or parse:
+# every whole-matrix pass holds one chunk as text, so its transient memory
+# is of order _CHUNK * N + T rather than T * N
 _CHUNK = 1024
+
+
+def _transpose(masks: Sequence[int], width: int) -> tuple[int, ...]:
+    """The ``width`` masks whose bit i is bit j of ``masks[i]``, for
+    j < width: the same bits read the other way, a block of at most
+    _CHUNK masks by _CHUNK bits at a time."""
+    out = [0] * width
+    for start in range(0, len(masks), _CHUNK):
+        block = masks[start : start + _CHUNK][::-1]
+        for low in range(0, width, _CHUNK):
+            n = min(_CHUNK, width - low)
+            cut, spec = (1 << n) - 1, f"0{n}b"
+            # the block's last mask first, each written bit n-1 first, so
+            # every stride-n slice reads one bit of every mask with the last
+            # one as its leading digit
+            flat = "".join([format(mask >> low & cut, spec) for mask in block])
+            # each OR copies the output mask so far, about
+            # len(masks)^2 / (2 * _CHUNK) bits a mask in all; at 10^6 masks
+            # that doubles the transpose's time
+            for j in range(n):
+                out[low + j] |= int(flat[n - 1 - j :: n], 2) << start
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -73,7 +95,8 @@ class IncidenceMatrix:
 
     ``rows[i]`` is the bitmask of block i; bit j set means point j belongs
     to the block. ``columns`` is the same matrix read by point, built on
-    first use and kept; it takes no part in ``==``, ``hash`` or ``repr``,
+    first use and kept (a transpose, or a matrix built from its columns,
+    starts with them); it takes no part in ``==``, ``hash`` or ``repr``,
     and neither does the split of the points into classes kept beside it.
     Nor does ``symmetries``: point permutations that a construction claims
     map the set of rows onto itself, one tuple of images per permutation.
@@ -108,18 +131,7 @@ class IncidenceMatrix:
     def columns(self) -> tuple[int, ...]:
         """Bit i of ``columns[j]`` is entry (i, j): the blocks containing
         point j, as a mask over the blocks."""
-        n = self.num_points
-        columns = [0] * n
-        for start in range(0, len(self.rows), _CHUNK):
-            block = self.rows[start : start + _CHUNK]
-            # the block's last row first, each written bit N-1 first, so every
-            # stride-N slice reads one column with that row as its leading digit
-            flat = "".join(format(row, f"0{n}b") for row in reversed(block))
-            # each OR copies the column so far, about T^2 / (2 * _CHUNK) bits
-            # a column in all; at T = 10^6 that doubles the transpose's time
-            for j in range(n):
-                columns[j] |= int(flat[n - 1 - j :: n], 2) << start
-        return tuple(columns)
+        return _transpose(self.rows, self.num_points)
 
     @cached_property
     def _classes(self) -> tuple[tuple[int, int], ...]:
@@ -159,7 +171,10 @@ class IncidenceMatrix:
 
     def transpose(self) -> "IncidenceMatrix":
         """Swap the roles of blocks and points."""
-        return IncidenceMatrix(self.num_blocks, self.columns)
+        t = IncidenceMatrix(self.num_blocks, self.columns)
+        # the rows are its columns: kept as their cache, not transposed again
+        t.__dict__["columns"] = self.rows
+        return t
 
     def replicate_points(self, copies: int) -> "IncidenceMatrix":
         """Duplicate every point ``copies`` times (copies of point j sit at
@@ -174,6 +189,16 @@ class IncidenceMatrix:
         widen = {ord("0"): "0" * copies, ord("1"): "1" * copies}
         rows = tuple(int(format(row, f"0{n}b").translate(widen), 2) for row in self.rows)
         return IncidenceMatrix(n * copies, rows)
+
+
+def _from_columns(
+    columns: tuple[int, ...], num_blocks: int, symmetries: tuple[tuple[int, ...], ...] = ()
+) -> IncidenceMatrix:
+    """The matrix in which block i holds point j when bit i of ``columns[j]``
+    is set, with ``columns`` kept as the cache of its columns."""
+    m = IncidenceMatrix(len(columns), _transpose(columns, num_blocks), symmetries)
+    m.__dict__["columns"] = columns
+    return m
 
 
 def _check_shape(m: IncidenceMatrix, claim: CFFParams) -> None:
@@ -219,9 +244,9 @@ _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 def _parse_lines(lines: Iterator[str]) -> tuple[IncidenceMatrix, CFFParams | None]:
     """Parse the exchange format from its lines, each with its LF (split at
-    LF only), one line at a time; strict about shape and characters, so
-    any lines it accepts are exactly what :func:`_lines` makes for the
-    result."""
+    LF only), a chunk of lines at a time; strict about shape and
+    characters, so any lines it accepts are exactly what :func:`_lines`
+    makes for the result."""
     header = next(lines, None)
     if header is None:
         raise ValueError("empty matrix file")
@@ -243,8 +268,35 @@ def _parse_lines(lines: Iterator[str]) -> tuple[IncidenceMatrix, CFFParams | Non
         claim = None
     else:
         claim = CFFParams(w=w, r=r, d=d, N=n, T=t)
-    rows = []
-    for idx, line in enumerate(islice(lines, t)):
+    try:
+        well_formed = re.compile(f"(?:[01]{{{n}}}\n)*")
+    except OverflowError:
+        # too long a row for the pattern to count: each line is checked alone
+        well_formed = None
+    # _CHUNK lines, or as many as fit in _CHUNK * 256 characters when they
+    # are longer: a chunk is held four times over (lines, text, reversed
+    # text, digits), so long lines are taken fewer at a time
+    size = max(1, min(_CHUNK, _CHUNK * 256 // (n + 1)))
+    rows: list[int] = []
+    while chunk := list(islice(lines, min(size, t - len(rows)))):
+        text = "".join(chunk)
+        if well_formed is None or not well_formed.fullmatch(text):
+            _check_lines(chunk, n, len(rows))
+        # reversed, the chunk is its rows' bits in reading order, last row
+        # first, so one split gives every row's binary digits
+        digits = text[-2::-1].split("\n")
+        digits.reverse()
+        rows.extend(map(int, digits, repeat(2)))
+    extra = sum(1 for _ in lines)
+    if len(rows) != t or extra:
+        raise ValueError(f"header claims {t} blocks, file has {len(rows) + extra} rows")
+    return IncidenceMatrix(n, tuple(rows)), claim
+
+
+def _check_lines(chunk: list[str], n: int, first: int) -> None:
+    """Raise for the first line of ``chunk`` that is not N characters of
+    0/1 and an LF; the chunk's first line is row ``first``."""
+    for idx, line in enumerate(chunk, first):
         if not line.endswith("\n"):
             raise ValueError("matrix file must end with a newline")
         if len(line) != n + 1:
@@ -252,11 +304,6 @@ def _parse_lines(lines: Iterator[str]) -> tuple[IncidenceMatrix, CFFParams | Non
         # strip stops at the first character other than 0/1 from either end
         if line[:-1].strip("01"):
             raise ValueError(f"row {idx} contains characters other than 0/1")
-        rows.append(int(line[-2::-1], 2))
-    extra = sum(1 for _ in lines)
-    if len(rows) != t or extra:
-        raise ValueError(f"header claims {t} blocks, file has {len(rows) + extra} rows")
-    return IncidenceMatrix(n, tuple(rows)), claim
 
 
 def parse_matrix(text: str) -> tuple[IncidenceMatrix, CFFParams | None]:
@@ -277,7 +324,7 @@ def write_matrix_file(
 
 
 def read_matrix_file(path: str | os.PathLike[str]) -> tuple[IncidenceMatrix, CFFParams | None]:
-    """Parse a file as :func:`parse_matrix` parses its text, one line at a
-    time."""
+    """Parse a file as :func:`parse_matrix` parses its text, a chunk of
+    lines at a time."""
     with open(path, "r", newline="\n") as fh:
         return _parse_lines(fh)

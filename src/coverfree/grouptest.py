@@ -108,8 +108,8 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
     ``tolerance`` negative pools, and the answer is the rest.
 
     Other matrices split the negative pools, in index order, into
-    tolerance + 1 contiguous groups, and the columns inside each group are
-    ORed. A block in at most ``tolerance`` negative pools misses every pool
+    min(tolerance, negative pools) + 1 contiguous groups, and the columns
+    inside each group are ORed. A block in at most ``tolerance`` negative pools misses every pool
     of some group (pigeonhole), so only the blocks outside some group's
     union are candidates, and each candidate's row is checked exactly. With
     tolerance 0 the one group's complement is the answer: the classical
@@ -135,7 +135,10 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
         return _positions(every & ~_reach(misses, level))
     outcomes = format(o.outcomes, f"0{o.num_pools}b")[::-1]
     pools = [col for col, positive in zip(m.columns, outcomes) if positive == "0"]
-    groups = tolerance + 1
+    # no block is in more than len(pools) negative pools, so a higher
+    # tolerance passes every block, as len(pools) + 1 groups (one of them
+    # empty) or counter planes already find
+    groups = min(tolerance, len(pools)) + 1
     # measured at T = 28 561, a candidate's row check costs about 1.2
     # bitwise operations on the T-bit columns and the counters take
     # 2 * tolerance + 1 a negative pool, so checking pays up to about

@@ -309,8 +309,9 @@ def _reach(columns: Iterable[int], level: int, flip: int = 0) -> int:
     # over[i]: blocks in more than i of the columns seen so far, a
     # saturating thermometer counter kept one bit plane per level
     over = [0] * level
+    if flip:
+        columns = (col ^ flip for col in columns)
     for col in columns:
-        col ^= flip
         for i in range(level - 1, 0, -1):
             over[i] |= over[i - 1] & col
         over[0] |= col

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations, product
 from math import comb
 
@@ -9,6 +10,8 @@ from coverfree.bounds import sperner_T
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.construct import (
     ConstructionFailedError,
+    _poly_values,
+    _translations,
     OrthogonalArray,
     PackingDesign,
     oa_construct,
@@ -26,7 +29,7 @@ from coverfree.construct import (
 )
 from coverfree.gf import field
 from coverfree.verify import BudgetExceededError, is_cff, is_k_uniform
-from helpers import block_sizes, check_orthogonal_array, identity, is_disjunct
+from helpers import block_sizes, check_orthogonal_array, identity, is_disjunct, rs_degree
 
 
 def check_packing(p):
@@ -191,6 +194,27 @@ class TestReedSolomon:
         assert claim_rs == claim_oa
         assert m_rs == m_oa
         assert is_cff(m_rs, claim_rs).ok
+
+    def test_matches_packing_route(self):
+        # every valid (q, N, r, d) with q <= 9 and at most 20 000 blocks
+        # against the orthogonal array -> packing route rs_cff took before
+        # it built its columns first, with its translations as symmetries
+        points = 0
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for n, r, d in product(range(2, q + 2), range(1, q + 1), range(q)):
+                u = rs_degree(n, r, d)
+                if not 2 <= u <= q or q**u > 20_000:
+                    continue
+                m, claim = rs_cff(q, n, r, d)
+                rows = tuple(_poly_values(q, u, n))
+                m_ref, claim_ref = packing_to_cff(oa_to_packing(OrthogonalArray(u, n, q, rows)), d)
+                assert m == m_ref
+                assert claim == replace(claim_ref, r=r)
+                assert m.symmetries == _translations(q, u, n)
+                # the columns it starts with are its rows transposed
+                assert m.columns == IncidenceMatrix(m.num_points, m.rows).columns
+                points += 1
+        assert points == 388
 
     def test_shortened_with_separation(self):
         m, claim = rs_cff(5, 5, 2, 1)

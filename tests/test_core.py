@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coverfree.core import (
     _CHUNK,
+    _transpose,
     CFFParams,
     IncidenceMatrix,
     format_matrix,
@@ -153,6 +154,33 @@ class TestIncidenceMatrix:
         assert m.transpose().transpose() == m
         full = IncidenceMatrix(N, ((1 << N) - 1,) * T)
         assert full.columns == ((1 << T) - 1,) * N
+
+    @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("width", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_transpose_kernel_matches_per_bit_reference(self, count, width):
+        rng = random.Random(f"{count}:{width}")
+        # about one bit in 16, with the first mask full and the last one
+        # holding the top bit, so every chunk edge is crossed by a set bit
+        masks = [
+            rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+            & rng.getrandbits(width)
+            for _ in range(count)
+        ]
+        masks[0] = (1 << width) - 1
+        masks[-1] |= 1 << (width - 1)
+        expected = [0] * width
+        for i, mask in enumerate(masks):
+            for j in range(width):
+                if mask >> j & 1:
+                    expected[j] |= 1 << i
+        assert _transpose(masks, width) == tuple(expected)
+
+    def test_transpose_hands_rows_over_as_columns(self):
+        m = IncidenceMatrix(3, (0b011, 0b110))
+        t = m.transpose()
+        # the result starts with its columns cached: the source's rows
+        assert vars(t)["columns"] is m.rows
+        assert t.columns == IncidenceMatrix(t.num_points, t.rows).columns
 
     @given(small_matrices())
     def test_columns_leave_identity_alone(self, m):
@@ -314,6 +342,9 @@ class TestFileFormat:
             ("CFF 2 3 0 0 0\n10\n01\n", "header claims 3 blocks, file has 2 rows"),
             ("CFF 2 2 0 0 0\n10\r01\n", "row 0 has length 5, expected 2"),
             ("CFF 2 1 0 0 0\n1\u00e9\n", "row 0 contains characters other than 0/1"),
+            # too long a row for a counted pattern: checked line by line
+            ("CFF 4294967295 1 0 0 0\n0\n", "row 0 has length 1, expected 4294967295"),
+            ("CFF 4294967295 1 0 0 0\n0", "must end with a newline"),
         ],
     )
     def test_refusal_messages(self, text, message):

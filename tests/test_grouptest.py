@@ -261,6 +261,17 @@ class TestDecodeWork:
             # many candidates to check, and the bit-plane counters read none
             assert rows.reads == 0
 
+    def test_tolerance_past_the_pool_count(self):
+        # each point twice, so no classes; no block is in more than the
+        # negative pools' count, so tolerance 10^6 passes every block, found
+        # with one group more than there are negative pools
+        m = rs_cff(7, 8, 2, 4)[0].replicate_points(2)
+        copy, rows, _ = counted(m)
+        o = encode(m, {3, 30})
+        assert decode(copy, o, 10**6) == set(range(49)) == decode_by_rows(m, o, 10**6)
+        # one row check a block
+        assert rows.reads == 49
+
     @pytest.mark.parametrize(
         "count, reads",
         [

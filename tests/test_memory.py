@@ -13,7 +13,14 @@ from dataclasses import replace
 import pytest
 
 from coverfree.construct import rs_cff
-from coverfree.core import IncidenceMatrix, read_matrix_file, write_matrix_file
+from coverfree.core import (
+    _CHUNK,
+    IncidenceMatrix,
+    format_matrix,
+    parse_matrix,
+    read_matrix_file,
+    write_matrix_file,
+)
 from coverfree.verify import CheckResult, check_claim, is_cff
 
 # sha256 of the screening design's file, recorded with the one-shot writer
@@ -45,6 +52,17 @@ def peak_per_cell(m, call):
         if started:
             tracemalloc.stop()
     return peak / (m.num_blocks * m.num_points)
+
+
+def test_build(screen):
+    results = []
+    # measured 0.59, of which the rows and columns it returns are 0.44: the
+    # block tuples it built the rows from peaked at 1.5
+    assert peak_per_cell(screen[0], lambda: results.append(rs_cff(13, 14, 3, 4))) < 0.9
+    m = results[0][0]
+    assert m == screen[0]
+    # the columns the build starts with are its rows transposed
+    assert vars(m)["columns"] == fresh(m).columns
 
 
 def test_columns(screen):
@@ -96,7 +114,68 @@ def test_read(screen, tmp_path):
     path = tmp_path / "screen.cff"
     write_matrix_file(path, m, claim)
     results = []
-    # measured 0.38, mostly the rows read back
+    # measured 0.53: the rows read back are 0.31, and a chunk of 1024
+    # lines held as lines, text, reversed text and split digits most of
+    # the rest
     assert peak_per_cell(m, lambda: results.append(read_matrix_file(path))) < 0.75
     # the file carries no block size
     assert results == [(m, replace(claim, k=None))]
+
+
+def test_read_wide(screen, tmp_path):
+    m = screen[0].transpose()
+    path = tmp_path / "wide.cff"
+    write_matrix_file(path, m)
+    results = []
+    # measured 0.38: 182 lines of 28 561 characters, read 9 at a time where
+    # 1024 at a time peaked at 4.0
+    assert peak_per_cell(m, lambda: results.append(read_matrix_file(path))) < 0.75
+    assert results == [(m, None)]
+
+
+# a row in the parser's second chunk of lines
+SECOND_CHUNK_ROW = _CHUNK + 476
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda row: row[1:], f"row {SECOND_CHUNK_ROW} has length 181, expected 182"),
+        (lambda row: "2" + row[1:], f"row {SECOND_CHUNK_ROW} contains characters other than 0/1"),
+    ],
+)
+def test_parse_refuses_a_bad_row_in_a_later_chunk(screen, tmp_path, spoil, message):
+    lines = format_matrix(*screen).split("\n")
+    # the header is line 0
+    lines[SECOND_CHUNK_ROW + 1] = spoil(lines[SECOND_CHUNK_ROW + 1])
+    text = "\n".join(lines)
+    path = tmp_path / "bad.cff"
+    path.write_text(text, newline="")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_matrix(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_matrix_file(path)
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        # the last row, in the second chunk, without its LF
+        (lambda text: text[:-1], "matrix file must end with a newline"),
+        # one row more than the header claims
+        (
+            lambda text: text + "0" * 182 + "\n",
+            f"header claims {SECOND_CHUNK_ROW + 1} blocks, file has {SECOND_CHUNK_ROW + 2} rows",
+        ),
+    ],
+)
+def test_parse_refuses_a_bad_end_in_a_later_chunk(screen, tmp_path, tail, message):
+    m, claim = screen
+    rows = m.rows[: SECOND_CHUNK_ROW + 1]
+    text = tail(format_matrix(IncidenceMatrix(m.num_points, rows), replace(claim, T=len(rows))))
+    path = tmp_path / "bad.cff"
+    path.write_text(text, newline="")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_matrix(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_matrix_file(path)

@@ -28,6 +28,7 @@ CROSS_MODULE_PRIVATE_READS = {
     "verify <- core._check_shape",  # one shape check for every claim
     "grouptest <- verify._reach",  # decode's counters are the cover search's counter
     "grouptest <- core._classes",  # decode counts by the classes the matrix keeps
+    "construct <- core._from_columns",  # rs_cff builds columns first, as a matrix keeps them
 }
 
 
