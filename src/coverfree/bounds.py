@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, log2
 
-from .core import CFFParams, IncidenceMatrix
+from .core import CFFParams, _from_columns
 from .verify import is_cff
 
 __all__ = [
@@ -387,12 +387,13 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     own 2^(T-w-r) patterns (see :func:`_pattern_table`).
 
     For N = 1, 2, ... a depth-first search takes the lowest pair no chosen
-    pattern separates yet and branches on each pattern that separates it;
-    some pattern of every cover does, so no cover is lost. A branch is cut
-    when the patterns left, times the most pairs any one pattern separates,
-    are fewer than the open pairs. The family the chosen patterns make is
-    confirmed by one ``is_cff`` call before N is returned. Nothing is kept
-    between calls.
+    pattern separates yet and branches on each pattern that separates it,
+    in ascending order; some pattern of every cover does, so no cover is
+    lost. A branch is cut when the patterns left, times the most pairs any
+    one pattern separates, are fewer than the open pairs. The chosen
+    patterns are the columns of the family, which is built from them and
+    confirmed by one ``is_cff`` call before N is returned (ArithmeticError
+    if it is rejected). Nothing is kept between calls.
     """
     if w < 0 or r < 0:
         raise ValueError("w and r must be non-negative")
@@ -402,23 +403,22 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
         raise ValueError(f"need T >= w + r, got T={T}")
     if w == 0 or r == 0:
         return 1
-    options, most = _pattern_table(w, r, T)
+    patterns, separates, most = _pattern_table(w, r, T)
     for N in range(1, cap_N + 1):
         chosen: list[int] = []
-        if _cover((1 << len(options)) - 1, N, most, options, chosen):
-            rows = [sum(1 << j for j, p in enumerate(chosen) if p >> i & 1) for i in range(T)]
-            if not is_cff(IncidenceMatrix(N, rows), CFFParams(w=w, r=r, d=0, N=N, T=T)):
-                raise ArithmeticError(f"cover search returned a family is_cff rejects: {rows}")
+        if _cover((1 << len(patterns)) - 1, N, most, patterns, separates, chosen):
+            if not is_cff(_from_columns(tuple(chosen), T), CFFParams(w=w, r=r, d=0, N=N, T=T)):
+                raise ArithmeticError(f"cover search returned columns is_cff rejects: {chosen}")
             return N
     return None
 
 
-def _pattern_table(w: int, r: int, T: int) -> tuple[list[list[tuple[int, int]]], int]:
-    """(options, most) for the pairs (B, A) of w and r of the T blocks,
-    numbered k = 0, 1, ... with B in lexicographic order and A within it:
-    ``options[k]`` lists (p, separates[p]) for the patterns p that separate
-    pair k in ascending order, where bit k of ``separates[p]`` is set when
-    pattern p separates pair k, and ``most`` is the most pairs one pattern
+def _pattern_table(w: int, r: int, T: int) -> tuple[list[list[int]], list[int], int]:
+    """(patterns, separates, most) for the pairs (B, A) of w and r of the T
+    blocks, numbered k = 0, 1, ... with B in lexicographic order and A
+    within it: ``patterns[k]`` lists the patterns that separate pair k in
+    ascending order, bit k of ``separates[p]`` is set when pattern p
+    separates pair k, and ``most`` is the most pairs one pattern
     separates."""
     every = (1 << T) - 1
     blocks = [1 << i for i in range(T)]
@@ -439,25 +439,31 @@ def _pattern_table(w: int, r: int, T: int) -> tuple[list[list[tuple[int, int]]],
                     break
                 s = (s - free) & free
             patterns.append(own)
-    options = [[(p, separates[p]) for p in own] for own in patterns]
     # a pattern of j blocks separates the pairs with B inside it and A outside
     most = max(comb(j, w) * comb(T - j, r) for j in range(T + 1))
-    return options, most
+    return patterns, separates, most
 
 
 def _cover(
-    open_pairs: int, left: int, most: int, options: list[list[tuple[int, int]]], chosen: list[int]
+    open_pairs: int,
+    left: int,
+    most: int,
+    patterns: list[list[int]],
+    separates: list[int],
+    chosen: list[int],
 ) -> bool:
-    """Whether ``left`` more patterns from ``options`` separate every pair in
-    the bit set ``open_pairs``; ``chosen`` collects the patterns taken."""
+    """Whether ``left`` more patterns separate every pair in the bit set
+    ``open_pairs``, branching on ``patterns`` of the lowest open pair in
+    their order and clearing the pairs ``separates`` of each; ``chosen``
+    collects the patterns taken."""
     if not open_pairs:
         return True
     if left * most < open_pairs.bit_count():
         return False
     lowest = (open_pairs & -open_pairs).bit_length() - 1
-    for p, separated in options[lowest]:
+    for p in patterns[lowest]:
         chosen.append(p)
-        if _cover(open_pairs & ~separated, left - 1, most, options, chosen):
+        if _cover(open_pairs & ~separates[p], left - 1, most, patterns, separates, chosen):
             return True
         chosen.pop()
     return False

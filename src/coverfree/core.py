@@ -30,6 +30,13 @@ __all__ = [
 _CHUNK = 1024
 
 
+def _lines_per_chunk(n: int) -> int:
+    """Lines of N characters and an LF that a file write or parse takes at
+    a time: _CHUNK, or as many as fit in _CHUNK * 256 characters when they
+    are longer, so a chunk's text stays bounded however wide the rows."""
+    return max(1, min(_CHUNK, _CHUNK * 256 // (n + 1)))
+
+
 def _transpose(masks: Sequence[int], width: int) -> tuple[int, ...]:
     """The ``width`` masks whose bit i is bit j of ``masks[i]``, for
     j < width: the same bits read the other way, a block of at most
@@ -273,10 +280,8 @@ def _parse_lines(lines: Iterator[str]) -> tuple[IncidenceMatrix, CFFParams | Non
     except OverflowError:
         # too long a row for the pattern to count: each line is checked alone
         well_formed = None
-    # _CHUNK lines, or as many as fit in _CHUNK * 256 characters when they
-    # are longer: a chunk is held four times over (lines, text, reversed
-    # text, digits), so long lines are taken fewer at a time
-    size = max(1, min(_CHUNK, _CHUNK * 256 // (n + 1)))
+    # a chunk is held four times over (lines, text, reversed text, digits)
+    size = _lines_per_chunk(n)
     rows: list[int] = []
     while chunk := list(islice(lines, min(size, t - len(rows)))):
         text = "".join(chunk)
@@ -318,8 +323,9 @@ def write_matrix_file(
 ) -> None:
     """Write :func:`format_matrix`'s text, a chunk of lines at a time."""
     lines = _lines(m, claim)
+    size = _lines_per_chunk(m.num_points)
     with open(path, "w", newline="") as fh:
-        while chunk := "".join(islice(lines, _CHUNK)):
+        while chunk := "".join(islice(lines, size)):
             fh.write(chunk)
 
 

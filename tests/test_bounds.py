@@ -494,7 +494,25 @@ class TestMinNBruteforce:
         "w,r,T", [(w, r, T) for T in range(2, 6) for w in range(1, T) for r in range(1, T - w + 1)]
     )
     def test_pattern_table_matches_per_pattern_reference(self, w, r, T):
-        assert bounds._pattern_table(w, r, T) == pattern_table_by_patterns(w, r, T)
+        patterns, separates, most = bounds._pattern_table(w, r, T)
+        options, reference_most = pattern_table_by_patterns(w, r, T)
+        assert [[(p, separates[p]) for p in own] for own in patterns] == options
+        assert most == reference_most
+        # no incidence outside the pairs' own lists
+        assert sum(s.bit_count() for s in separates) == sum(map(len, options))
+        # the search branches in this order, so the node pins rest on it
+        assert all(own == sorted(set(own)) for own in patterns)
+
+    def test_confirm_catches_a_bad_cover(self, monkeypatch):
+        # every point in blocks 1 and 2 only: no point separates a pair
+        # whose B is block 0
+        def bad_cover(open_pairs, left, most, patterns, separates, chosen):
+            chosen.extend([0b110] * left)
+            return True
+
+        monkeypatch.setattr(bounds, "_cover", bad_cover)
+        with pytest.raises(ArithmeticError, match=r"is_cff rejects: \[6\]"):
+            min_N_bruteforce(1, 1, 3)
 
 
 def pattern_table_by_patterns(w: int, r: int, T: int):

@@ -16,6 +16,7 @@ from coverfree.construct import rs_cff
 from coverfree.core import (
     _CHUNK,
     IncidenceMatrix,
+    _lines_per_chunk,
     format_matrix,
     parse_matrix,
     read_matrix_file,
@@ -104,9 +105,19 @@ def test_fallback_past_unaffordable_maps(screen):
 def test_write(screen, tmp_path):
     m, claim = screen
     path = tmp_path / "screen.cff"
-    # measured 0.12
+    # measured 0.12; its 182-character lines are written 1024 at a time
+    assert _lines_per_chunk(m.num_points) == _CHUNK
     assert peak_per_cell(m, lambda: write_matrix_file(path, m, claim)) < 0.5
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCREEN_DIGEST
+
+
+def test_write_wide(screen, tmp_path):
+    m = screen[0].transpose()
+    path = tmp_path / "wide.cff"
+    # measured 0.15: 182 lines of 28 561 characters, written 9 at a time
+    # where 1024 at a time peaked at 2.0
+    assert peak_per_cell(m, lambda: write_matrix_file(path, m)) < 0.5
+    assert path.read_text() == format_matrix(m)
 
 
 def test_read(screen, tmp_path):

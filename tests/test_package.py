@@ -29,6 +29,7 @@ CROSS_MODULE_PRIVATE_READS = {
     "grouptest <- verify._reach",  # decode's counters are the cover search's counter
     "grouptest <- core._classes",  # decode counts by the classes the matrix keeps
     "construct <- core._from_columns",  # rs_cff builds columns first, as a matrix keeps them
+    "bounds <- core._from_columns",  # the min-N oracle's chosen patterns are its columns
 }
 
 
