@@ -47,8 +47,18 @@ def _echo(kind: str, pairs: list[tuple[str, object]]) -> None:
     print(kind + " " + " ".join(f"{k}={v}" for k, v in pairs))
 
 
-def _report(result: CheckResult) -> bool:
-    """Print the verdict, and the witness of a failure on stderr."""
+def _report(result: CheckResult, trials: int) -> bool:
+    """Print the refused exhaustive check and what a sampled pass shows,
+    each on a line of its own, then the verdict, and the witness of a
+    failure on stderr."""
+    if result.refusal is not None:
+        print(f"exhaustive check refused: {result.refusal}; sampled instead")
+    if result.ok and result.method == "sampled":
+        # the rule of three: n uniform (B, A) pairs without a violation
+        print(
+            f"sampled {trials} pairs, none violating: under {3 / trials:.3g} "
+            "of all pairs violate, at 95% confidence"
+        )
     print(f"check {result.method} {'ok' if result.ok else 'FAILED'}")
     wit = result.witness
     if wit is not None:
@@ -145,7 +155,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "claim",
         [("w", claim.w), ("r", claim.r), ("d", claim.d), ("N", claim.N), ("T", claim.T)],
     )
-    if not _report(check_claim(m, claim, budget=args.budget, trials=args.trials, seed=args.seed)):
+    result = check_claim(m, claim, budget=args.budget, trials=args.trials, seed=args.seed)
+    if not _report(result, args.trials):
         return EXIT_CHECK_FAILED
     write_matrix_file(args.out, m, claim)
     print(f"wrote {args.out}")
@@ -192,7 +203,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ],
     )
     result = check_claim(m, claim, budget=args.budget, trials=trials, seed=seed)
-    return EXIT_OK if _report(result) else EXIT_CHECK_FAILED
+    return EXIT_OK if _report(result, trials) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

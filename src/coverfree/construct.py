@@ -16,11 +16,13 @@ generators refuse to return anything unverified.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations
 from math import comb, factorial, gcd, log2
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .core import CFFParams, IncidenceMatrix, _from_columns
 from .gf import field
@@ -446,23 +448,78 @@ def _verified_attempts(
     tag: str,
     seed: int,
     max_attempts: int,
-    draw_block: Callable[[random.Random], int],
+    draw_rows: Callable[[random.Random, int], list[int]],
     budget: int,
     trials: int,
 ) -> tuple[IncidenceMatrix, CFFParams]:
-    """Draw T blocks with ``draw_block`` until ``check_claim`` accepts the
-    matrix. Attempt a draws from the stream ``tag:seed:a`` and is checked
-    with seed a, so results do not depend on how attempts are scheduled."""
+    """Draw T rows with ``draw_rows(rng, T)`` until ``check_claim`` accepts
+    the matrix. Attempt a draws from the stream ``tag:seed:a`` and is
+    checked with seed a, so results do not depend on how attempts are
+    scheduled. An attempt's stream serves its T rows and nothing else, so
+    ``draw_rows`` may take more of it than its rows need: the rows are the
+    whole contract, not the state the stream is left in."""
     if max_attempts < 1:
         raise ValueError("max_attempts must be positive")
     for attempt in range(max_attempts):
         rng = random.Random(f"{tag}:{seed}:{attempt}")
-        m = IncidenceMatrix(claim.N, tuple(draw_block(rng) for _ in range(claim.T)))
+        m = IncidenceMatrix(claim.N, tuple(draw_rows(rng, claim.T)))
         if check_claim(m, claim, budget=budget, trials=trials, seed=attempt):
             return m, claim
     raise ConstructionFailedError(
         max_attempts, f"no verified family in {max_attempts} attempts (seed={seed})"
     )
+
+
+def _randrange_draws(rng: random.Random, n: int, count: int) -> Sequence[int]:
+    """The values of ``count`` calls of ``rng.randrange(n)``, 0 < n < 2**32,
+    read from a few bulk draws; the stream is left further on than the
+    calls would leave it.
+
+    On CPython, ``randrange(n)`` makes one try per 32-bit Mersenne word: a
+    try keeps the word's top ``n.bit_length()`` bits and is made again
+    while they are n or more. ``getrandbits(32 * m)`` returns the next m
+    words, least significant first, so each word of the bulk draw is one
+    try, in the order the calls would make them.
+    """
+    bits = n.bit_length()
+    draws: bytearray | list[int]
+    if n < 256:
+        # a word's top byte b tries b >> (8 - bits): the table maps each
+        # byte to that value, or to 0xFF when the try is made again
+        table = b"".join(bytes([v]) * (1 << (8 - bits)) for v in range(n)).ljust(256, b"\xff")
+        draws, order = bytearray(), "little"
+    else:
+        draws, order, shift = [], sys.byteorder, 32 - bits
+    while len(draws) < count:
+        # the words that, on average, hold the draws still missing
+        words = ((count - len(draws)) << bits) // n
+        data = rng.getrandbits(32 * words).to_bytes(4 * words, order)
+        if n < 256:
+            draws += data[3::4].translate(table).replace(b"\xff", b"")
+        else:
+            draws += [v for v in (word >> shift for word in array("I", data)) if v < n]
+    return draws[:count]
+
+
+def _uniform_rows(ell: int, k: int, rng: random.Random, T: int) -> list[int]:
+    """T rows of k groups of ell points, one point per group: the rows that
+    drawing each group's point with ``rng.randrange(ell)``, group by group
+    and row by row, gives.
+
+    A row is read with one ``int(..., 2)`` of its groups' ell-character
+    strings, group k - 1 first; the string of a group whose point is v has
+    its 1 at v from the right."""
+    draws = _randrange_draws(rng, ell, T * k)
+    ones = "0" * (ell - 1) + "1" + "0" * (ell - 1)
+    piece: Callable[[int], str]
+    if ell < 256:
+        piece = [ones[v : v + ell] for v in range(ell)].__getitem__
+    else:  # a table would hold ell**2 characters
+        def piece(v: int) -> str:
+            return ones[v : v + ell]
+    return [
+        int("".join(map(piece, reversed(draws[i : i + k]))), 2) for i in range(0, T * k, k)
+    ]
 
 
 def random_cff(
@@ -501,7 +558,9 @@ def random_cff(
         "cff-random",
         seed,
         max_attempts,
-        lambda rng: sum(1 << j for j in range(N) if rng.random() < density),
+        lambda rng, T: [
+            sum(1 << j for j in range(N) if rng.random() < density) for _ in range(T)
+        ],
         budget,
         trials,
     )
@@ -525,9 +584,15 @@ def random_uniform_cff(
     integer exceeding (8/p) * ((w+r) log2(T) - log2(w!) - log2(r!)) and the
     claimed separation is d = floor(p*k/2) + 1. Verified before returning,
     like :func:`random_cff`.
+
+    Draw order: attempt a's rows are those that ``rng.randrange(ell)``,
+    called for groups 0 to k - 1 of block 0, then of block 1, and so on,
+    gives from ``random.Random(f"cff-uniform:{seed}:{a}")``. The rows are
+    drawn in one bulk pass over that stream and are the same bytes; ell is
+    below 2**32, so that every try of a draw is one word of the stream.
     """
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
+    if not 2 <= ell < 2**32:
+        raise ValueError("ell must be at least 2 and below 2**32")
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
     p = (ell - 1) ** r / float(ell ** (w + r - 1))
@@ -538,7 +603,7 @@ def random_uniform_cff(
         "cff-uniform",
         seed,
         max_attempts,
-        lambda rng: sum(1 << (g * ell + rng.randrange(ell)) for g in range(k)),
+        partial(_uniform_rows, ell, k),
         budget,
         trials,
     )

@@ -29,9 +29,9 @@ The budget counts nodes, the work a check has done, not a price set
 upfront: one for each B-set visited, each cover-search call and each call
 of the witness walk. The count depends only on the matrix and the claim,
 never on the machine, and a check that would pass its budget stops with
-``BudgetExceededError``, which gives the budget and the share of B-sets
-cleared. A check that ends within the budget returns what it would return
-with no budget at all.
+``BudgetExceededError``, whose ``refusal`` gives the budget and the share
+of B-sets cleared. A check that ends within the budget returns what it
+would return with no budget at all.
 
 When ``m.symmetries`` is non-empty and ``m`` has at most 256 points,
 ``is_cff`` and ``max_r`` take the orbit route over those point
@@ -64,10 +64,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, pairwise, takewhile
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import CFFParams, IncidenceMatrix, _check_shape
 
@@ -91,9 +91,29 @@ DEFAULT_BUDGET = 250_000
 DEFAULT_TRIALS = 100_000
 
 
+class Refusal(NamedTuple):
+    """An exhaustive check that ran out of its node budget: the budget, and
+    how many of the scan's ``total`` B-sets it had cleared."""
+
+    budget: int
+    cleared: int
+    total: int
+
+    def __str__(self) -> str:
+        return (
+            f"the budget of {self.budget} nodes ran out with {self.cleared} of "
+            f"{self.total} B-sets cleared ({self.cleared / self.total:.1%})"
+        )
+
+
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive check runs out of its budget of nodes, or
-    a construction would pass the library's block cap."""
+    """Raised when an exhaustive check runs out of its budget of nodes, with
+    the ``refusal``, or when a construction would pass the library's block
+    cap, with none."""
+
+    def __init__(self, message: str, refusal: Refusal | None = None) -> None:
+        super().__init__(message)
+        self.refusal = refusal
 
 
 @dataclass(frozen=True)
@@ -127,9 +147,14 @@ def _uncovered(rows: Sequence[int], inter: int, a_rows: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A verdict, the witness of a failure, and the check that gave it.
+    ``refusal`` is the exhaustive check that ran out of its budget before a
+    sampled verdict, and None when none did or sampling was asked for."""
+
     ok: bool
     witness: ViolationWitness | None = None
     method: str = "exhaustive"
+    refusal: Refusal | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -166,10 +191,8 @@ class _Meter:
     def charge(self, units: int = 1) -> None:
         self.left -= units
         if self.left < 0:
-            raise BudgetExceededError(
-                f"the budget of {self.budget} nodes ran out with {self.cleared} of "
-                f"{self.total} B-sets cleared ({self.cleared / self.total:.1%})"
-            )
+            refusal = Refusal(self.budget, self.cleared, self.total)
+            raise BudgetExceededError(str(refusal), refusal)
 
 
 def _scan(
@@ -601,12 +624,14 @@ def check_claim(
     A claimed block size ``k`` is checked first: a matrix that is not
     k-uniform fails with method ``"k-uniform"`` and no witness. Otherwise
     the result's ``method`` field records which cover-free check ran. A
-    budget of 0 always samples.
+    budget of 0 always samples; a sampled verdict past a larger budget
+    records the exhaustive check's ``refusal``.
     """
     _check_shape(m, params)
     if params.k is not None and not is_k_uniform(m, params.k):
         return CheckResult(False, method="k-uniform")
     try:
         return is_cff(m, params, budget=budget)
-    except BudgetExceededError:
-        return is_cff_sampled(m, params, trials, seed)
+    except BudgetExceededError as exc:
+        sampled = is_cff_sampled(m, params, trials, seed)
+        return replace(sampled, refusal=exc.refusal) if budget else sampled

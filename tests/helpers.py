@@ -22,6 +22,13 @@ def row_strings(m):
     return [format(row, f"0{n}b")[::-1] for row in m.rows]
 
 
+def uniform_rows_per_draw(ell, k, rng, T):
+    """Reference for ``construct._uniform_rows``: T rows of k groups of ell
+    points, each group's point drawn with its own ``rng.randrange(ell)``
+    call, group by group and row by row."""
+    return [sum(1 << (g * ell + rng.randrange(ell)) for g in range(k)) for _ in range(T)]
+
+
 def entries(report):
     """A bound report's entries by name."""
     return {e.name: e for e in report.entries}

@@ -357,13 +357,31 @@ class TestVerify:
     def test_claim_check_over_budget_samples_instead_of_refusing(self, capsys, rs_file):
         path, _ = rs_file
         # 9 B-sets and a cover search each: below 18 nodes the claim is
-        # sampled, so verify has no refusal to print
+        # sampled, and the refusal is a line of stdout, not a budget error
         rc, out, err = run_cli(capsys, "verify", path, "--budget", "17", "--trials", "50")
         assert rc == 0 and err == ""
         assert out.splitlines()[-1] == "check sampled ok"
         rc, out, err = run_cli(capsys, "verify", path, "--budget", "18")
         assert rc == 0 and err == ""
         assert out.splitlines()[-1] == "check exhaustive ok"
+
+    def test_a_refused_scan_is_named_before_the_sampled_verdict(self, capsys, tmp_path):
+        # rs_cff(7, 8, 3)'s file: the plain scan needs 686 nodes
+        path = str(tmp_path / "rs783.cff")
+        write_matrix_file(path, *rs_cff(7, 8, 3))
+        bound = "sampled 200 pairs, none violating: under 0.015 of all pairs violate, at 95% confidence"
+        rc, out, err = run_cli(capsys, "verify", path, "--budget", "100", "--trials", "200")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "exhaustive check refused: the budget of 100 nodes ran out with 50 of 343 "
+            "B-sets cleared (14.6%); sampled instead",
+            bound,
+            "check sampled ok",
+        ]
+        # a zero budget asks for sampling: nothing was refused
+        rc, out, err = run_cli(capsys, "verify", path, "--budget", "0", "--trials", "200")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1:] == [bound, "check sampled ok"]
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "verify", str(tmp_path / "nowhere.cff"))

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from dataclasses import replace
 from itertools import combinations, product
 from math import comb
@@ -11,7 +13,9 @@ from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.construct import (
     ConstructionFailedError,
     _poly_values,
+    _randrange_draws,
     _translations,
+    _uniform_rows,
     OrthogonalArray,
     PackingDesign,
     oa_construct,
@@ -29,7 +33,14 @@ from coverfree.construct import (
 )
 from coverfree.gf import field
 from coverfree.verify import BudgetExceededError, is_cff, is_k_uniform
-from helpers import block_sizes, check_orthogonal_array, identity, is_disjunct, rs_degree
+from helpers import (
+    block_sizes,
+    check_orthogonal_array,
+    identity,
+    is_disjunct,
+    rs_degree,
+    uniform_rows_per_draw,
+)
 
 
 def check_packing(p):
@@ -438,3 +449,52 @@ class TestRandom:
     def test_uniform_rejects_degenerate_alphabet(self):
         with pytest.raises(ValueError):
             random_uniform_cff(1, 1, 1, 4)
+
+    def test_uniform_rejects_an_alphabet_past_one_word_a_try(self):
+        with pytest.raises(ValueError):
+            random_uniform_cff(2**32, 1, 1, 4)
+
+
+# Recorded with the per-draw builders (one randrange call a group, one
+# random() call an entry), before uniform rows were drawn in bulk: one
+# sha256 over repr((matrix, claim)) for seeds 0-4 at each of the random
+# points of the certify benchmark pool.
+RANDOM_DIGESTS = {
+    (random_uniform_cff, (2, 1, 2, 8)): "a5180f284493ba2c20d031be02dff5ef83898b9b8205e3b616e716326ae5119e",
+    (random_cff, (1, 2, 0, 12)): "fd50d2f46e9710986cad32c6a4d419cac89bd5dbea3ddeee9e460886902c4521",
+    (random_cff, (2, 1, 0, 10)): "f561b543060e80d1cddb77675f35133e91283fee8d44b1231d4607cac0f12231",
+}
+
+
+@pytest.mark.parametrize("point", list(RANDOM_DIGESTS), ids=lambda p: f"{p[0].__name__}{p[1]}")
+def test_random_families_are_pinned(point):
+    build, args = point
+    digest = hashlib.sha256()
+    for seed in range(5):
+        digest.update(repr(build(*args, seed=seed)).encode())
+    assert digest.hexdigest() == RANDOM_DIGESTS[point]
+
+
+# both sides of the byte table, alphabets past one byte and past two (65537
+# keeps about half of its tries), and the largest, a whole word a try
+BULK_ALPHABETS = (2, 3, 4, 5, 7, 16, 255, 256, 300, 65537, 2**32 - 1)
+
+
+class TestBulkDraws:
+    @pytest.mark.parametrize("n", BULK_ALPHABETS)
+    def test_draws_are_the_randrange_calls(self, n):
+        for seed in range(50):
+            for count in (1, 2, 3, 31, 257, 1000, 2056, 3001):
+                bulk, calls = random.Random(f"bulk:{seed}"), random.Random(f"bulk:{seed}")
+                expected = [calls.randrange(n) for _ in range(count)]
+                assert list(_randrange_draws(bulk, n, count)) == expected
+
+    @pytest.mark.parametrize("ell", BULK_ALPHABETS[:-1])
+    def test_rows_are_the_per_draw_rows(self, ell):
+        # T * k from 1 to 2056 (the certify point's 8 rows of 257 groups),
+        # fewer groups past the byte table, where a row holds k * ell bits
+        shapes = [(1, 1), (1, 7), (5, 1), (3, 11), (8, 257)] if ell < 256 else [(1, 1), (2, 3), (4, 9)]
+        for seed in range(50):
+            for k, T in shapes:
+                bulk, calls = random.Random(f"rows:{seed}"), random.Random(f"rows:{seed}")
+                assert _uniform_rows(ell, k, bulk, T) == uniform_rows_per_draw(ell, k, calls, T)

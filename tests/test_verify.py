@@ -992,6 +992,20 @@ class TestCheckClaim:
         res = check_claim(m, params(1, 1, 0, 4, 4), budget=1, trials=30)
         assert res.ok and res.method == "sampled"
 
+    def test_records_the_refused_scan_unless_sampling_was_asked_for(self):
+        m = identity(4)
+        claim = params(1, 1, 0, 4, 4)
+        refused = check_claim(m, claim, budget=1, trials=30)
+        assert refused.refusal == (1, 0, 4)
+        assert str(refused.refusal) == "the budget of 1 nodes ran out with 0 of 4 B-sets cleared (0.0%)"
+        assert check_claim(m, claim, budget=0, trials=30) == CheckResult(True, method="sampled")
+        assert check_claim(m, claim).refusal is None
+        over = check_claim(m, params(1, 3, 1, 4, 4), budget=1, trials=30)
+        assert (over.ok, over.method, over.refusal) == (False, "sampled", (1, 0, 4))
+        with pytest.raises(BudgetExceededError) as exc:
+            is_cff(m, claim, budget=1)
+        assert exc.value.refusal == refused.refusal
+
     def test_wrong_k_fails(self):
         m, claim = rs_cff(3, 4, 3)
         assert claim.k == 4 and check_claim(m, claim).ok
