@@ -1,6 +1,7 @@
 """Generators for cover-free families and the combinatorial gadgets behind
-them: subset systems, orthogonal arrays, packing designs, Reed-Solomon
-codes, modular hash families, recursive composition, and random sampling.
+them: orthogonal arrays, packing designs and Reed-Solomon codes. The
+families come from subset systems, middle layers, codes, recursive
+hash-family composition and random sampling.
 
 A code of large distance gives a family: its words are the columns of an
 orthogonal array, :func:`oa_to_packing` turns each column into a block, and
@@ -33,7 +34,6 @@ __all__ = [
     "DEFAULT_MAX_BLOCKS",
     "OrthogonalArray",
     "PackingDesign",
-    "SHFTable",
     "oa_construct",
     "oa_to_packing",
     "packing_to_cff",
@@ -41,11 +41,8 @@ __all__ = [
     "random_uniform_cff",
     "recursive_cff",
     "rs_cff",
-    "shf_compose",
-    "shf_modular",
     "sperner_cff",
     "trivial_cff",
-    "trivial_ds",
 ]
 
 # the most blocks rs_cff and recursive_cff will build
@@ -63,22 +60,18 @@ class ConstructionFailedError(RuntimeError):
 # ---------------------------------------------------------------------------
 # deterministic subset systems
 
-def trivial_ds(n: int, i: int, j: int) -> IncidenceMatrix:
-    """All i-subsets of an n-set as blocks, or all (n-j)-subsets when those
-    are fewer: an (i, j)-disjunct system with min(C(n,i), C(n,j)) blocks
-    over n points. Its transpose is an (i, j; 0)-cover-free family."""
-    if i < 1 or j < 1:
-        raise ValueError("i and j must be positive")
-    if i + j > n:
-        raise ValueError(f"need i + j <= n, got {i} + {j} > {n}")
-    size = i if comb(n, i) <= comb(n, j) else n - j
-    return IncidenceMatrix.from_blocks(n, combinations(range(n), size))
-
-
 def trivial_cff(n: int, w: int, r: int) -> tuple[IncidenceMatrix, CFFParams]:
-    """The transpose of :func:`trivial_ds`: a (w, r; 0)-cover-free family
-    with n blocks over min(C(n,w), C(n,r)) points."""
-    m = trivial_ds(n, w, r).transpose()
+    """A (w, r; 0)-cover-free family with n blocks over min(C(n,w), C(n,r))
+    points. Each point's column is one subset of the blocks: every
+    w-subset, or every (n-r)-subset when those are fewer. Disjoint block
+    sets W and R of sizes w and r share the point whose column is W, or
+    the one whose column is the complement of R, which holds W."""
+    if w < 1 or r < 1:
+        raise ValueError("w and r must be positive")
+    if w + r > n:
+        raise ValueError(f"need w + r <= n, got {w} + {r} > {n}")
+    size = w if comb(n, w) <= comb(n, r) else n - r
+    m = _from_columns(tuple(sum(1 << i for i in s) for s in combinations(range(n), size)), n)
     return m, CFFParams(w=w, r=r, d=0, N=m.num_points, T=n)
 
 
@@ -271,93 +264,14 @@ def rs_cff(q: int, N: int, r: int, d: int = 0) -> tuple[IncidenceMatrix, CFFPara
 
 
 # ---------------------------------------------------------------------------
-# separating hash families and recursion
-
-@dataclass(frozen=True)
-class SHFTable:
-    """A family of hash functions (rows) from column indices to
-    0..num_symbols-1 such that any disjoint column sets of sizes w and r
-    get disjoint images under at least one function."""
-
-    num_symbols: int
-    w: int
-    r: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_functions(self) -> int:
-        return len(self.rows)
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.rows[0])
-
-
-def shf_modular(n: int, w: int, r: int) -> SHFTable:
-    """The w*r+1 functions f_c(x, y) = x + c*y mod n on the n^2 columns
-    (x, y), column index x*n + y.
-
-    Two distinct columns collide under at most one c in 0..w*r: subtracting
-    two collisions gives (c - c')*(y - y') = 0 mod n, and 0 < |c - c'| <= wr
-    is invertible because gcd(n, (w*r)!) = 1. A disjoint (w, r) column pair
-    spoils at most w*r of the w*r+1 rows, leaving a separating one.
-    """
-    if w < 1 or r < 1:
-        raise ValueError("w and r must be positive")
-    if n < w + r:
-        raise ValueError(f"need n >= w + r, got n={n}")
-    if gcd(n, factorial(w * r)) != 1:
-        raise ValueError(f"need gcd(n, (w*r)!) = 1, got n={n}, w*r={w * r}")
-    rows = tuple(
-        tuple((x + c * y) % n for x in range(n) for y in range(n))
-        for c in range(w * r + 1)
-    )
-    return SHFTable(num_symbols=n, w=w, r=r, rows=rows)
-
-
-def shf_compose(
-    base: IncidenceMatrix, base_claim: CFFParams, shf: SHFTable
-) -> tuple[IncidenceMatrix, CFFParams]:
-    """Substitute hash symbols with base blocks: column j of the table
-    becomes the concatenation, over functions f, of base block f(j).
-
-    A (w, r; d)-family on v points with m blocks plus a separating table
-    with N functions over m symbols gives a (w, r; d)-family on v*N points
-    with one block per table column: a separating row keeps the base
-    residual intact inside its segment.
-    """
-    if shf.num_symbols != base.num_blocks:
-        raise ValueError(
-            f"table symbols ({shf.num_symbols}) must match base blocks ({base.num_blocks})"
-        )
-    if (shf.w, shf.r) != (base_claim.w, base_claim.r):
-        raise ValueError(
-            f"separation profile ({shf.w}, {shf.r}) does not match the base claim "
-            f"({base_claim.w}, {base_claim.r})"
-        )
-    v = base.num_points
-    new_rows = []
-    for j in range(shf.num_columns):
-        mask = 0
-        for f_idx, row in enumerate(shf.rows):
-            mask |= base.rows[row[j]] << (f_idx * v)
-        new_rows.append(mask)
-    m = IncidenceMatrix(v * shf.num_functions, tuple(new_rows))
-    claim = CFFParams(
-        w=base_claim.w,
-        r=base_claim.r,
-        d=base_claim.d,
-        N=v * shf.num_functions,
-        T=shf.num_columns,
-    )
-    return m, claim
-
+# recursion by separating hash families
 
 def _lift(
     below: Callable[[int], tuple[int, ...]], n: int, v: int, functions: int, a: int, b: int
 ) -> tuple[int, ...]:
     """The point map that the column translation (x, y) -> (x + a, y + b)
-    induces on ``shf_compose`` over ``shf_modular(n, ...)``: f_c shifts by
+    induces on one round of :func:`recursive_cff` over a base of n blocks
+    on v points: segment c holds base block x + c*y mod n, which shifts by
     a + c*b, so segment c, at points c*v .. c*v + v-1, moves by
     ``below(a + c*b mod n)``, the base's point map that adds that shift
     to every block index."""
@@ -373,11 +287,23 @@ def recursive_cff(
     """``levels`` rounds of hash-family composition over a subset-system base.
 
     The base ground size is n0 = min{n >= w+r : gcd(n, (w*r)!) = 1}; the
-    transposed subset system is a (w, r; 0)-family with N0 =
+    base is ``trivial_cff(n0, w, r)``, a (w, r; 0)-family with N0 =
     min(C(n0, w), C(n0, r)) points and n0 blocks, point-replicated d+1
     times to reach separation d. Each round squares the block count, giving
     a (w, r; d)-family with (w*r+1)^levels * (d+1) * N0 points and
     n0^(2^levels) blocks.
+
+    A round substitutes the base, n blocks on v points, into the w*r+1
+    hash functions f_c(x, y) = x + c*y mod n on the n^2 columns (x, y):
+    block x*n + y holds, in segment c, at points c*v .. c*v + v-1, the base
+    block f_c(x, y). Two distinct columns collide under at most one c:
+    subtracting two collisions gives (c - c')*(y - y') = 0 mod n, and
+    0 < |c - c'| <= w*r is invertible because n = n0^(2^l) is coprime to
+    (w*r)! as n0 is. Disjoint sets of w and r blocks make at most w*r
+    colliding pairs, which spoil at most w*r of the w*r+1 functions. Under
+    a function left, the two sides map to disjoint sets of base blocks, so
+    the base keeps d+1 points of the w side's intersection outside the r
+    side's union in that function's segment.
 
     The matrix's ``symmetries`` are translations. At level 0 it is the
     rotation i -> i+1 of the n0 ground elements, a map of the subset
@@ -407,7 +333,7 @@ def recursive_cff(
         raise BudgetExceededError(
             f"{n0}^(2^{levels}) blocks exceed the cap of {DEFAULT_MAX_BLOCKS}"
         )
-    m, claim = trivial_cff(n0, w, r)
+    m, _ = trivial_cff(n0, w, r)
     # point p is the subset columns[p] of the ground elements, as a mask
     subsets = m.columns
     index = {mask: p for p, mask in enumerate(subsets)}
@@ -423,13 +349,22 @@ def recursive_cff(
 
     if d > 0:
         m = m.replicate_points(copies)
-        claim = CFFParams(w=w, r=r, d=d, N=m.num_points, T=n0)
     # shift(t) adds t, a multiple of ``step``, to every block index
     shift, step, symmetries = rotate, 1, (rotate(1),)
     functions = w * r + 1
     for _ in range(levels):
         n, v = m.num_blocks, m.num_points
-        m, claim = shf_compose(m, claim, shf_modular(n, w, r))
+        # segments[c][i] is base block i moved to segment c; the segments
+        # of a block share no point, so their sum is their union
+        segments = [[row << (c * v) for row in m.rows] for c in range(functions)]
+        m = IncidenceMatrix(
+            v * functions,
+            tuple(
+                sum(segment[(x + c * y) % n] for c, segment in enumerate(segments))
+                for x in range(n)
+                for y in range(n)
+            ),
+        )
         lift = partial(_lift, shift, n, v, functions)
         symmetries = (lift(step, 0), lift(0, step))
 
@@ -437,6 +372,7 @@ def recursive_cff(
             return lift(t // n, 0)
 
         step *= n
+    claim = CFFParams(w=w, r=r, d=d, N=m.num_points, T=m.num_blocks)
     return replace(m, symmetries=symmetries), claim
 
 

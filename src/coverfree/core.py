@@ -102,8 +102,8 @@ class IncidenceMatrix:
 
     ``rows[i]`` is the bitmask of block i; bit j set means point j belongs
     to the block. ``columns`` is the same matrix read by point, built on
-    first use and kept (a transpose, or a matrix built from its columns,
-    starts with them); it takes no part in ``==``, ``hash`` or ``repr``,
+    first use and kept (a matrix built from its columns starts with
+    them); it takes no part in ``==``, ``hash`` or ``repr``,
     and neither does the split of the points into classes kept beside it.
     Nor does ``symmetries``: point permutations that a construction claims
     map the set of rows onto itself, one tuple of images per permutation.
@@ -175,13 +175,6 @@ class IncidenceMatrix:
                 mask |= 1 << j
             packed.append(mask)
         return cls(num_points, tuple(packed))
-
-    def transpose(self) -> "IncidenceMatrix":
-        """Swap the roles of blocks and points."""
-        t = IncidenceMatrix(self.num_blocks, self.columns)
-        # the rows are its columns: kept as their cache, not transposed again
-        t.__dict__["columns"] = self.rows
-        return t
 
     def replicate_points(self, copies: int) -> "IncidenceMatrix":
         """Duplicate every point ``copies`` times (copies of point j sit at

@@ -3,13 +3,19 @@
 from itertools import combinations
 from math import log2
 
-from coverfree.core import IncidenceMatrix
+from coverfree.core import IncidenceMatrix, _from_columns
 from coverfree.verify import CheckResult, ViolationWitness
 
 
 def identity(n):
     """n singleton blocks over n points: block i is {i}."""
     return IncidenceMatrix(n, tuple(1 << i for i in range(n)))
+
+
+def transpose(m):
+    """``m`` with the roles of blocks and points swapped; its columns are
+    ``m.rows``, kept as their cache."""
+    return _from_columns(m.rows, m.num_points)
 
 
 def block_sizes(m):
@@ -40,7 +46,7 @@ def is_disjunct(m, i, j):
     holding all of P and none of Q. The transpose of an (i, j)-disjunct
     matrix is an (i, j)-cover-free family and vice versa. A failure's
     witness holds the first such (P, Q), by |P|, P, |Q| and Q, in its row
-    fields and replays against ``m.transpose()``."""
+    fields and replays against ``transpose(m)``."""
     points = range(m.num_points)
     for p_size in range(i + 1):
         for p_set in combinations(points, p_size):
@@ -52,6 +58,27 @@ def is_disjunct(m, i, j):
                     if not any(row & p_mask == p_mask and not row & q_mask for row in m.rows):
                         return CheckResult(False, ViolationWitness(p_set, q_set, 0))
     return CheckResult(True)
+
+
+def modular_hash_table(n, w, r):
+    """Reference for the hash functions of one ``recursive_cff`` round: the
+    w*r+1 functions f_c(x, y) = x + c*y mod n on the n^2 columns (x, y),
+    column index x*n + y, one row of symbols per function."""
+    return [[(x + c * y) % n for x in range(n) for y in range(n)] for c in range(w * r + 1)]
+
+
+def hash_compose(base, table):
+    """Reference for one ``recursive_cff`` round: column j of the hash table
+    becomes the block that holds, for each function f, base block f(j) at
+    points f*v .. f*v + v-1, where v is the base's point count."""
+    v = base.num_points
+    rows = []
+    for j in range(len(table[0])):
+        mask = 0
+        for f, row in enumerate(table):
+            mask |= base.rows[row[j]] << (f * v)
+        rows.append(mask)
+    return IncidenceMatrix(v * len(table), tuple(rows))
 
 
 def check_orthogonal_array(oa):

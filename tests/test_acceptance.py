@@ -37,7 +37,7 @@ from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.grouptest import TestOutcome as Outcome
 from coverfree.grouptest import decode, encode
 from coverfree.verify import is_cff, is_k_uniform, pair_count
-from helpers import block_sizes, check_orthogonal_array, entries, is_disjunct
+from helpers import block_sizes, check_orthogonal_array, entries, is_disjunct, transpose
 
 
 _CAPSYS = None
@@ -206,7 +206,7 @@ def test_criterion_10_transpose_duality():
         n = rng.randint(4, 7)
         t = rng.randint(4, 7)
         m = IncidenceMatrix(n, tuple(rng.randrange(1 << n) for _ in range(t)))
-        mt = m.transpose()
+        mt = transpose(m)
         for i, j in profiles:
             direct = is_disjunct(m, i, j).ok
             dual = is_cff(mt, CFFParams(w=i, r=j, d=0, N=t, T=n)).ok

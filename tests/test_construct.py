@@ -25,20 +25,20 @@ from coverfree.construct import (
     random_uniform_cff,
     recursive_cff,
     rs_cff,
-    shf_compose,
-    shf_modular,
     sperner_cff,
     trivial_cff,
-    trivial_ds,
 )
 from coverfree.gf import field
 from coverfree.verify import BudgetExceededError, is_cff, is_k_uniform
 from helpers import (
     block_sizes,
     check_orthogonal_array,
+    hash_compose,
     identity,
     is_disjunct,
+    modular_hash_table,
     rs_degree,
+    transpose,
     uniform_rows_per_draw,
 )
 
@@ -57,48 +57,136 @@ def check_packing(p):
     return True
 
 
-def check_separating(shf):
+def check_separating(table, w, r):
     """Reference oracle: every disjoint (w, r) column pair has a row that
     maps the two sides to disjoint symbol sets."""
-    cols = range(shf.num_columns)
-    for c1 in combinations(cols, shf.w):
+    cols = range(len(table[0]))
+    for c1 in combinations(cols, w):
         rest = [c for c in cols if c not in c1]
-        for c2 in combinations(rest, shf.r):
-            if not any(not ({row[c] for c in c1} & {row[c] for c in c2}) for row in shf.rows):
+        for c2 in combinations(rest, r):
+            if not any(not ({row[c] for c in c1} & {row[c] for c in c2}) for row in table):
                 return False
     return True
 
 
+def subset_masks(n, size):
+    return tuple(sum(1 << i for i in s) for s in combinations(range(n), size))
+
+
+# sha256 of repr((matrix, claim)) and of repr(matrix.symmetries) at
+# recursive_cff(w, r, d, levels), recorded before the hash-family
+# composition was folded into it
+RECURSIVE_DIGESTS = {
+    (1, 2, 0, 0): (
+        "85cdd0cf422c839688aeb78a6db8b6368b0ac48db993519dc4710ebd29899e79",
+        "d2d6cd463f6f672274746d25cd046aab3dbf276bab3f70365ac6b193c5250614",
+    ),
+    (1, 2, 1, 0): (
+        "44d2689288d38353a21071e25a7d639099a23cade9160d11a28686886397cdc0",
+        "de1ee3431b8b41f4853866f47ca2b7e1c4b75229e44621d2656cf07d2cbe5bfb",
+    ),
+    (1, 1, 0, 1): (
+        "0484de1e50f357ff9e7cad016a2755021b86d8b3d09cd1228ecf0c83077af66f",
+        "950671067ed8467b364bcf3b1fcb5c2fd631c69efc2ccfb07f4125864595a2ef",
+    ),
+    (2, 2, 0, 1): (
+        "76e7e1d9eeabd86d263e23e919ee8d4e26b6b03cf06cd8708ad2dc4c60279fb6",
+        "8f1d2a26b7108e931a10bf55282fce1a3f1accec0b8d97b460105221e879c650",
+    ),
+    (1, 2, 0, 2): (
+        "a73af67ab168cb2a9cc7d6f53796d7ba92f3fa1d0a57c2126454f2d01d561afe",
+        "7407a7212c20957a193c5724bd2e00757ecefec5b15cfb7a0331e864b25e76d5",
+    ),
+    (1, 2, 1, 2): (
+        "23b7792c24feeed0a6a7801017c2481418f5111f01d5c3c8b8dccf3f401d0606",
+        "cf322e3542769b735500a182cac57f364b4fe078169b8b455ee5cda9aa0fea7a",
+    ),
+    (2, 2, 0, 2): (
+        "514e261cde9a0009ddedc61361967677f0428224e7437d1ba0fba7aac9ecb2a1",
+        "921941ec47c4d6036b3069e76c24888c4e59e505f473cd206a48d547ba249b19",
+    ),
+    (1, 1, 0, 3): (
+        "c23ec689d05e72497bfc72689c2c020a849428ffe4b3679e27f6020e38f2d36a",
+        "7a5c22852964f94555cb48551bc381e355bb68d9b0ef1bdb55129c1934495256",
+    ),
+    (1, 1, 2, 2): (
+        "4dc250d9ba90b35d5eb9a4e7325cdf6c17bc94b44e6f973e943ffb03c1575b13",
+        "2308a684ed4be093e41691004a5e2e701e3bcd25bb060c37d8b3815d4d147488",
+    ),
+}
+
+# sha256 of repr((matrix, claim)) and of repr(matrix.columns) at
+# trivial_cff(n, w, r), recorded before it built from its columns
+TRIVIAL_DIGESTS = {
+    (5, 2, 2): (
+        "bdae5f6e0ab5cc2490b161bd1867c5f8aac3117395fb0bb81a77d060ba5e6bfd",
+        "4d44ba32021f3025e5623214d4969ea542aeff6d99b5095cd296ec5a0fac5eed",
+    ),
+    (6, 2, 3): (
+        "a2bb7dd44466a0fa91b2b46396d83092859b34b72381fe8210e1342918e04c5d",
+        "964ef8125dc8cc0908f78a6844214578807f74f20dcf88e3473ef475108c107b",
+    ),
+    (7, 3, 2): (
+        "766709de0a458bcf780cb0b17f456fe1473af78c958f7625f2d76813992eebe5",
+        "34f67b5d7aca632d262f22fb4c2c8a35224537e004cadfe1c2ff01914289e664",
+    ),
+    (8, 1, 3): (
+        "9ea050168e71da6192574fd35c964d18179de4717137f4d8600d34898fc91c22",
+        "60d9edfa4b5446e88471ff2d7adbabe44f99bda287aef16a9252edcae526995c",
+    ),
+}
+
+
+def sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", list(RECURSIVE_DIGESTS))
+def test_recursive_families_are_pinned(args):
+    m, claim = recursive_cff(*args)
+    assert (sha256((m, claim)), sha256(m.symmetries)) == RECURSIVE_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", list(TRIVIAL_DIGESTS))
+def test_trivial_families_are_pinned(args):
+    m, claim = trivial_cff(*args)
+    assert (sha256((m, claim)), sha256(m.columns)) == TRIVIAL_DIGESTS[args]
+    assert m.symmetries == ()
+
+
 class TestTrivialDS:
+    """trivial_cff's transpose is the trivial disjunct system: all w-subsets
+    of the n blocks, or all (n-r)-subsets when those are fewer."""
+
     def test_singletons_when_i_side_smaller(self):
-        assert trivial_ds(4, 1, 2) == identity(4)
+        m, _ = trivial_cff(4, 1, 2)
+        assert transpose(m) == identity(4) and m.columns == subset_masks(4, 1)
 
     def test_transpose_is_cover_free(self):
-        m = trivial_ds(5, 2, 2)
-        assert m.num_blocks == 10 and block_sizes(m) == (2,) * 10
-        claim = CFFParams(w=2, r=2, d=0, N=10, T=5)
-        assert trivial_cff(5, 2, 2) == (m.transpose(), claim)
-        for t in (m.transpose(), trivial_cff(5, 2, 2)[0]):
-            assert is_cff(t, claim).ok
+        m, claim = trivial_cff(5, 2, 2)
+        assert claim == CFFParams(w=2, r=2, d=0, N=10, T=5)
+        assert m.columns == subset_masks(5, 2) == transpose(m).rows
+        assert block_sizes(transpose(m)) == (2,) * 10
+        assert is_cff(m, claim).ok
 
     def test_tie_prefers_i_subsets(self):
-        m = trivial_ds(4, 3, 1)
-        assert m.num_blocks == 4 and block_sizes(m) == (3, 3, 3, 3)
+        m, _ = trivial_cff(4, 3, 1)
+        assert m.num_points == 4 and block_sizes(transpose(m)) == (3, 3, 3, 3)
 
-    @pytest.mark.parametrize("n,i,j", [(3, 2, 2), (3, 0, 1), (3, 1, 0)])
-    def test_rejects(self, n, i, j):
+    @pytest.mark.parametrize("n,w,r", [(3, 2, 2), (3, 0, 1), (3, 1, 0)])
+    def test_rejects(self, n, w, r):
         with pytest.raises(ValueError):
-            trivial_ds(n, i, j)
+            trivial_cff(n, w, r)
 
     @given(st.integers(2, 6), st.integers(1, 2), st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
-    def test_disjunct_both_routes(self, n, i, j):
-        if i + j > n:
+    def test_disjunct_both_routes(self, n, w, r):
+        if w + r > n:
             return
-        m = trivial_ds(n, i, j)
-        assert is_disjunct(m, i, j).ok
-        claim = CFFParams(w=i, r=j, d=0, N=m.num_blocks, T=n)
-        assert is_cff(m.transpose(), claim).ok
+        m, claim = trivial_cff(n, w, r)
+        assert claim == CFFParams(w=w, r=r, d=0, N=m.num_points, T=n)
+        assert is_disjunct(transpose(m), w, r).ok
+        assert is_cff(m, claim).ok
 
 
 class TestSperner:
@@ -313,34 +401,32 @@ class TestPolynomialEvaluator:
 
 
 class TestSeparatingHash:
+    """recursive_cff against the hash-family composition it folds in: the
+    reference modular table and one substitution of the base into it."""
+
     @pytest.mark.parametrize("n,w,r", [(2, 1, 1), (5, 2, 2)])
     def test_modular_family_separates(self, n, w, r):
-        shf = shf_modular(n, w, r)
-        assert shf.num_functions == w * r + 1
-        assert shf.num_columns == n * n
-        assert check_separating(shf)
-
-    def test_rejects_small_or_smooth_modulus(self):
-        with pytest.raises(ValueError):
-            shf_modular(2, 1, 2)
-        with pytest.raises(ValueError):
-            shf_modular(6, 2, 2)
+        table = modular_hash_table(n, w, r)
+        assert len(table) == w * r + 1
+        assert len(table[0]) == n * n
+        assert check_separating(table, w, r)
 
     def test_compose_explicit(self):
-        base = trivial_ds(2, 1, 1).transpose()
-        base_claim = CFFParams(w=1, r=1, d=0, N=2, T=2)
-        m, claim = shf_compose(base, base_claim, shf_modular(2, 1, 1))
+        m, claim = recursive_cff(1, 1, 0, 1)
         assert claim == CFFParams(w=1, r=1, d=0, N=4, T=4)
         assert m.rows == (0b0101, 0b1001, 0b1010, 0b0110)
+        assert m == hash_compose(trivial_cff(2, 1, 1)[0], modular_hash_table(2, 1, 1))
         assert is_cff(m, claim).ok
 
-    def test_compose_rejects_mismatches(self):
-        base = identity(5)
-        claim = CFFParams(w=1, r=1, d=0, N=5, T=5)
-        with pytest.raises(ValueError, match="symbols"):
-            shf_compose(identity(3), claim, shf_modular(5, 1, 1))
-        with pytest.raises(ValueError, match="profile"):
-            shf_compose(base, claim, shf_modular(5, 2, 2))
+    @pytest.mark.parametrize("args", list(RECURSIVE_DIGESTS))
+    def test_every_round_is_the_reference_composition(self, args):
+        w, r, d, levels = args
+        m, _ = recursive_cff(w, r, d, 0)
+        for level in range(1, levels + 1):
+            m = hash_compose(m, modular_hash_table(m.num_blocks, w, r))
+            built, claim = recursive_cff(w, r, d, level)
+            assert built == m
+            assert claim == CFFParams(w=w, r=r, d=d, N=m.num_points, T=m.num_blocks)
 
 
 class TestRecursive:

@@ -23,6 +23,7 @@ from coverfree.core import (
     write_matrix_file,
 )
 from coverfree.verify import CheckResult, check_claim, is_cff
+from helpers import transpose
 
 # sha256 of the screening design's file, recorded with the one-shot writer
 SCREEN_DIGEST = "e34c2b3c289a992cbf60ed06be25f07a439db5c6ff3e354c0531643c190e89a7"
@@ -112,7 +113,7 @@ def test_write(screen, tmp_path):
 
 
 def test_write_wide(screen, tmp_path):
-    m = screen[0].transpose()
+    m = transpose(screen[0])
     path = tmp_path / "wide.cff"
     # measured 0.15: 182 lines of 28 561 characters, written 9 at a time
     # where 1024 at a time peaked at 2.0
@@ -134,7 +135,7 @@ def test_read(screen, tmp_path):
 
 
 def test_read_wide(screen, tmp_path):
-    m = screen[0].transpose()
+    m = transpose(screen[0])
     path = tmp_path / "wide.cff"
     write_matrix_file(path, m)
     results = []
