@@ -312,8 +312,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # parser
 
 def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an int no smaller than ``low``, so a bad budget or
-    trial count is refused as bad usage instead of changing the check."""
+    """An argparse type: an int no smaller than ``low``, so a bad count is
+    refused as bad usage instead of changing the check or reaching a
+    builder."""
 
     def convert(text: str) -> int:
         try:
@@ -361,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=0, help="claimed residual slack (default 0)")
     p.add_argument("--q", type=int, help="field order (oa/rs)")
     p.add_argument("--t", type=int, help="orthogonal-array strength (oa)")
-    p.add_argument("--levels", type=int, default=1, help="composition rounds (shf-recursive)")
+    p.add_argument("--levels", type=_int_at_least(0), default=1, help="composition rounds (shf-recursive)")
     p.add_argument("--T", type=int, help="block count (random methods)")
     p.add_argument("--ell", type=int, help="group size (random-uniform)")
-    p.add_argument("--max-attempts", type=int, default=50)
+    p.add_argument("--max-attempts", type=_int_at_least(1), default=50)
     _add_check_flags(p)
     p.set_defaults(func=_cmd_construct)
 
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--errors", type=int, help="max injected outcome flips per trial")
+    p.add_argument("--errors", type=_int_at_least(0), help="max injected outcome flips per trial")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("oracle", help="exhaustive minimum-N search at tiny scale")

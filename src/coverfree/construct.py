@@ -45,7 +45,7 @@ __all__ = [
     "trivial_cff",
 ]
 
-# the most blocks rs_cff and recursive_cff will build
+# the most blocks a builder will enumerate; trivial_cff enumerates points
 DEFAULT_MAX_BLOCKS = 10**6
 
 
@@ -71,8 +71,11 @@ def trivial_cff(n: int, w: int, r: int) -> tuple[IncidenceMatrix, CFFParams]:
     if w + r > n:
         raise ValueError(f"need w + r <= n, got {w} + {r} > {n}")
     size = w if comb(n, w) <= comb(n, r) else n - r
+    N = comb(n, size)
+    if N > DEFAULT_MAX_BLOCKS:
+        raise BudgetExceededError(f"{N} points exceed the cap of {DEFAULT_MAX_BLOCKS}")
     m = _from_columns(tuple(sum(1 << i for i in s) for s in combinations(range(n), size)), n)
-    return m, CFFParams(w=w, r=r, d=0, N=m.num_points, T=n)
+    return m, CFFParams(w=w, r=r, d=0, N=N, T=n)
 
 
 def sperner_cff(N: int) -> tuple[IncidenceMatrix, CFFParams]:
@@ -82,8 +85,11 @@ def sperner_cff(N: int) -> tuple[IncidenceMatrix, CFFParams]:
     if N < 2:
         raise ValueError("need at least two points")
     half = N // 2
+    T = comb(N, half)
+    if T > DEFAULT_MAX_BLOCKS:
+        raise BudgetExceededError(f"{T} blocks exceed the cap of {DEFAULT_MAX_BLOCKS}")
     m = IncidenceMatrix.from_blocks(N, combinations(range(N), half))
-    return m, CFFParams(w=1, r=1, d=0, N=N, T=comb(N, half), k=half)
+    return m, CFFParams(w=1, r=1, d=0, N=N, T=T, k=half)
 
 
 # ---------------------------------------------------------------------------

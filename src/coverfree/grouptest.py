@@ -37,22 +37,17 @@ class TestOutcome:
     """Pool outcomes of one screening round.
 
     ``outcomes`` is a bitmask over ``num_pools`` pools (bit j set means
-    pool j tested positive); ``errors_injected`` records which pools
-    disagree with the honest encoding.
+    pool j tested positive).
     """
 
     num_pools: int
     outcomes: int
-    errors_injected: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.num_pools < 1:
             raise ValueError("need at least one pool")
         if not 0 <= self.outcomes < (1 << self.num_pools):
             raise ValueError("outcome mask wider than the pool count")
-        bad = [j for j in self.errors_injected if not 0 <= j < self.num_pools]
-        if bad:
-            raise ValueError(f"flipped pool indices out of range: {sorted(bad)}")
 
 
 def encode(m: IncidenceMatrix, defectives: set[int]) -> TestOutcome:
@@ -69,8 +64,7 @@ def encode(m: IncidenceMatrix, defectives: set[int]) -> TestOutcome:
 def inject_errors(o: TestOutcome, count: int, seed: int = 0) -> TestOutcome:
     """Flip ``count`` distinct uniformly chosen pools.
 
-    Flips compose: a pool flipped twice across calls reads honest again,
-    so ``errors_injected`` is the symmetric difference.
+    Flips compose: a pool flipped twice across calls reads honest again.
     """
     if not 0 <= count <= o.num_pools:
         raise ValueError(f"count must lie in [0, {o.num_pools}], got {count}")
@@ -79,11 +73,7 @@ def inject_errors(o: TestOutcome, count: int, seed: int = 0) -> TestOutcome:
     mask = 0
     for j in flips:
         mask |= 1 << j
-    return TestOutcome(
-        num_pools=o.num_pools,
-        outcomes=o.outcomes ^ mask,
-        errors_injected=o.errors_injected ^ frozenset(flips),
-    )
+    return TestOutcome(num_pools=o.num_pools, outcomes=o.outcomes ^ mask)
 
 
 def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:

@@ -3,27 +3,28 @@
 ``is_cff`` decides the same question as enumerating every (B-set, A-set)
 pair in colexicographic order and reports the same colex-least violation,
 and ``max_r`` returns what the ascending scan of ``is_cff`` over
-r = 1, 2, ... returns; both make one pass over the B-sets in colex order,
-intersect I = ∩B once for each, and ask one cover search whether at most j
-blocks outside B leave at most d points of I. j blocks remove the excess
-e = |U| - d of the uncovered points U only if one of them removes
-ceil(e / j), so the search branches only on such heavy blocks, and drops
-each from the candidates once its branch fails. Heavy blocks are read off
-saturating thermometer counters over the matrix columns of U (those
-``grouptest.decode`` falls back to past its guarantee), counting hits or
-misses, whichever needs fewer bit planes, or off per-block bit counts when
-those cost less. With d = 0 a first block's partner is the AND of the
-columns of what it leaves. A search stops when the other blocks together
-leave more than d points of U. ``is_cff`` asks for a cover by at most r
-blocks, which extends to exactly r since T - w >= r, and only at the first
-B-set that has one does it count every block's gain |I ∩ A| and walk the
-A-sets in colex order, dropping a branch whose remaining blocks, each at
-the best gain below the branch, cannot get the uncovered part of I down to
-d; the first leaf it reaches is the colex-least witness. ``max_r`` keeps
-``least``, the fewest blocks found so far that leave at most d points of
-some ∩B, starting at T - w + 1, and lowers it to the size each search finds
-for a cover by at most least - 1 blocks until a search fails; it needs no
-witness, only a size. Results never depend on scheduling.
+r = 1, 2, ... returns. Both run one pass over the B-sets in colex order. It
+keeps ``least``, a number of blocks, intersects I = ∩B once for each B, and
+asks one cover search whether at most least - 1 blocks outside B leave at
+most d points of I; each time one does, ``least`` falls to the size found,
+and the pass hands back B, I and the new ``least``. It stops once ``least``
+is 1. ``is_cff`` starts the pass at r + 1 and takes its first B, and
+``max_r`` starts it at T - w + 1 and takes its last ``least``; it needs no
+witness, only a size. j blocks remove the excess e = |U| - d of the
+uncovered points U only if one of them removes ceil(e / j), so the search
+branches only on such heavy blocks, and drops each from the candidates once
+its branch fails. Heavy blocks are read off saturating thermometer counters
+over the matrix columns of U (those ``grouptest.decode`` falls back to past
+its guarantee), counting hits or misses, whichever needs fewer bit planes,
+or off per-block bit counts when those cost less. With d = 0 a first
+block's partner is the AND of the columns of what it leaves. A search stops
+when the other blocks together leave more than d points of U. A cover by at
+most r blocks extends to exactly r since T - w >= r. At the B the pass
+hands ``is_cff``, and only there, it counts every block's gain |I ∩ A| and
+walks the A-sets in colex order, dropping a branch whose remaining blocks,
+each at the best gain below the branch, cannot get the uncovered part of I
+down to d; the first leaf it reaches is the colex-least witness. Results
+never depend on scheduling.
 
 The budget counts nodes, the work a check has done, not a price set
 upfront: one for each B-set visited, each cover-search call and each call
@@ -51,13 +52,12 @@ onto that orbit's least block. So ``is_cff`` passes when every search
 does, and ``max_r``'s fewest blocks, which do not depend on the order of
 the B-sets, are found. (e) When the maps are skipped or rejected, the
 B-sets without block 0 follow in colex order instead, which completes the
-plain scan. Both checks draw their B-sets from this one order. ``max_r``
-lowers its fewest blocks over it. ``is_cff`` stops at the first B-set some
-r blocks cover down to d points. One found in the colex part is the
-colex-least; one found by (a) or (d) may not be, so a colex pass then
-searches the B-sets before it that the route did not clear, and the walk
-runs at the first of them r blocks cover, or else at the route's. So
-witnesses are the plain scan's, and no B-set is searched twice.
+plain scan. The one pass runs over this order. The first B-set it hands
+``is_cff`` is the colex-least when found in the colex part; one found by
+(a) or (d) may not be, so a second pass, at r + 1 again, searches the
+B-sets before it that the route did not clear, and the walk runs at the
+first B-set that pass hands back, or else at the route's. So witnesses are
+the plain scan's, and no B-set is searched twice.
 """
 
 from __future__ import annotations
@@ -195,24 +195,6 @@ class _Meter:
             raise BudgetExceededError(str(refusal), refusal)
 
 
-def _scan(
-    m: IncidenceMatrix, b_sets: Iterable[tuple[int, ...]], meter: _Meter
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(B, ∩B, the mask of the blocks outside B) for each B of ``b_sets``,
-    charging ``meter`` one node for each; a B counts as cleared, on top of
-    those ``meter`` counts already, once the caller asks for the next."""
-    rows = m.rows
-    every = (1 << m.num_blocks) - 1
-    for b_set in b_sets:
-        meter.charge()
-        inter, outside = -1, every  # -1: every bit set
-        for i in b_set:
-            inter &= rows[i]
-            outside ^= 1 << i
-        yield b_set, inter, outside
-        meter.cleared += 1
-
-
 def _walk(
     rows: Sequence[int],
     rest: Sequence[int],
@@ -255,39 +237,38 @@ def is_cff(
 
     Decides, for every choice of w blocks B and r further blocks A, whether
     ``|intersection(B) \\ union(A)| > d``; on failure returns the
-    colex-least violating pair (B-major order) as the witness. A cover
-    search clears each B that no r blocks cover down to d points, over the
-    B-sets in colex order or, with ``m.symmetries``, in the orbit route's
-    order, and a colex branch-and-bound finds the witness at the
-    colex-least B it does not clear (see the module docstring), the same
-    witness as the plain enumeration. ``budget`` caps the nodes both visit
-    together (see the module docstring); a check that runs out is refused.
+    colex-least violating pair (B-major order) as the witness. The one
+    B-set pass, started at r + 1 blocks, runs over the B-sets in colex
+    order or, with ``m.symmetries``, in the orbit route's order; the first
+    B it hands back is one some r blocks cover down to d points, and a
+    colex branch-and-bound finds the witness at the colex-least such B
+    (see the module docstring), the same witness as the plain enumeration.
+    ``budget`` caps the nodes both visit together (see the module
+    docstring); a check that runs out is refused.
     """
     _check_shape(m, params)
     w, r, d = params.w, params.r, params.d
     T = m.num_blocks
     meter = _Meter(budget, comb(T, w))
     orbits: list[list[int]] = []
-    failed = _first_covered(m, _search_order(m, w, meter, orbits), r, d, meter)
+    failed = next(_lowered(m, _search_order(m, w, meter, orbits), d, r + 1, meter), None)
     if failed is None:
         return CheckResult(True)
-    if _routed(m) and (not failed[0] or orbits):
-        # the route found ``failed`` among block 0's B-sets or, once the
+    b_set = failed[0]
+    if _routed(m) and (not b_set[0] or orbits):
+        # the route found ``b_set`` among block 0's B-sets or, once the
         # maps checked out, the later orbits'. It cleared those before it,
         # so the other B-sets before it are searched in colex order
-        later = set(takewhile(failed.__ne__, _later_b_sets(orbits[1:], w)))
-        skipped = takewhile(failed.__ne__, _colex(range(T), w))
-        failed = _first_covered(
-            m, (b for b in skipped if b[0] and b not in later), r, d, meter
-        ) or failed
+        later = set(takewhile(b_set.__ne__, _later_b_sets(orbits[1:], w)))
+        skipped = takewhile(b_set.__ne__, _colex(range(T), w))
+        earlier = (b for b in skipped if b[0] and b not in later)
+        failed = next(_lowered(m, earlier, d, r + 1, meter), failed)
+    b_set, inter, _ = failed
     rows = m.rows
-    inter = -1
-    for i in failed:
-        inter &= rows[i]
-    rest = [i for i in range(T) if i not in failed]
+    rest = [i for i in range(T) if i not in b_set]
     gains = [(inter & rows[i]).bit_count() for i in rest]
     a_set = _walk(rows, rest, list(accumulate(gains, max)), d, len(rest), r, inter, meter)
-    return CheckResult(False, ViolationWitness(failed, a_set, _residual(m, failed, a_set)))
+    return CheckResult(False, ViolationWitness(b_set, a_set, _residual(m, b_set, a_set)))
 
 
 def is_cff_sampled(
@@ -501,12 +482,6 @@ def _orbits(maps: Sequence[Sequence[int]], T: int) -> list[list[int]]:
     return orbits
 
 
-def _held(c: int, others: Sequence[int], w: int) -> Iterator[tuple[int, ...]]:
-    """The B-sets of block c and w - 1 of ``others``, all above c, in colex
-    order."""
-    return ((c, *rest) for rest in _colex(others, w - 1))
-
-
 def _later_b_sets(orbits: list[list[int]], w: int) -> Iterator[tuple[int, ...]]:
     """For each of ``orbits`` in turn, the B-sets holding its least block
     whose other blocks lie in it or in the orbits after it."""
@@ -518,22 +493,9 @@ def _later_b_sets(orbits: list[list[int]], w: int) -> Iterator[tuple[int, ...]]:
     # the least block of the next orbit
     blocks = sorted(b for orbit in orbits for b in orbit)
     for orbit in orbits:
-        yield from _held(orbit[0], blocks[1:], w)
+        yield from ((orbit[0], *rest) for rest in _colex(blocks[1:], w - 1))
         done = set(orbit)
         blocks = [b for b in blocks if b not in done]
-
-
-def _first_covered(
-    m: IncidenceMatrix, b_sets: Iterable[tuple[int, ...]], r: int, d: int, meter: _Meter
-) -> tuple[int, ...] | None:
-    """The first B of ``b_sets`` that some r blocks cover down to d
-    points, or None."""
-    rows = m.rows
-    columns = m.columns
-    for b_set, inter, outside in _scan(m, b_sets, meter):
-        if inter.bit_count() <= d or _covers(columns, rows, outside, inter, d, r, meter) is not None:
-            return b_set
-    return None
 
 
 def _search_order(
@@ -549,7 +511,7 @@ def _search_order(
     if not _routed(m):
         yield from _colex(range(T), w)
         return
-    yield from _held(0, range(1, T), w)
+    yield from ((0, *rest) for rest in _colex(range(1, T), w - 1))
     # the maps are checked only once block 0's B-sets are all cleared
     maps = None if meter.left < T * len(m.symmetries) else _block_maps(m, meter)
     if maps is None:
@@ -561,25 +523,34 @@ def _search_order(
     yield from _later_b_sets(found[1:], w)
 
 
-def _lower(
+def _lowered(
     m: IncidenceMatrix, b_sets: Iterable[tuple[int, ...]], d: int, least: int, meter: _Meter
-) -> int:
-    """``least`` lowered to the fewest blocks outside some B of ``b_sets``
-    that leave at most d points of ∩B, when those are fewer; the pass stops
-    once it is 1."""
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(B, ∩B, the new ``least``) each time the cover search finds fewer than
+    ``least`` blocks outside some B of ``b_sets`` that leave at most d
+    points of ∩B; the pass stops once ``least`` is 1. Each B charges
+    ``meter`` a node, and counts as cleared once its search is done."""
     rows = m.rows
     columns = m.columns
-    for _, inter, outside in _scan(m, b_sets, meter):
+    every = (1 << m.num_blocks) - 1
+    for b_set in b_sets:
+        meter.charge()
+        inter, outside = -1, every  # -1: every bit set
+        for i in b_set:
+            inter &= rows[i]
+            outside ^= 1 << i
         if inter.bit_count() <= d:
-            return 1
+            yield b_set, inter, 1
+            return
         while least > 1:
             found = _covers(columns, rows, outside, inter, d, least - 1, meter)
             if found is None:
                 break
             least = found
+            yield b_set, inter, least
         if least == 1:
-            return 1
-    return least
+            return
+        meter.cleared += 1
 
 
 def max_r(
@@ -590,10 +561,11 @@ def max_r(
 
     The property is monotone (downward) in r, so the answer is one less
     than the fewest blocks A that leave at most d points of some ∩B, which
-    does not depend on the order of the B-sets. One pass over the B-sets
-    ``is_cff`` searches, in the same order, finds that number with the
-    cover search described in the module docstring. ``budget`` caps the
-    nodes visited, counted as in ``is_cff``.
+    does not depend on the order of the B-sets. ``is_cff``'s B-set pass,
+    over the same order but started at T - w + 1 blocks, finds that number:
+    it is the last ``least`` the pass hands back (see the module
+    docstring). ``budget`` caps the nodes visited, counted as in
+    ``is_cff``.
     """
     if w < 1:
         raise ValueError("w must be positive")
@@ -601,7 +573,9 @@ def max_r(
         raise ValueError(f"d must be non-negative, got {d}")
     meter = _Meter(budget, comb(m.num_blocks, w))
     least = max(m.num_blocks - w, 0) + 1
-    return _lower(m, _search_order(m, w, meter), d, least, meter) - 1
+    for _, _, least in _lowered(m, _search_order(m, w, meter), d, least, meter):
+        pass
+    return least - 1
 
 
 def is_k_uniform(m: IncidenceMatrix, k: int) -> bool:

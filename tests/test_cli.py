@@ -240,6 +240,8 @@ class TestOrbitProofAtConstruct:
 
 
 TRIVIAL = ["construct", "--method", "trivial", "--n", "5", "--w", "2", "--r", "2"]
+RANDOM = ["construct", "--method", "random", *CONSTRUCT_ARGS["random"]]
+SHF = ["construct", "--method", "shf-recursive", *CONSTRUCT_ARGS["shf-recursive"]]
 
 
 @pytest.mark.parametrize(
@@ -252,6 +254,11 @@ TRIVIAL = ["construct", "--method", "trivial", "--n", "5", "--w", "2", "--r", "2
         (["simulate", "{rs}", "--trials", "0"], 2),
         (["simulate", "{rs}", "--trials", "x"], 2),
         (["verify", "{rs}", "--budget", "0", "--trials", "50"], 0),  # 0 means sample
+        # count flags, refused before a builder or a simulation can raise
+        ([*RANDOM, "--out", "{out}", "--max-attempts", "0"], 2),
+        ([*RANDOM, "--out", "{out}", "--max-attempts", "-3"], 2),
+        ([*SHF, "--out", "{out}", "--levels", "-1"], 2),
+        (["simulate", "{rs}", "--trials", "5", "--errors", "-1"], 2),
     ],
 )
 def test_check_flags_at_the_boundary(capsys, tmp_path, argv, expected_rc):

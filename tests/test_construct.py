@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverfree import construct
 from coverfree.bounds import sperner_T
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.construct import (
@@ -178,6 +179,14 @@ class TestTrivialDS:
         with pytest.raises(ValueError):
             trivial_cff(n, w, r)
 
+    def test_point_cap(self, monkeypatch):
+        # C(5, 2) = 10 subset points, refused before any is enumerated
+        monkeypatch.setattr(construct, "DEFAULT_MAX_BLOCKS", 9)
+        with pytest.raises(BudgetExceededError, match="^10 points exceed the cap of 9$"):
+            trivial_cff(5, 2, 2)
+        monkeypatch.setattr(construct, "DEFAULT_MAX_BLOCKS", 10)
+        assert trivial_cff(5, 2, 2)[0].num_points == 10
+
     @given(st.integers(2, 6), st.integers(1, 2), st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_disjunct_both_routes(self, n, w, r):
@@ -201,6 +210,14 @@ class TestSperner:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             sperner_cff(1)
+
+    def test_block_cap(self, monkeypatch):
+        # C(5, 2) = 10 middle-layer blocks, refused before any is enumerated
+        monkeypatch.setattr(construct, "DEFAULT_MAX_BLOCKS", 9)
+        with pytest.raises(BudgetExceededError, match="^10 blocks exceed the cap of 9$"):
+            sperner_cff(5)
+        monkeypatch.setattr(construct, "DEFAULT_MAX_BLOCKS", 10)
+        assert sperner_cff(5)[0].num_blocks == 10
 
 
 class TestOrthogonalArray:

@@ -318,7 +318,7 @@ def orbit_outcome(m, claim):
     if maps is None:
         return False
     searched = verify._later_b_sets(verify._orbits(maps, m.num_blocks), claim.w)
-    return verify._first_covered(m, searched, claim.r, claim.d, meter) is None
+    return next(verify._lowered(m, searched, claim.d, claim.r + 1, meter), None) is None
 
 
 def nearby_claims(claim):

@@ -43,6 +43,31 @@ MUTANTS = [
     ),
     # trivial_cff: the (n-r)-subsets when those are fewer
     Mutant("src/coverfree/construct.py", "else n - r", "else n - w", "tests/test_construct.py"),
+    # the B-set pass: a bare ∩B of exactly d points is covered by no block
+    Mutant(
+        "src/coverfree/verify.py",
+        "inter.bit_count() <= d",
+        "inter.bit_count() < d",
+        "tests/test_verify.py",
+    ),
+    # the B-set pass: a B searched in full counts as cleared in a refusal
+    Mutant("src/coverfree/verify.py", "meter.cleared += 1", "pass", "tests/test_verify.py"),
+    # the B-set pass: a bare ∩B needs no block
+    Mutant(
+        "src/coverfree/verify.py",
+        "yield b_set, inter, 1",
+        "yield b_set, inter, 2",
+        "tests/test_verify.py",
+    ),
+    # is_cff: the pass asks for a cover by at most r blocks
+    Mutant(
+        "src/coverfree/verify.py",
+        "d, r + 1, meter), None)",
+        "d, r, meter), None)",
+        "tests/test_verify.py",
+    ),
+    # is_cff: the colex pass skips the B-sets the orbit route cleared
+    Mutant("src/coverfree/verify.py", " and b not in later", "", "tests/test_verify.py"),
 ]
 
 
