@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import comb, log2
+from math import comb, log, log2
 
 from .core import CFFParams, _from_columns
 from .verify import is_cff
@@ -172,7 +172,7 @@ def lower_bounds_N(w: int, r: int, d: int, T: int, c: float = DEFAULT_C) -> Boun
     def engel() -> float:
         # (w+r-2)^(w+r-2) / ((w-1)^(w-1) (r-1)^(r-1)); 0^0 = 1 at w = 1 or r = 1
         a, b, e = w + r - 2, w - 1, r - 1
-        return float(a**a) / (float(b**b) * float(e**e)) * log2(T - r - w + 2)
+        return a**a / (b**b * e**e) * log2(T - r - w + 2)
 
     extra = 0.5 * c * comb(w + r, w) * (d - 1)
     pair_ok = w + r > 2
@@ -225,8 +225,10 @@ def existence_threshold_N(w: int, r: int, d: int, T: int) -> float:
         raise ValueError("d must be non-negative")
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
-    p = 1.0 - (w**w * r**r) / float((w + r) ** (w + r))
-    denom = -(d + 1) * log2(p)
+    x = w**w * r**r / (w + r) ** (w + r)
+    p = 1.0 - x
+    # where p rounds to 1, -log2(p) is x / ln 2 to first order
+    denom = (d + 1) * (x / log(2) if p == 1.0 else -log2(p))
     return min((w + r) * log2(T), (w + r - 1) * log2(2 * T)) / denom
 
 
@@ -348,7 +350,7 @@ def drr_rate(r: int, e: float) -> float:
         raise ValueError("r must be positive")
     if not 0.0 <= e < 1.0:
         raise ValueError("e must lie in [0, 1)")
-    e_r = r**r / float((r + 1) ** (r + 1))
+    e_r = r**r / (r + 1) ** (r + 1)
     if e >= e_r:
         return 0.0
     return _u(r, float(e))
@@ -359,7 +361,7 @@ def _u(j: int, e: float) -> float:
     """Level U_j(e) of the recurrence in :func:`drr_rate`, for e < e_j."""
     if j == 1:
         return _u1(e)
-    e_j = j**j / float((j + 1) ** (j + 1))
+    e_j = j**j / (j + 1) ** (j + 1)
     return min(1.0 - e / e_j, _u(1, e) / j, _v_fixed_point(j, e, _u(j - 1, e)))
 
 

@@ -131,31 +131,6 @@ def _poly_values(q: int, u: int, length: int) -> Iterator[tuple[int, ...]]:
         yield tuple(c // top for c in range(q**u))
 
 
-def _translations(q: int, u: int, length: int) -> tuple[tuple[int, ...], ...]:
-    """The point maps that add a * x^j to every word of :func:`_poly_values`,
-    for a in the GF(p)-basis 1, p, ..., p^(e-1) of GF(q) and j < u: point
-    i*q + v goes to i*q + (v + a * x_i^j), and the point at infinity, the
-    coefficient of x^(u-1), gains a only when j = u - 1. Between them they
-    add every polynomial of degree < u, so they permute the words and
-    reach each word from any other."""
-    F = field(q)
-    maps = []
-    for j in range(u):
-        for a in (F.p**i for i in range(F.e)):
-            image = []
-            for x in range(length):
-                if x < q:
-                    power = 1
-                    for _ in range(j):
-                        power = F.mul[power][x]
-                    shift = F.mul[a][power]
-                else:
-                    shift = a if j == u - 1 else 0
-                image.extend(x * q + F.add[v][shift] for v in range(q))
-            maps.append(tuple(image))
-    return tuple(maps)
-
-
 def oa_construct(q: int, t: int) -> OrthogonalArray:
     """OA(t, q+1, q) by polynomial evaluation over GF(q).
 
@@ -244,7 +219,7 @@ def rs_cff(q: int, N: int, r: int, d: int = 0) -> tuple[IncidenceMatrix, CFFPara
         raise ValueError("d must be non-negative")
     if not 2 <= N <= q + 1:
         raise ValueError(f"need 2 <= N <= q+1, got N={N} with q={q}")
-    field(q)  # a q that is not a prime power is refused before u is
+    F = field(q)  # a q that is not a prime power is refused before u is
     u = (N - d - 1) // r + 1
     if u < 2:
         raise ValueError(
@@ -259,13 +234,19 @@ def rs_cff(q: int, N: int, r: int, d: int = 0) -> tuple[IncidenceMatrix, CFFPara
     if T > DEFAULT_MAX_BLOCKS:
         raise BudgetExceededError(f"{T} blocks exceed the cap of {DEFAULT_MAX_BLOCKS}")
     # point i*q + v holds the words whose coordinate i is v: one text of
-    # 0/1 per point, word T-1 first so that int() reads word c as bit c
-    columns = []
-    for values in _poly_values(q, u, N):
+    # 0/1 per point, word T-1 first so that int() reads word c as bit c.
+    # word a * q^j is the polynomial a * x^j, so the translation by it sends
+    # point i*q + v to i*q + (v + coordinate i of that word); at the point at
+    # infinity that coordinate is its top coefficient, as the map needs
+    shifts = [a * q**j for j in range(u) for a in (F.p**i for i in range(F.e))]
+    columns, maps = [], [[] for _ in shifts]
+    for i, values in enumerate(_poly_values(q, u, N)):
         word = bytes(values)[::-1]
         for v in range(q):
             columns.append(int(word.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2))
-    m = _from_columns(tuple(columns), T, _translations(q, u, N))
+        for image, c in zip(maps, shifts):
+            image.extend(i * q + v for v in F.add[values[c]])
+    m = _from_columns(tuple(columns), T, tuple(map(tuple, maps)))
     return m, CFFParams(w=1, r=r, d=d, N=q * N, T=T, k=N)
 
 

@@ -54,6 +54,34 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     return None
 
 
+def _tables(q: int, p: int, g: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The addition and multiplication tables of GF(p)[x] / (x^e + g), q = p^e,
+    each entry one Horner step on b = (b mod p) + x * (b // p) from entries
+    filled before it: a + b = (a//p + b//p) * p + (a + b) mod p, a scalar
+    a < p gives a * b = (a * (b//p)) * p + a*b mod p the same way, and for
+    a >= p, a * b = x * (a * (b//p)) + (b mod p) * a, where x * h shifts h
+    up a digit and turns its dropped top digit t into t * x^e = -t * g."""
+    top = q // p
+    add = [[0] * q for _ in range(q)]
+    for a in range(q):
+        row, high = add[a], add[a // p]
+        for b in range(q):
+            row[b] = high[b // p] * p + (a + b) % p
+    mul = [[0] * q for _ in range(q)]
+    for a in range(1, q):
+        row = mul[a]
+        for b in range(1, q):
+            h = row[b // p]
+            if a < p:
+                row[b] = h * p + a * b % p
+                continue
+            shifted = h % top * p
+            if h >= top:
+                shifted = add[shifted][mul[p - h // top][g]]
+            row[b] = add[shifted][mul[b % p][a]]
+    return add, mul
+
+
 class FiniteField:
     """GF(q) as its addition and multiplication tables: ``add[a][b]`` is
     a + b and ``mul[a][b]`` is a * b.
@@ -78,57 +106,10 @@ class FiniteField:
         self.q = q
         self.p = p
         self.e = e
-        self._build_tables()
-
-    def _digits(self, n: int, width: int) -> list[int]:
-        out = [0] * width
-        for i in range(width):
-            out[i] = n % self.p
-            n //= self.p
-        return out
-
-    def _undigits(self, digits: list[int]) -> int:
-        val = 0
-        for c in reversed(digits):
-            val = val * self.p + c
-        return val
-
-    def _build_tables(self) -> None:
-        # a prime is the e = 1 case, reduced modulo x (the digits 0, 1)
-        q, p, e = self.q, self.p, self.e
-        digits = [self._digits(a, e) for a in range(q)]
-        self.add = [
-            [self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])])
-             for b in range(q)]
-            for a in range(q)
-        ]
-        modulus = self._digits(_IRREDUCIBLE.get(q, p), e + 1)
-        self.mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                prod = self._polymul_mod(digits[a], digits[b], modulus)
-                val = self._undigits(prod)
-                self.mul[a][b] = val
-                self.mul[b][a] = val
+        self.add, self.mul = _tables(q, p, _IRREDUCIBLE.get(q, q) - q)
         for a in range(1, q):
             if 1 not in self.mul[a]:
                 raise AssertionError(f"element {a} of GF({q}) has no inverse; bad modulus")
-
-    def _polymul_mod(self, a: list[int], b: list[int], modulus: list[int]) -> list[int]:
-        p, e = self.p, self.e
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce by the monic modulus of degree e
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
-        return prod[:e]
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"

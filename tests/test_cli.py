@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import math
 import subprocess
 import sys
 
@@ -463,6 +464,26 @@ class TestBounds:
         rc, out, err = run_cli(capsys, "bounds", *point)
         assert rc == 2
         assert out == "" and err.startswith("usage error: --N")
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # 1 - w^w r^r / (w+r)^(w+r) rounds to 1 in the existence row
+            ["--w", "27", "--r", "27", "--T", "100"],
+            # powers past the float range in engel and in the existence row
+            ["--w", "100", "--r", "50", "--T", "1000"],
+            ["--w", "140", "--r", "4", "--T", "1000"],
+            # e_r of drr-rate at r = 150, with d/N >= e_r so no level is built
+            ["--w", "1", "--r", "150", "--d", "10", "--T", "400", "--N", "2000"],
+        ],
+    )
+    def test_large_sides_give_finite_values(self, capsys, tmp_path, point):
+        csv_file = tmp_path / "bounds.csv"
+        rc, out, err = run_cli(capsys, "bounds", *point, "--csv", str(csv_file))
+        assert (rc, err) == (0, "")
+        assert "inf" not in out and "nan" not in out
+        values = [line.split(",")[2] for line in csv_file.read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(v)) for v in values if v)
 
     def test_one_point_has_no_sperner_row(self, capsys):
         # the antichain bound needs two points, so it is left out, not raised

@@ -1,8 +1,8 @@
 """Finite-field arithmetic, exhaustively for small orders.
 
-The table construction is the risky part (wrong modulus, wrong carry
-handling in the digit convolution), and every later construction leans on
-it, so the axioms are checked element-by-element wherever that is cheap.
+The table construction is the risky part (wrong modulus, a wrong digit in
+a Horner step), and every later construction leans on it, so the axioms
+are checked element-by-element wherever that is cheap.
 """
 
 import hashlib

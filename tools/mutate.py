@@ -68,6 +68,13 @@ MUTANTS = [
     ),
     # is_cff: the colex pass skips the B-sets the orbit route cleared
     Mutant("src/coverfree/verify.py", " and b not in later", "", "tests/test_verify.py"),
+    # GF(q) tables: the low digit of a + b is (a + b) mod p
+    Mutant("src/coverfree/gf.py", "(a + b) % p", "(a + b + 1) % p", "tests/test_gf.py"),
+    # GF(q) tables: x * h turns its dropped top digit t into -t * g
+    Mutant("src/coverfree/gf.py", "mul[p - h // top][g]", "mul[h // top][g]", "tests/test_gf.py"),
+    # rs_cff: translation j shifts by word a * q^j, a * x^j; only the
+    # symmetry pins see the maps' order
+    Mutant("src/coverfree/construct.py", "a * q**j", "a * q**(u - 1 - j)", "tests/test_construct.py"),
 ]
 
 
