@@ -109,7 +109,12 @@ def bound_2d_T(N: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # lower bounds on N
 
-@dataclass(frozen=True)
+# The two report types are built a dozen times a report, so each stores its
+# fields with one dict update instead of the generated frozen __init__'s
+# object.__setattr__ per field; the dataclass still gives repr, ==, hash,
+# replace and the FrozenInstanceError on assignment.
+
+@dataclass(frozen=True, init=False)
 class BoundEntry:
     # value stays an exact int for the counting bounds on T
     name: str
@@ -121,11 +126,25 @@ class BoundEntry:
     asymptotic: bool = False
     note: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "applicable", self.value is not None)
+    def __init__(
+        self,
+        name: str,
+        direction: str,
+        value: int | float | None,
+        asymptotic: bool = False,
+        note: str = "",
+    ) -> None:
+        self.__dict__.update(
+            name=name,
+            direction=direction,
+            value=value,
+            asymptotic=asymptotic,
+            note=note,
+            applicable=value is not None,
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundReport:
     w: int
     r: int
@@ -133,6 +152,11 @@ class BoundReport:
     T: int
     c: float
     entries: tuple[BoundEntry, ...]
+
+    def __init__(
+        self, w: int, r: int, d: int, T: int, c: float, entries: tuple[BoundEntry, ...]
+    ) -> None:
+        self.__dict__.update(w=w, r=r, d=d, T=T, c=c, entries=entries)
 
     def best_lower_bound(self) -> BoundEntry | None:
         """Largest applicable, non-asymptotic lower bound on N."""
@@ -151,7 +175,9 @@ def lower_bounds_N(w: int, r: int, d: int, T: int, c: float = DEFAULT_C) -> Boun
     Bounds whose hypotheses fail at these parameters are reported with
     ``applicable=False`` rather than dropped; asymptotic bounds (valid for
     sufficiently large T only) keep their value but are flagged and never
-    win :meth:`BoundReport.best_lower_bound`.
+    win :meth:`BoundReport.best_lower_bound`. Where a value would leave the
+    float range (w + r of about 1000 and more), a ValueError naming w, r, d
+    and T is raised instead.
     """
     if w < 1 or r < 1:
         raise ValueError("w and r must be positive")
@@ -174,7 +200,9 @@ def lower_bounds_N(w: int, r: int, d: int, T: int, c: float = DEFAULT_C) -> Boun
         a, b, e = w + r - 2, w - 1, r - 1
         return a**a / (b**b * e**e) * log2(T - r - w + 2)
 
-    extra = 0.5 * c * comb(w + r, w) * (d - 1)
+    def extra() -> float:
+        return 0.5 * c * comb(w + r, w) * (d - 1)
+
     pair_ok = w + r > 2
     large_T = "holds for sufficiently large T"
     # (name, hypothesis, formula, asymptotic, note)
@@ -194,15 +222,25 @@ def lower_bounds_N(w: int, r: int, d: int, T: int, c: float = DEFAULT_C) -> Boun
          False, "w=1 only; needs r >= 2 and d >= 1"),
         ("sw2", r > w >= 1 and d >= 1, lambda: _sw2(w, r, d, T, c), False,
          "needs r > w >= 1 and d >= 1"),
-        ("nbound2-d", pair_ok, lambda: nbound2() + extra, False,
+        ("nbound2-d", pair_ok, lambda: nbound2() + extra(), False,
          "needs w + r > 2; (d-1) term goes negative at d = 0"),
-        ("nbound3-d", pair_ok, lambda: nbound3() + extra, True, "needs w + r > 2; " + large_T),
+        ("nbound3-d", pair_ok, lambda: nbound3() + extra(), True, "needs w + r > 2; " + large_T),
     )
-    entries = tuple(
-        BoundEntry(name, _LOWER, formula() if holds else None, asymptotic, note)
-        for name, holds, formula, asymptotic, note in rows
-    )
+    try:
+        entries = tuple(
+            BoundEntry(name, _LOWER, formula() if holds else None, asymptotic, note)
+            for name, holds, formula, asymptotic, note in rows
+        )
+    except OverflowError:
+        raise _past_float_range(w, r, d, T) from None
+    if not all(math.isfinite(e.value) for e in entries if e.applicable):
+        raise _past_float_range(w, r, d, T)
     return BoundReport(w=w, r=r, d=d, T=T, c=c, entries=entries)
+
+
+def _past_float_range(w: int, r: int, d: int, T: int) -> ValueError:
+    # an infinite bound would overstate it, so there is no value to report
+    return ValueError(f"the bounds at w={w}, r={r}, d={d}, T={T} leave the float range")
 
 
 def _sw2(w: int, r: int, d: int, T: int, c: float) -> float:
@@ -218,7 +256,8 @@ def existence_threshold_N(w: int, r: int, d: int, T: int) -> float:
     """Point count above which a random-density (w, r; d)-family with T
     blocks exists with positive probability: the smaller of
     (w+r) log2(T) and (w+r-1) log2(2T), divided by -(d+1) log2(p) with
-    p = 1 - w^w r^r / (w+r)^(w+r)."""
+    p = 1 - w^w r^r / (w+r)^(w+r). Past the float range, a ValueError
+    naming w, r, d and T."""
     if w < 1 or r < 1:
         raise ValueError("w and r must be positive")
     if d < 0:
@@ -229,7 +268,11 @@ def existence_threshold_N(w: int, r: int, d: int, T: int) -> float:
     p = 1.0 - x
     # where p rounds to 1, -log2(p) is x / ln 2 to first order
     denom = (d + 1) * (x / log(2) if p == 1.0 else -log2(p))
-    return min((w + r) * log2(T), (w + r - 1) * log2(2 * T)) / denom
+    # past w + r of about 1000, x underflows to 0 or the quotient to inf
+    threshold = min((w + r) * log2(T), (w + r - 1) * log2(2 * T)) / denom if denom else math.inf
+    if math.isinf(threshold):
+        raise _past_float_range(w, r, d, T)
+    return threshold
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +529,9 @@ def full_report(
     """Everything :func:`lower_bounds_N` reports, plus the existence
     threshold, plus (when N is given) the applicable upper bounds on T and
     the rate bounds at e = d/N. A given N must exceed d, and with N given,
-    a given k must lie in 1..N."""
+    a given k must lie in 1..N. Where a value would leave the float range,
+    the ValueError of :func:`lower_bounds_N` or
+    :func:`existence_threshold_N` is raised."""
     if N is not None and N <= d:
         raise ValueError(f"N must exceed d, got N={N}, d={d}")
     if N is not None and k is not None and not 1 <= k <= N:

@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations
-from math import comb, factorial, gcd, log2
+from math import comb, factorial, gcd, inf, log, log2
 from typing import Callable, Iterator, Sequence
 
 from .core import CFFParams, IncidenceMatrix, _from_columns
@@ -445,6 +445,17 @@ def _uniform_rows(ell: int, k: int, rng: random.Random, T: int) -> list[int]:
     ]
 
 
+def _least_count_above(x: float, size: int = 1) -> int:
+    """The least integer k above ``x``, refused with BudgetExceededError when
+    k groups of ``size`` points would pass the cap of DEFAULT_MAX_BLOCKS."""
+    if not x < DEFAULT_MAX_BLOCKS // size:
+        over = f" (over {x * size:.3g})" if x < inf else ""
+        raise BudgetExceededError(
+            f"the default point count{over} exceeds the cap of {DEFAULT_MAX_BLOCKS}"
+        )
+    return int(x) + 1
+
+
 def random_cff(
     w: int,
     r: int,
@@ -463,18 +474,22 @@ def random_cff(
     N defaults to the smallest integer exceeding
     (w+r) * log2(T) / (-(d+1) * log2(p)) with
     p = 1 - w^w * r^r / (w+r)^(w+r), the positive-probability threshold for
-    this density. Each attempt draws from its own stream keyed by (seed,
-    attempt), so results are reproducible no matter how attempts are
-    scheduled; every returned matrix has been verified (exhaustively when the
-    plain scan fits the node budget, sampled past it, since a random matrix
-    carries no symmetries for an orbit proof).
+    this density; a default of more than DEFAULT_MAX_BLOCKS points raises
+    BudgetExceededError before anything is drawn. Each attempt draws from
+    its own stream keyed by (seed, attempt), so results are reproducible no
+    matter how attempts are scheduled; every returned matrix has been
+    verified (exhaustively when the plain scan fits the node budget, sampled
+    past it, since a random matrix carries no symmetries for an orbit
+    proof).
     """
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
     if N is None:
-        p = 1.0 - (w**w * r**r) / float((w + r) ** (w + r))
-        threshold = (w + r) * log2(T) / (-(d + 1) * log2(p))
-        N = int(threshold) + 1
+        x = w**w * r**r / (w + r) ** (w + r)
+        p = 1.0 - x
+        # where p rounds to 1, -log2(p) is x / ln 2 to first order
+        bits = (d + 1) * (x / log(2) if p == 1.0 else -log2(p))
+        N = _least_count_above((w + r) * log2(T) / bits if bits else inf)
     density = w / (w + r)
     return _verified_attempts(
         CFFParams(w=w, r=r, d=d, N=N, T=T),
@@ -505,8 +520,9 @@ def random_uniform_cff(
 
     With p = (ell-1)^r / ell^(w+r-1), the group count k is the least
     integer exceeding (8/p) * ((w+r) log2(T) - log2(w!) - log2(r!)) and the
-    claimed separation is d = floor(p*k/2) + 1. Verified before returning,
-    like :func:`random_cff`.
+    claimed separation is d = floor(p*k/2) + 1. More than DEFAULT_MAX_BLOCKS
+    points raise BudgetExceededError before anything is drawn. Verified
+    before returning, like :func:`random_cff`.
 
     Draw order: attempt a's rows are those that ``rng.randrange(ell)``,
     called for groups 0 to k - 1 of block 0, then of block 1, and so on,
@@ -518,8 +534,9 @@ def random_uniform_cff(
         raise ValueError("ell must be at least 2 and below 2**32")
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
-    p = (ell - 1) ** r / float(ell ** (w + r - 1))
-    k = int((8.0 / p) * ((w + r) * log2(T) - log2(factorial(w)) - log2(factorial(r)))) + 1
+    p = (ell - 1) ** r / ell ** (w + r - 1)
+    bits = (w + r) * log2(T) - log2(factorial(w)) - log2(factorial(r))
+    k = _least_count_above((8.0 / p) * bits if p else inf, ell)
     d = int(p * k / 2) + 1
     return _verified_attempts(
         CFFParams(w=w, r=r, d=d, N=k * ell, T=T, k=k),

@@ -62,12 +62,15 @@ def encode(m: IncidenceMatrix, defectives: set[int]) -> TestOutcome:
 
 
 def inject_errors(o: TestOutcome, count: int, seed: int = 0) -> TestOutcome:
-    """Flip ``count`` distinct uniformly chosen pools.
+    """Flip ``count`` distinct uniformly chosen pools; a count of 0 returns
+    ``o`` itself.
 
     Flips compose: a pool flipped twice across calls reads honest again.
     """
     if not 0 <= count <= o.num_pools:
         raise ValueError(f"count must lie in [0, {o.num_pools}], got {count}")
+    if not count:
+        return o
     rng = random.Random(f"gt-errors:{seed}")
     flips = rng.sample(range(o.num_pools), count)
     mask = 0

@@ -1,7 +1,8 @@
 import hashlib
 import math
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, log2
@@ -12,6 +13,7 @@ import pytest
 from coverfree import bounds
 from coverfree.bounds import (
     BoundEntry,
+    BoundReport,
     bound_2d_T,
     drr_rate,
     existence_threshold_N,
@@ -774,6 +776,57 @@ def test_bound_entry_defaults():
     e = BoundEntry(name="x", direction="lower bound on N", value=1.0)
     assert e.applicable and not e.asymptotic and e.note == ""
     assert not BoundEntry(name="x", direction="lower bound on N", value=None).applicable
+    # every field by keyword lands in its own slot, in the declared order
+    e = BoundEntry(name="x", direction="up", value=3, asymptotic=True, note="n")
+    assert [f.name for f in fields(e)] == [
+        "name", "direction", "value", "applicable", "asymptotic", "note"
+    ]
+    assert repr(e) == (
+        "BoundEntry(name='x', direction='up', value=3, applicable=True, asymptotic=True, note='n')"
+    )
+    assert e == BoundEntry("x", "up", 3, True, "n")
+    assert e != BoundEntry("x", "up", 3, False, "n")
+    assert hash(e) == hash(BoundEntry("x", "up", 3, True, "n"))
+    with pytest.raises(FrozenInstanceError):
+        e.value = 4
+    # replace builds anew, so applicable follows the value
+    assert replace(e, value=None).applicable is False
+    assert replace(replace(e, value=None), value=2.0) == BoundEntry("x", "up", 2.0, True, "n")
+    assert pickle.loads(pickle.dumps(e)) == e
+    with pytest.raises(ValueError):
+        replace(e, applicable=False)
+
+    rep = BoundReport(w=1, r=2, d=3, T=9, c=0.5, entries=(e,))
+    assert [f.name for f in fields(rep)] == ["w", "r", "d", "T", "c", "entries"]
+    assert repr(rep) == f"BoundReport(w=1, r=2, d=3, T=9, c=0.5, entries=({e!r},))"
+    assert rep == BoundReport(1, 2, 3, 9, 0.5, (e,))
+    assert rep != BoundReport(2, 1, 3, 9, 0.5, (e,))
+    assert hash(rep) == hash(BoundReport(1, 2, 3, 9, 0.5, (e,)))
+    with pytest.raises(FrozenInstanceError):
+        rep.entries = ()
+    assert replace(rep, T=10) == BoundReport(1, 2, 3, 10, 0.5, (e,))
+    assert pickle.loads(pickle.dumps(rep)) == rep
+    full = full_report(1, 2, 1, 9, N=12, k=4)
+    assert pickle.loads(pickle.dumps(full)) == full
+
+
+# w + r where the float arithmetic of the survey gives out, on each of its
+# routes: the existence quotient reaches inf (506), a lower bound reaches inf
+# without an exception (511 + 512), comb(w + r, w) no longer converts to a
+# float (513), and the existence x underflows to 0 (538)
+PAST_FLOAT_RANGE = [(506, 506), (511, 512), (513, 513), (538, 538), (600, 600)]
+
+
+@pytest.mark.parametrize("w, r", PAST_FLOAT_RANGE)
+def test_bounds_past_the_float_range_are_refused(w, r):
+    message = f"w={w}, r={r}, d=0, T=2000"
+    with pytest.raises(ValueError, match=message):
+        full_report(w, r, 0, 2000)
+    if (w, r) != (506, 506):
+        with pytest.raises(ValueError, match=message):
+            lower_bounds_N(w, r, 0, 2000)
+    with pytest.raises(ValueError, match=message):
+        existence_threshold_N(w, r, 0, 2000)
 
 
 # One sha256 over the repr of every report in the grid, or over the

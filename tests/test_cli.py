@@ -130,6 +130,20 @@ class TestConstruct:
         # 5^16 blocks: refused by the block cap before any check runs
         assert err == "budget exceeded: 5^(2^4) blocks exceed the cap of 1000000\n"
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ["--method", "random", "--w", "27", "--r", "27", "--T", "60"],
+            ["--method", "random-uniform", "--ell", "2", "--w", "600", "--r", "600", "--T", "1300"],
+        ],
+    )
+    def test_default_past_the_point_cap(self, capsys, tmp_path, point):
+        out_file = tmp_path / "x"
+        rc, out, err = run_cli(capsys, "construct", *point, "--out", str(out_file))
+        assert rc == 4
+        assert out == "" and err.startswith("budget exceeded: the default point count")
+        assert len(err.splitlines()) == 1 and not out_file.exists()
+
     def test_failed_random_search(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys, "construct", "--method", "random", "--w", "1", "--r", "1",
@@ -484,6 +498,12 @@ class TestBounds:
         assert "inf" not in out and "nan" not in out
         values = [line.split(",")[2] for line in csv_file.read_text().splitlines()[1:]]
         assert all(math.isfinite(float(v)) for v in values if v)
+
+    def test_past_the_float_range_is_a_precondition(self, capsys):
+        rc, out, err = run_cli(capsys, "bounds", "--w", "600", "--r", "600", "--T", "2000")
+        assert rc == 3
+        assert out == ""
+        assert err == "error: the bounds at w=600, r=600, d=0, T=2000 leave the float range\n"
 
     def test_one_point_has_no_sperner_row(self, capsys):
         # the antichain bound needs two points, so it is left out, not raised

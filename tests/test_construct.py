@@ -580,6 +580,35 @@ class TestRandom:
         with pytest.raises(ValueError):
             random_uniform_cff(2**32, 1, 1, 4)
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (random_cff, (27, 27, 0, 60)),  # p rounds to 1: about 4e18 points
+            (random_cff, (600, 600, 0, 1300)),  # w^w r^r / (w+r)^(w+r) underflows
+            (random_uniform_cff, (2, 1, 10, 10**4)),  # 1 018 870 groups of 2
+            (random_uniform_cff, (2, 600, 600, 1300)),  # p underflows
+        ],
+    )
+    def test_default_past_the_point_cap_is_refused(self, build, args):
+        refusal = "^the default point count .*cap of 1000000$"
+        with pytest.raises(BudgetExceededError, match=refusal):
+            build(*args)
+
+    def test_default_point_cap_boundary(self, monkeypatch):
+        # defaults of 10 points (random) and 65 groups of 2 (uniform)
+        monkeypatch.setattr(construct, "DEFAULT_MAX_BLOCKS", 9)
+        refusal = r"^the default point count \(over 9.64\) exceeds the cap of 9$"
+        with pytest.raises(BudgetExceededError, match=refusal):
+            random_cff(1, 1, 0, 4)
+        assert random_cff(1, 1, 0, 4, N=10)[1].N == 10
+        monkeypatch.setattr(construct, "DEFAULT_MAX_BLOCKS", 10)
+        assert random_cff(1, 1, 0, 4)[1].N == 10
+        monkeypatch.setattr(construct, "DEFAULT_MAX_BLOCKS", 129)
+        with pytest.raises(BudgetExceededError):
+            random_uniform_cff(2, 1, 1, 4)
+        monkeypatch.setattr(construct, "DEFAULT_MAX_BLOCKS", 130)
+        assert random_uniform_cff(2, 1, 1, 4)[1].N == 130
+
 
 # Recorded with the per-draw builders (one randrange call a group, one
 # random() call an entry), before uniform rows were drawn in bulk: one

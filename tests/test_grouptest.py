@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverfree import grouptest
 from coverfree.construct import rs_cff
 from coverfree.core import IncidenceMatrix
 from coverfree.grouptest import TestOutcome as Outcome
@@ -66,6 +67,14 @@ class TestInjectErrors:
     def test_zero_flips_is_identity(self, pooling_matrix):
         o = encode(pooling_matrix, {1})
         assert inject_errors(o, 0) == o
+
+    def test_zero_flips_build_no_stream(self, pooling_matrix, monkeypatch):
+        def refuse(seed):
+            raise AssertionError(f"a stream was seeded with {seed!r} for no flips")
+
+        monkeypatch.setattr(grouptest.random, "Random", refuse)
+        o = encode(pooling_matrix, {1})
+        assert inject_errors(o, 0, seed=7) is o
 
     def test_full_flip_complements(self):
         o = Outcome(num_pools=5, outcomes=0b01100)

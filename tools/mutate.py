@@ -75,6 +75,17 @@ MUTANTS = [
     # rs_cff: translation j shifts by word a * q^j, a * x^j; only the
     # symmetry pins see the maps' order
     Mutant("src/coverfree/construct.py", "a * q**j", "a * q**(u - 1 - j)", "tests/test_construct.py"),
+    # BoundEntry: applicable is exactly whether there is a value
+    Mutant(
+        "src/coverfree/bounds.py",
+        "applicable=value is not None",
+        "applicable=True",
+        "tests/test_bounds.py",
+    ),
+    # BoundReport: each field lands in its own slot
+    Mutant("src/coverfree/bounds.py", "update(w=w, r=r,", "update(w=r, r=w,", "tests/test_bounds.py"),
+    # inject_errors: only a count of zero returns the outcome as it is
+    Mutant("src/coverfree/grouptest.py", "if not count:", "if count < 2:", "tests/test_grouptest.py"),
 ]
 
 
