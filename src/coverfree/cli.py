@@ -209,11 +209,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # bounds
 
+# digits per piece of an int written in decimal: Python 3.11 and later
+# refuse to convert an int of more than 4300 digits in one go
+_PIECE = 4000
+
+
+def _decimal(value: int) -> str:
+    """The exact decimal digits of ``value``, written in pieces of at most
+    ``_PIECE`` digits, so that the interpreter's limit on one conversion
+    does not apply."""
+    if value < 0:
+        return "-" + _decimal(-value)
+    pieces = []
+    while value >= 10**_PIECE:
+        value, low = divmod(value, 10**_PIECE)
+        pieces.append(f"{low:0{_PIECE}d}")
+    pieces.append(str(value))
+    return "".join(reversed(pieces))
+
+
 def _format_value(value: int | float | None) -> str:
     if value is None:
         return "-"
     if isinstance(value, int):
-        return str(value)
+        return _decimal(value)
     return f"{value:.6f}"
 
 
@@ -254,7 +273,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         with open(args.csv, "w", encoding="ascii", newline="") as fh:
             fh.write("bound,direction,value,applicable\n")
             for e in report.entries:
-                value = "" if e.value is None else repr(e.value)
+                if e.value is None:
+                    value = ""
+                else:
+                    value = _decimal(e.value) if isinstance(e.value, int) else repr(e.value)
                 fh.write(f"{e.name},{e.direction},{value},{'yes' if e.applicable else 'no'}\n")
         print(f"wrote {args.csv}")
     return EXIT_OK

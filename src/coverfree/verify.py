@@ -17,7 +17,9 @@ its branch fails. Heavy blocks are read off saturating thermometer counters
 over the matrix columns of U (those ``grouptest.decode`` falls back to past
 its guarantee), counting hits or misses, whichever needs fewer bit planes,
 or off per-block bit counts when those cost less. With d = 0 a first
-block's partner is the AND of the columns of what it leaves. A search stops
+block's partner is the AND of the columns of what it leaves. The columns
+are built when a thermometer, an AND or a column count first reads them, so
+a check that counts per block only never builds them. A search stops
 when the other blocks together leave more than d points of U. A cover by at
 most r blocks extends to exactly r since T - w >= r. At the B the pass
 hands ``is_cff``, and only there, it counts every block's gain |I ∩ A| and
@@ -38,11 +40,13 @@ When ``m.symmetries`` is non-empty and ``m`` has at most 256 points,
 ``is_cff`` and ``max_r`` take the orbit route over those point
 permutations. (a) It runs the cover search on the C(T - 1, w - 1) B-sets
 that hold block 0, in colex order. (b) It checks the permutations, T nodes
-each; they are checked, not trusted. Each must be a bijection of the
-points that maps every row onto a row (the rows distinct), which makes it
-permute the blocks and keep every |∩B \\ ∪A|. With fewer than T nodes
-left for each, the route skips them, and a passing claim then costs
-``is_cff`` what its bare rows cost. (c) It labels each block orbit by its
+each; they are checked, not trusted, by one lookup of each row's image
+among the rows, keyed by a packed word or by its bytes (see
+``_block_maps``). Each must be a bijection of the points that maps every
+row onto a row (the rows distinct), which makes it permute the blocks and
+keep every |∩B \\ ∪A|. With fewer than T nodes left for each, the route
+skips them, and a passing claim then costs ``is_cff`` what its bare rows
+cost. (c) It labels each block orbit by its
 least block, searching from every block not yet reached in ascending
 order. (d) For each later orbit, with least block c and in ascending c, it
 searches the B-sets that hold c and whose other blocks lie in orbits whose
@@ -63,8 +67,10 @@ the plain scan's, and no B-set is searched twice.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import accumulate, pairwise, takewhile
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -331,10 +337,9 @@ def _common(columns: Sequence[int], outside: int, mask: int) -> int:
     return outside
 
 
-def _heavy(
-    columns: Sequence[int], rows: Sequence[int], outside: int, mask: int, level: int
-) -> int:
+def _heavy(m: IncidenceMatrix, outside: int, mask: int, level: int) -> int:
     """The blocks of ``outside`` holding at least ``level`` points of ``mask``."""
+    rows = m.rows
     size = mask.bit_count()
     misses = size - level + 1
     # a thermometer point costs about planes + 3 per-block bit counts
@@ -345,8 +350,8 @@ def _heavy(
                 heavy |= 1 << i
         return heavy & outside
     if misses == 1:
-        return _common(columns, outside, mask)
-    held = map(columns.__getitem__, _members(mask))
+        return _common(m.columns, outside, mask)
+    held = map(m.columns.__getitem__, _members(mask))
     if level <= misses:
         return _reach(held, level) & outside
     # a block misses at most size - level points exactly when it is not
@@ -354,31 +359,29 @@ def _heavy(
     return outside & ~_reach(held, misses, outside)
 
 
-def _bare(columns: Sequence[int], rows: Sequence[int], outside: int, mask: int) -> int:
+def _bare(m: IncidenceMatrix, outside: int, mask: int) -> int:
     """How many points of ``mask`` no block of ``outside`` holds."""
     if mask.bit_count() < outside.bit_count():
+        columns = m.columns
         return sum(not columns[x] & outside for x in _members(mask))
-    return _uncovered(rows, mask, _members(outside))
+    return _uncovered(m.rows, mask, _members(outside))
 
 
 def _covers(
-    columns: Sequence[int],
-    rows: Sequence[int],
-    outside: int,
-    uncovered: int,
-    d: int,
-    j: int,
-    meter: _Meter,
+    m: IncidenceMatrix, outside: int, uncovered: int, d: int, j: int, meter: _Meter
 ) -> int | None:
     """The size of some cover by at most j blocks of the mask ``outside``
     that leaves at most d of the more than d points of ``uncovered``, or
     None when there is none (see the module docstring). Each call charges
-    ``meter`` a node, nested calls included."""
+    ``meter`` a node, nested calls included. The matrix columns are read,
+    and so built, only where a thermometer, an AND or a column count is
+    cheaper than the rows."""
     meter.charge()
+    rows = m.rows
     excess = uncovered.bit_count() - d
-    heavy = _heavy(columns, rows, outside, uncovered, -(-excess // j))
+    heavy = _heavy(m, outside, uncovered, -(-excess // j))
     # no cover at any size when all of outside leaves more than d points
-    if not heavy or j > 2 and _bare(columns, rows, outside, uncovered) > d:
+    if not heavy or j > 2 and _bare(m, outside, uncovered) > d:
         return None
     order = _members(heavy)
     if j > 2:
@@ -392,13 +395,17 @@ def _covers(
             return 1
         if j == 2:
             # the pair level inline: one partner must remove all of the excess
-            if _heavy(columns, rows, outside, left, excess) if d else _common(columns, outside, left):
+            if _heavy(m, outside, left, excess) if d else _common(m.columns, outside, left):
                 return 2
         else:
-            found = _covers(columns, rows, outside, left, d, j - 1, meter)
+            found = _covers(m, outside, left, d, j - 1, meter)
             if found is not None:
                 return found + 1
     return None
+
+
+# the bytes before a row of s points in its 8-byte record, for s <= 8
+_PADDING = [b"\xff" * (8 - s) for s in range(9)]
 
 
 def _routed(m: IncidenceMatrix) -> bool:
@@ -413,15 +420,22 @@ def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[array] | None:
     of block indices, or None when two rows are equal or some symmetry is
     not a bijection of the points that maps every row onto a row.
 
-    Every row is written as its points, one byte each and highest first; a
-    point map is one ``bytes.translate`` of all of them, and each image is
-    looked up among the rows by its bytes, sorted only on a miss. Each map
-    charges ``meter`` T nodes before it runs.
+    Every row is written once as its points, one byte each and highest
+    first. With at most 8 points a row and fewer than 256 points, each row
+    takes an 8-byte record, padded in front with the byte 255, which is no
+    point and which every map keeps, and is keyed by that record read as one
+    word; otherwise it is keyed by its bytes. A point map is one
+    ``bytes.translate`` of all the rows, and each image is looked up among
+    the rows by its key, its points sorted only on a miss. Each map charges
+    ``meter`` T nodes before it runs.
     """
     n, T = m.num_points, m.num_blocks
+    word = n < 256 and max(map(int.bit_count, m.rows)) <= 8
     points = bytearray()
     ends = array("L", [0])
     for row in m.rows:
+        if word:
+            points += _PADDING[row.bit_count()]
         while row:
             top = row.bit_length() - 1
             points.append(top)
@@ -429,9 +443,12 @@ def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[array] | None:
         ends.append(len(points))
     flat = bytes(points)
     del points
-    index = {flat[a:b]: i for i, (a, b) in enumerate(pairwise(ends))}
+    # a comprehension, as dict(zip(...)) peaks ~90 kB higher at screen scale
+    index = {k: i for i, k in enumerate(_keys(flat, ends, word))}
     if len(index) != T:
         return None
+    # one record's key, as ``_keys`` reads it
+    key = partial(int.from_bytes, byteorder=sys.byteorder) if word else bytes
     maps = []
     for perm in m.symmetries:
         meter.charge(T)
@@ -442,17 +459,30 @@ def _block_maps(m: IncidenceMatrix, meter: _Meter) -> list[array] | None:
         if sorted(table) != list(range(n)):
             return None
         image = flat.translate(table + bytes(range(n, 256)))
-        sigma = array("L")
-        for a, b in pairwise(ends):
-            key = image[a:b]
-            j = index.get(key)
-            if j is None:
-                j = index.get(bytes(sorted(key, reverse=True)))
+        try:
+            sigma = array("L", map(index.__getitem__, _keys(image, ends, word)))
+        except KeyError:
+            # the map breaks the point order of some rows: sort their images
+            sigma = array("L")
+            for a, b in pairwise(ends):
+                record = image[a:b]
+                j = index.get(key(record))
                 if j is None:
-                    return None
-            sigma.append(j)
+                    j = index.get(key(bytes(sorted(record, reverse=True))))
+                    if j is None:
+                        return None
+                sigma.append(j)
         maps.append(sigma)
     return maps
+
+
+def _keys(image: bytes, ends: Sequence[int], word: bool) -> Iterable[int | bytes]:
+    """The key of each row written in ``image``, row i at
+    ``ends[i]:ends[i + 1]``: its 8-byte record read as one word, or its
+    bytes."""
+    if word:
+        return memoryview(image).cast("Q")
+    return (image[a:b] for a, b in pairwise(ends))
 
 
 def _orbits(maps: Sequence[Sequence[int]], T: int) -> list[list[int]]:
@@ -531,7 +561,6 @@ def _lowered(
     points of ∩B; the pass stops once ``least`` is 1. Each B charges
     ``meter`` a node, and counts as cleared once its search is done."""
     rows = m.rows
-    columns = m.columns
     every = (1 << m.num_blocks) - 1
     for b_set in b_sets:
         meter.charge()
@@ -543,7 +572,7 @@ def _lowered(
             yield b_set, inter, 1
             return
         while least > 1:
-            found = _covers(columns, rows, outside, inter, d, least - 1, meter)
+            found = _covers(m, outside, inter, d, least - 1, meter)
             if found is None:
                 break
             least = found

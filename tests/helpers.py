@@ -1,6 +1,6 @@
 """Small builders and brute-force oracles the test modules share."""
 
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import log2
 
 from coverfree.core import IncidenceMatrix, _from_columns
@@ -117,3 +117,44 @@ def rs_rate(q, n, r, d):
     (n + r - d - 1)/(r q n) * log2(q). At n = q + 1 - s it is the rate of
     the code shortened by s."""
     return (n + r - d - 1) / (r * q * n) * log2(q)
+
+
+def block_maps(m):
+    """Reference for ``verify._block_maps``, without its node charge: each
+    row keyed by its points' bytes, highest first, and each image looked up
+    by its bytes, sorted only on a miss. The block maps as lists, or None
+    when two rows are equal or some symmetry is not a bijection of the
+    points that maps every row onto a row."""
+    n, T = m.num_points, m.num_blocks
+    points = bytearray()
+    ends = [0]
+    for row in m.rows:
+        while row:
+            top = row.bit_length() - 1
+            points.append(top)
+            row ^= 1 << top
+        ends.append(len(points))
+    flat = bytes(points)
+    index = {flat[a:b]: i for i, (a, b) in enumerate(pairwise(ends))}
+    if len(index) != T:
+        return None
+    maps = []
+    for perm in m.symmetries:
+        try:
+            table = bytes(perm)
+        except (TypeError, ValueError):
+            return None
+        if sorted(table) != list(range(n)):
+            return None
+        image = flat.translate(table + bytes(range(n, 256)))
+        sigma = []
+        for a, b in pairwise(ends):
+            key = image[a:b]
+            j = index.get(key)
+            if j is None:
+                j = index.get(bytes(sorted(key, reverse=True)))
+                if j is None:
+                    return None
+            sigma.append(j)
+        maps.append(sigma)
+    return maps

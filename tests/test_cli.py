@@ -439,6 +439,23 @@ class TestBounds:
         assert "dfft,lower bound on N,10.0,yes" in lines
         assert "w1,lower bound on N,,no" in lines
 
+    def test_values_past_the_digit_limit_are_written_whole(self, capsys, tmp_path):
+        # the sperner bound C(20000, 10000) has 6019 digits, past the 4300
+        # that Python 3.11 converts at once
+        csv_file = str(tmp_path / "bounds.csv")
+        rc, out, _ = run_cli(
+            capsys, "bounds", "--w", "1", "--r", "1", "--T", "4", "--N", "20000",
+            "--csv", csv_file,
+        )
+        assert rc == 0
+        value = next(l for l in out.splitlines() if l.startswith("sperner")).split()[5]
+        assert len(value) == 6019
+        assert value.startswith("224560") and value.endswith("916640")
+        # read back in two pieces, each within the limit
+        assert int(value[:3000]) * 10**3019 + int(value[3000:]) == math.comb(20000, 10000)
+        lines = open(csv_file, encoding="ascii").read().splitlines()
+        assert f"sperner,upper bound on T,{value},yes" in lines
+
     def test_point_count_unlocks_t_bounds(self, capsys):
         rc, out, _ = run_cli(
             capsys, "bounds", "--w", "1", "--r", "2", "--d", "1",

@@ -31,7 +31,7 @@ from coverfree.verify import (
     max_r,
     pair_count,
 )
-from helpers import RS_UP_TO_3000, identity, is_disjunct, transpose
+from helpers import RS_UP_TO_3000, block_maps, identity, is_disjunct, transpose
 
 
 def params(w, r, d, N, T):
@@ -665,6 +665,120 @@ class TestOrbitProof:
         assert m.symmetries and m == bare and hash(m) == hash(bare) and repr(m) == repr(bare)
 
 
+def same_maps(m):
+    """Assert that ``verify._block_maps`` returns what the byte-keyed
+    reference returns, maps or None; return it."""
+    got = verify._block_maps(m, verify._Meter(AMPLE, 1))
+    want = block_maps(m)
+    assert (None if got is None else [list(sigma) for sigma in got]) == want
+    return want
+
+
+def swaps(n, *pairs):
+    """The point permutations of n points that swap each pair."""
+    perms = []
+    for a, b in pairs:
+        perm = list(range(n))
+        perm[a], perm[b] = b, a
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
+class TestBlockMaps:
+    """The map check keys rows of at most 8 points over fewer than 256
+    points by one packed word, and other rows by their bytes; either way it
+    returns the maps, or None, that the byte-keyed reference returns."""
+
+    def test_every_routed_family_matches_the_reference(self):
+        families = [rs_cff(*args)[0] for args in RS_UP_TO_3000]
+        families += [recursive_cff(*args)[0] for args in RECURSIVE_UP_TO_256_POINTS]
+        families += [recursive_cff(2, 2, 0, 2)[0], rs_cff(16, 16, 15)[0], cyclic_family()]
+        routed = [m for m in families if verify._routed(m)]
+        assert len(routed) > 100
+        for m in routed:
+            assert same_maps(m) is not None
+
+    def test_a_map_that_breaks_the_point_order_is_sorted(self):
+        # recursive_cff(2, 2, 0, 1): 20 points a row, so byte keys; 49 of
+        # its 50 images list their points out of order
+        m, _ = recursive_cff(2, 2, 0, 1)
+        assert same_maps(m) is not None
+        # 8 points a row: packed words, and the reversal maps every row's
+        # points to the wrong order
+        n = 16
+        rows = [sum(1 << p for p in range(i, i + 8)) for i in range(9)]
+        reversal = tuple(n - 1 - p for p in range(n))
+        given = IncidenceMatrix(n, tuple(rows), (reversal,))
+        assert same_maps(given) == [list(range(8, -1, -1))]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            tuple(range(29)),  # too short
+            tuple(range(31)),  # too long
+            (*range(29), 29.0),  # not an int
+            ("a",) * 30,
+            (300, *range(1, 30)),  # not a byte
+            (-1, *range(1, 30)),
+            tuple(range(1, 31)),  # not onto the points
+            (0,) * 30,  # not a bijection
+        ],
+    )
+    def test_a_symmetry_that_is_not_a_point_bijection(self, bad):
+        m, _ = rs_cff(5, 6, 2)
+        assert same_maps(IncidenceMatrix(m.num_points, m.rows, (*m.symmetries, bad))) is None
+
+    def test_an_image_that_is_not_a_row(self):
+        m, _ = rs_cff(5, 6, 2)
+        rows = list(m.rows)
+        rows[7] ^= 1
+        assert same_maps(IncidenceMatrix(m.num_points, tuple(rows), m.symmetries)) is None
+        assert same_maps(TestOrbitProof.carried((1, 2, 0, 2))[0]) is None
+
+    def test_equal_rows(self):
+        m, _ = rs_cff(5, 6, 2)
+        assert same_maps(IncidenceMatrix(m.num_points, m.rows + m.rows[:1], m.symmetries)) is None
+        wide, _ = recursive_cff(1, 2, 0, 2)
+        twice = IncidenceMatrix(wide.num_points, wide.rows + wide.rows[:1], wide.symmetries)
+        assert same_maps(twice) is None
+
+    @pytest.mark.parametrize("n", [8, 255, 256])
+    def test_rows_of_unequal_size_and_an_empty_row(self, n):
+        # the top point in rows of 0, 1, 2 and 3 points: a pad byte equal
+        # to it would make {} and {top}, and {top, 0} and {0}, one key
+        top = n - 1
+        blocks = [(), (top,), (0,), (1,), (top, 0), (top, 1), (0, 1, 2), (0, 1, 3), (top, 2, 3)]
+        rows = tuple(sum(1 << p for p in block) for block in blocks)
+        given = IncidenceMatrix(n, rows, swaps(n, (0, 1), (2, 3)))
+        assert same_maps(given) == [[0, 1, 3, 2, 5, 4, 6, 7, 8], [0, 1, 2, 3, 4, 5, 7, 6, 8]]
+        # a swap that moves the top point maps {top} off the rows
+        assert same_maps(IncidenceMatrix(n, rows, swaps(n, (top, 4)))) is None
+
+    def test_256_points_with_the_top_point_in_use(self):
+        n = 256
+        blocks = [(255,), (254,), (255, 0), (254, 0), (255, 254), (0,), ()]
+        rows = tuple(sum(1 << p for p in block) for block in blocks)
+        given = IncidenceMatrix(n, rows, swaps(n, (254, 255)))
+        assert same_maps(given) == [[1, 0, 3, 2, 4, 5, 6]]
+
+    @pytest.mark.parametrize("build", [lambda: rs_cff(8, 8, 7), lambda: rs_cff(8, 9, 8)])
+    def test_eight_and_nine_points_a_row(self, build):
+        # 8 points a row take packed words, 9 take byte keys
+        m, _ = build()
+        assert max(map(int.bit_count, m.rows)) in (8, 9)
+        assert len(same_maps(m)) == len(m.symmetries) > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_checks_that_never_need_columns_never_build_them(self, seed):
+        # T = 8 over 514 points: the per-block counts are always cheaper
+        # than a thermometer, an AND or a column count
+        m, claim = random_uniform_cff(2, 1, 2, 8, seed=seed)
+        assert check_claim(m, claim).ok
+        best = max_r(m, claim.w, claim.d)
+        assert not is_cff(m, replace(claim, r=best + 1)).ok
+        assert "columns" not in m.__dict__
+
+
 def test_pair_count():
     assert pair_count(9, 1, 3) == 504
     assert pair_count(25, 1, 4) == 265_650
@@ -936,7 +1050,7 @@ def test_heavy_blocks_match_a_plain_count(case):
         for i, row in enumerate(m.rows)
         if outside >> i & 1 and (row & mask).bit_count() >= level
     )
-    assert verify._heavy(m.columns, m.rows, outside, mask, level) == plain
+    assert verify._heavy(m, outside, mask, level) == plain
 
 
 class TestMaxR:

@@ -68,6 +68,35 @@ MUTANTS = [
     ),
     # is_cff: the colex pass skips the B-sets the orbit route cleared
     Mutant("src/coverfree/verify.py", " and b not in later", "", "tests/test_verify.py"),
+    # the map check: the pad before a short row's points is no point, and
+    # every map keeps it
+    Mutant(
+        "src/coverfree/verify.py",
+        'b"\\xff" * (8 - s)',
+        'b"\\x00" * (8 - s)',
+        "tests/test_verify.py",
+    ),
+    # the map check: a packed word holds at most 8 points
+    Mutant(
+        "src/coverfree/verify.py",
+        "m.rows)) <= 8",
+        "m.rows)) <= 9",
+        "tests/test_verify.py",
+    ),
+    # the map check: an image out of point order is sorted highest first
+    Mutant(
+        "src/coverfree/verify.py",
+        "sorted(record, reverse=True)",
+        "sorted(record)",
+        "tests/test_verify.py",
+    ),
+    # the B-set pass builds no columns before a search reads one
+    Mutant(
+        "src/coverfree/verify.py",
+        "    rows = m.rows\n    every =",
+        "    rows = m.rows\n    m.columns\n    every =",
+        "tests/test_verify.py",
+    ),
     # GF(q) tables: the low digit of a + b is (a + b) mod p
     Mutant("src/coverfree/gf.py", "(a + b) % p", "(a + b + 1) % p", "tests/test_gf.py"),
     # GF(q) tables: x * h turns its dropped top digit t into -t * g
