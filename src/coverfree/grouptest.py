@@ -10,7 +10,10 @@ Transversal designs, such as the Reed-Solomon and orthogonal-array
 families, are decoded one class of pools at a time: when the pools split,
 in index order, into runs that each hold every item exactly once, an
 item's negative pools are counted by the runs whose negative part holds
-it, so no pool is visited on its own and no row is read.
+it, so no pool is visited on its own and no row is read. Every item then
+holds one pool of each class, so a round with fewer positive pools than
+the classes less the tolerance decodes to no item before any column is
+read.
 """
 
 from __future__ import annotations
@@ -98,7 +101,11 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
     OR of its positive ones, whichever side has fewer pools, so a round
     with few positive pools costs a few operations a class. Saturating
     bit-plane counters over the miss masks give the blocks in more than
-    ``tolerance`` negative pools, and the answer is the rest.
+    ``tolerance`` negative pools, and the answer is the rest. A block in
+    at most ``tolerance`` negative pools holds at least len(classes) -
+    ``tolerance`` distinct positive ones, so a round with fewer positive
+    pools than that, such as one with no defective and few flips, decodes
+    to the empty set without reading a column.
 
     Other matrices split the negative pools, in index order, into
     min(tolerance, negative pools) + 1 contiguous groups, and the columns
@@ -121,6 +128,10 @@ def decode(m: IncidenceMatrix, o: TestOutcome, tolerance: int = 0) -> set[int]:
     every = (1 << m.num_blocks) - 1
     classes = m._classes
     if classes:
+        # every block holds one pool of each class, so none passes with
+        # fewer than len(classes) - tolerance positive pools
+        if o.outcomes.bit_count() + tolerance < len(classes):
+            return set()
         # a block in more than len(classes) negative pools does not exist,
         # so the counter needs no more planes than that
         level = min(tolerance, len(classes)) + 1

@@ -287,8 +287,10 @@ class TestDecodeWork:
         "count, reads",
         [
             # few positive pools: the positive columns, where the negative
-            # ones would be 1896
-            (None, 344),
+            # ones would be 1896; the rounds with no defective and at most
+            # 2 flips read none, since a block passes with 8 - 2 positive
+            # pools at least
+            (None, 331),
             # mostly positive pools: the negative columns, where the
             # positive ones would be 515
             (16, 45),
@@ -307,6 +309,37 @@ class TestDecodeWork:
             o = inject_errors(encode(m, defectives), flips, seed=seed)
             assert decode(copy, o, 2) == decode_by_rows(m, o, 2)
         assert columns.reads == reads
+
+    @pytest.mark.parametrize("tolerance", range(4))
+    def test_empty_rounds_read_nothing(self, tolerance):
+        # no defective and at most tolerance flips: at most 2 * tolerance < 8
+        # positive pools, too few for any block to pass
+        m, _ = rs_cff(7, 8, 2, 4)
+        copy, rows, columns = counted(m)
+        copy._classes
+        columns.reads = 0
+        for flips in range(tolerance + 1):
+            for seed in range(5):
+                o = inject_errors(encode(m, set()), flips, seed=seed)
+                assert decode(copy, o, tolerance) == set()
+        assert rows.reads == columns.reads == 0
+
+
+def rounds_at_the_bound(m, tolerance, seed):
+    """Outcomes on a design with classes whose positive pools number
+    len(classes) - tolerance and one fewer (at least 0): drawn at random,
+    all in one class where they fit, and drawn from one block's pools, which
+    at len(classes) - tolerance lets that block pass."""
+    classes = m._classes
+    rng = random.Random(seed)
+    for count in {max(len(classes) - tolerance - c, 0) for c in (0, 1)}:
+        yield Outcome(m.num_points, sum(1 << j for j in rng.sample(range(m.num_points), count)))
+        start, stop = classes[rng.randrange(len(classes))]
+        if count <= stop - start:
+            yield Outcome(m.num_points, sum(1 << j for j in rng.sample(range(start, stop), count)))
+        row = m.rows[rng.randrange(m.num_blocks)]
+        points = [j for j in range(m.num_points) if row >> j & 1]
+        yield Outcome(m.num_points, sum(1 << j for j in rng.sample(points, count)))
 
 
 @st.composite
@@ -393,6 +426,21 @@ class TestDecodeByClass:
             o = inject_errors(encode(m, defectives), flips, seed=rng.random())
             assert decode(m, o, 2) == decode_by_rows(m, o, 2) == defectives
 
+    def test_rounds_at_the_bound(self, screening_design):
+        # from tolerance 0, where a block needs every class positive, to
+        # len(classes) + 1, where every block passes and the bound never
+        # fires
+        for m in (rs_cff(7, 8, 2, 4)[0], screening_design):
+            passed = 0
+            for tolerance in range(len(m._classes) + 2):
+                for seed in range(3):
+                    for o in rounds_at_the_bound(m, tolerance, seed):
+                        want = decode_by_rows(m, o, tolerance)
+                        assert decode(m, o, tolerance) == want
+                        passed += bool(want)
+            # each tolerance lets a block through at least once a seed
+            assert passed >= 3 * (len(m._classes) + 2)
+
     @pytest.mark.parametrize("count", [5, 12, 20, 60])
     def test_screening_design_past_the_guarantee(self, screening_design, count):
         m = screening_design
@@ -421,6 +469,10 @@ class TestSimulate:
             ((4, 5, 1, 2), 12, 3, (300, 244, 90, 7, 1, 3)),
             ((7, 8, 2, 4), 6, 5, (300, 298, 1, 1, 2, 5)),
             ((7, 8, 2, 4), 5, None, (300, 300, 0, 0, 2, 2)),
+            # the same matrix at r = 1: half the rounds have no defective,
+            # and those with at most 4 flips decode to no item without
+            # reading a column
+            ((7, 8, 1, 6), 3, 6, (300, 298, 2, 0, 3, 6)),
         ],
     )
     def test_pinned_stats(self, design, seed, max_errors, want):

@@ -115,6 +115,33 @@ MUTANTS = [
     Mutant("src/coverfree/bounds.py", "update(w=w, r=r,", "update(w=r, r=w,", "tests/test_bounds.py"),
     # inject_errors: only a count of zero returns the outcome as it is
     Mutant("src/coverfree/grouptest.py", "if not count:", "if count < 2:", "tests/test_grouptest.py"),
+    # decode by class: a round with len(classes) - tolerance positive pools
+    # can still let a block through
+    Mutant(
+        "src/coverfree/grouptest.py",
+        "+ tolerance < len(classes)",
+        "+ tolerance <= len(classes)",
+        "tests/test_grouptest.py",
+    ),
+    # decode by class: each class is read on its fewer side; only the
+    # column-read pins see the other
+    Mutant(
+        "src/coverfree/grouptest.py",
+        "2 * positive.bit_count() < width",
+        "2 * positive.bit_count() > width",
+        "tests/test_grouptest.py",
+    ),
+    # _positions: a byte's bit positions run 0 to 7
+    Mutant("src/coverfree/grouptest.py", "in range(8) if byte", "in range(7) if byte", "tests/test_grouptest.py"),
+    # decode without classes: the filter is given up only when its
+    # candidates would cost more than the counters; only the row-read pins
+    # see it given up at once
+    Mutant(
+        "src/coverfree/grouptest.py",
+        "most = 2 * tolerance * len(pools)",
+        "most = 0",
+        "tests/test_grouptest.py",
+    ),
 ]
 
 
