@@ -1,14 +1,16 @@
 """Size bounds for cover-free families.
 
-The survey of known results is one table of (name, hypothesis, formula,
-note) rows, and a formula is evaluated only where its hypothesis holds.
-:func:`lower_bounds_N` lists every lower bound on the point count N, with
-value None exactly where it does not apply. :func:`full_report` adds the
-existence threshold and, for w = 1 with N given, the upper bounds on the
-block count T and on the rate whose hypotheses hold. Beside the survey live
-the bound functions it calls, an entropy-recurrence rate bound, and an
-exact minimum-N search for tiny instances. All logarithms are base 2 and
-binomial coefficients are exact big-integer values.
+The survey of known results is one table of (name, direction, hypothesis,
+formula, asymptotic, note) rows, evaluated by :func:`full_report`: the
+lower bounds on the point count N, the existence threshold and, for w = 1
+with N given, the upper bounds on the block count T and on the rate. A
+formula is evaluated only where its hypothesis holds. A lower bound on N
+whose hypothesis fails is listed with value None, and any other row is
+listed only where its hypothesis holds. Where a float value would leave the
+float range, a ValueError naming w, r, d and T is raised instead. Beside the
+survey live the bound functions it calls, an entropy-recurrence rate bound,
+and an exact minimum-N search for tiny instances. All logarithms are base 2
+and binomial coefficients are exact big-integer values.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ __all__ = [
     "DEFAULT_C",
     "bound_2d_T",
     "drr_rate",
-    "existence_threshold_N",
     "full_report",
     "gbound_T",
-    "lower_bounds_N",
     "min_N_bruteforce",
     "rate_asymptotic",
     "sperner_T",
@@ -107,7 +107,7 @@ def bound_2d_T(N: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lower bounds on N
+# report types and row helpers
 
 # The two report types are built a dozen times a report, so each stores its
 # fields with one dict update instead of the generated frozen __init__'s
@@ -168,81 +168,6 @@ class BoundReport:
         return max(candidates, key=lambda e: e.value) if candidates else None
 
 
-def lower_bounds_N(w: int, r: int, d: int, T: int, c: float = DEFAULT_C) -> BoundReport:
-    """Evaluate the known lower bounds on the point count N of any
-    (w, r; d)-cover-free family with T blocks.
-
-    Bounds whose hypotheses fail at these parameters are reported with
-    ``applicable=False`` rather than dropped; asymptotic bounds (valid for
-    sufficiently large T only) keep their value but are flagged and never
-    win :meth:`BoundReport.best_lower_bound`. Where a value would leave the
-    float range (w + r of about 1000 and more), a ValueError naming w, r, d
-    and T is raised instead.
-    """
-    if w < 1 or r < 1:
-        raise ValueError("w and r must be positive")
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    if T < w + r:
-        raise ValueError(f"need T >= w + r, got T={T}")
-    if not (0 < c and math.isfinite(c)):
-        raise ValueError(f"c must be positive and finite, got c={c}")
-
-    # general quadratic-family bounds; hypotheses need w + r > 2
-    def nbound2() -> float:
-        return 2.0 * c * comb(w + r, w) / log2(w + r) * log2(T)
-
-    def nbound3() -> float:
-        return 0.7 * c * comb(w + r, w) * (w + r) / log2(comb(w + r, w)) * log2(T)
-
-    def engel() -> float:
-        # (w+r-2)^(w+r-2) / ((w-1)^(w-1) (r-1)^(r-1)); 0^0 = 1 at w = 1 or r = 1
-        a, b, e = w + r - 2, w - 1, r - 1
-        return a**a / (b**b * e**e) * log2(T - r - w + 2)
-
-    def extra() -> float:
-        return 0.5 * c * comb(w + r, w) * (d - 1)
-
-    pair_ok = w + r > 2
-    large_T = "holds for sufficiently large T"
-    # (name, hypothesis, formula, asymptotic, note)
-    rows = (
-        # quadratic bound for w = 1
-        ("w1", w == 1 and r >= 2, lambda: c * r * r / log2(r) * log2(T), False,
-         "w=1 only; needs r >= 2"),
-        # counting bound r*(w log T - log r - w log w)
-        ("dfft", True, lambda: r * (w * log2(T) - log2(r) - w * log2(w)), False, ""),
-        # binomial-coefficient bound, finite form, and its asymptotic strengthening
-        ("engel1", True, lambda: comb(w + r - 1, w) * log2(T - r - w + 2), False, ""),
-        ("engel", True, engel, True, large_T),
-        ("nbound2", pair_ok, nbound2, False, "needs w + r > 2"),
-        ("nbound3", pair_ok, nbound3, True, "needs w + r > 2; " + large_T),
-        # d-aware refinements
-        ("1rd", w == 1 and r > 1 and d >= 1, lambda: c * (r * r / log2(r) * log2(T) + (d - 1) * r),
-         False, "w=1 only; needs r >= 2 and d >= 1"),
-        ("sw2", r > w >= 1 and d >= 1, lambda: _sw2(w, r, d, T, c), False,
-         "needs r > w >= 1 and d >= 1"),
-        ("nbound2-d", pair_ok, lambda: nbound2() + extra(), False,
-         "needs w + r > 2; (d-1) term goes negative at d = 0"),
-        ("nbound3-d", pair_ok, lambda: nbound3() + extra(), True, "needs w + r > 2; " + large_T),
-    )
-    try:
-        entries = tuple(
-            BoundEntry(name, _LOWER, formula() if holds else None, asymptotic, note)
-            for name, holds, formula, asymptotic, note in rows
-        )
-    except OverflowError:
-        raise _past_float_range(w, r, d, T) from None
-    if not all(math.isfinite(e.value) for e in entries if e.applicable):
-        raise _past_float_range(w, r, d, T)
-    return BoundReport(w=w, r=r, d=d, T=T, c=c, entries=entries)
-
-
-def _past_float_range(w: int, r: int, d: int, T: int) -> ValueError:
-    # an infinite bound would overstate it, so there is no value to report
-    return ValueError(f"the bounds at w={w}, r={r}, d={d}, T={T} leave the float range")
-
-
 def _sw2(w: int, r: int, d: int, T: int, c: float) -> float:
     # T >= w + r and r > w give T - 2w >= 1, so the logs are defined
     shrink = 1.0
@@ -252,27 +177,15 @@ def _sw2(w: int, r: int, d: int, T: int, c: float) -> float:
     return c * 4.0 ** (w - 1) * shrink * (rw * rw / log2(rw) * log2(T - 2 * w) + (d - 1) * rw)
 
 
-def existence_threshold_N(w: int, r: int, d: int, T: int) -> float:
-    """Point count above which a random-density (w, r; d)-family with T
-    blocks exists with positive probability: the smaller of
-    (w+r) log2(T) and (w+r-1) log2(2T), divided by -(d+1) log2(p) with
-    p = 1 - w^w r^r / (w+r)^(w+r). Past the float range, a ValueError
-    naming w, r, d and T."""
-    if w < 1 or r < 1:
-        raise ValueError("w and r must be positive")
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    if T < w + r:
-        raise ValueError(f"need T >= w + r, got T={T}")
+def _density_bits(w: int, r: int, d: int) -> float:
+    """-(d+1) log2(p), where p = 1 - w^w r^r / (w+r)^(w+r) is the chance
+    that a point of density w/(w+r) fails to separate a given pair. The
+    existence threshold and ``random_cff``'s default point count divide by
+    it; 0 where the ratio underflows."""
     x = w**w * r**r / (w + r) ** (w + r)
     p = 1.0 - x
     # where p rounds to 1, -log2(p) is x / ln 2 to first order
-    denom = (d + 1) * (x / log(2) if p == 1.0 else -log2(p))
-    # past w + r of about 1000, x underflows to 0 or the quotient to inf
-    threshold = min((w + r) * log2(T), (w + r - 1) * log2(2 * T)) / denom if denom else math.inf
-    if math.isinf(threshold):
-        raise _past_float_range(w, r, d, T)
-    return threshold
+    return (d + 1) * (x / log(2) if p == 1.0 else -log2(p))
 
 
 # ---------------------------------------------------------------------------
@@ -526,41 +439,108 @@ def full_report(
     k: int | None = None,
     c: float = DEFAULT_C,
 ) -> BoundReport:
-    """Everything :func:`lower_bounds_N` reports, plus the existence
-    threshold, plus (when N is given) the applicable upper bounds on T and
-    the rate bounds at e = d/N. A given N must exceed d, and with N given,
-    a given k must lie in 1..N. Where a value would leave the float range,
-    the ValueError of :func:`lower_bounds_N` or
-    :func:`existence_threshold_N` is raised."""
+    """The survey at (w, r, d, T): every lower bound on the point count N of
+    a (w, r; d)-cover-free family with T blocks, the existence threshold,
+    and, for w = 1 with N given, the upper bounds on T and the rate bounds at
+    e = d/N.
+
+    A lower bound on N whose hypothesis fails is listed with value None
+    (``applicable=False``); any other row is listed only where its
+    hypothesis holds. Asymptotic bounds (valid for sufficiently large T
+    only) are flagged and never win :meth:`BoundReport.best_lower_bound`.
+    A given N must exceed d, and with N given, a given k must lie in 1..N.
+    Where a float value would leave the float range (w + r of about 1000
+    and more), a ValueError naming w, r, d and T is raised instead.
+    """
     if N is not None and N <= d:
         raise ValueError(f"N must exceed d, got N={N}, d={d}")
     if N is not None and k is not None and not 1 <= k <= N:
         raise ValueError(f"k must lie in 1..N, got k={k}, N={N}")
-    entries = [
-        *lower_bounds_N(w, r, d, T, c).entries,
-        BoundEntry("existence", "sufficient N (existence)", existence_threshold_N(w, r, d, T),
-                   False, "a random family exists above this N"),
-    ]
-    if N is not None and w == 1:
-        on_T, on_rate = "upper bound on T", "upper bound on rate"
-        # (name, direction, hypothesis, formula, asymptotic, note); a
-        # (1, r; d)-family is in particular (1, r; 0), so uniform holds for every d
-        rows = (
-            ("sperner", on_T, r == 1 and d == 0 and N >= 2, lambda: sperner_T(N), False,
-             "exact maximum"),
-            ("gbound", on_T, r >= 2 and N > r + d * (r + 1), lambda: gbound_T(N, r, d), False,
-             "largest admissible T"),
-            ("2d", on_T, r == 2 and d >= 1, lambda: bound_2d_T(N, d), False, "strict: T < value"),
-            ("uniform", on_T, k is not None, lambda: uniform_T(N, k, r), False,
-             f"k={k}-uniform blocks"),
-            ("drr-rate", on_rate, True, lambda: drr_rate(r, d / N), True,
-             "rate = log2(T)/N at e = d/N"),
-            ("rate-drr", on_rate, r >= 2, lambda: rate_asymptotic(r, d, N, "drr"), True, ""),
-            ("rate-gbound", on_rate, r >= 2, lambda: rate_asymptotic(r, d, N, "gbound"), True, ""),
-        )
-        entries += (
-            BoundEntry(name, direction, formula(), asymptotic, note)
-            for name, direction, holds, formula, asymptotic, note in rows
-            if holds
-        )
+    if w < 1 or r < 1:
+        raise ValueError("w and r must be positive")
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    if T < w + r:
+        raise ValueError(f"need T >= w + r, got T={T}")
+    if not (0 < c and math.isfinite(c)):
+        raise ValueError(f"c must be positive and finite, got c={c}")
+
+    # general quadratic-family bounds; hypotheses need w + r > 2
+    def nbound2() -> float:
+        return 2.0 * c * comb(w + r, w) / log2(w + r) * log2(T)
+
+    def nbound3() -> float:
+        return 0.7 * c * comb(w + r, w) * (w + r) / log2(comb(w + r, w)) * log2(T)
+
+    def engel() -> float:
+        # (w+r-2)^(w+r-2) / ((w-1)^(w-1) (r-1)^(r-1)); 0^0 = 1 at w = 1 or r = 1
+        a, b, e = w + r - 2, w - 1, r - 1
+        return a**a / (b**b * e**e) * log2(T - r - w + 2)
+
+    def extra() -> float:
+        return 0.5 * c * comb(w + r, w) * (d - 1)
+
+    def existence() -> float:
+        bits = _density_bits(w, r, d)
+        return min((w + r) * log2(T), (w + r - 1) * log2(2 * T)) / bits if bits else math.inf
+
+    pair_ok = w + r > 2
+    large_T = "holds for sufficiently large T"
+    upper = N is not None and w == 1
+    on_T, on_rate = "upper bound on T", "upper bound on rate"
+    # (name, direction, hypothesis, formula, asymptotic, note)
+    rows = (
+        # quadratic bound for w = 1
+        ("w1", _LOWER, w == 1 and r >= 2, lambda: c * r * r / log2(r) * log2(T), False,
+         "w=1 only; needs r >= 2"),
+        # counting bound r*(w log T - log r - w log w)
+        ("dfft", _LOWER, True, lambda: r * (w * log2(T) - log2(r) - w * log2(w)), False, ""),
+        # binomial-coefficient bound, finite form, and its asymptotic strengthening
+        ("engel1", _LOWER, True, lambda: comb(w + r - 1, w) * log2(T - r - w + 2), False, ""),
+        ("engel", _LOWER, True, engel, True, large_T),
+        ("nbound2", _LOWER, pair_ok, nbound2, False, "needs w + r > 2"),
+        ("nbound3", _LOWER, pair_ok, nbound3, True, "needs w + r > 2; " + large_T),
+        # d-aware refinements
+        ("1rd", _LOWER, w == 1 and r > 1 and d >= 1,
+         lambda: c * (r * r / log2(r) * log2(T) + (d - 1) * r), False,
+         "w=1 only; needs r >= 2 and d >= 1"),
+        ("sw2", _LOWER, r > w >= 1 and d >= 1, lambda: _sw2(w, r, d, T, c), False,
+         "needs r > w >= 1 and d >= 1"),
+        ("nbound2-d", _LOWER, pair_ok, lambda: nbound2() + extra(), False,
+         "needs w + r > 2; (d-1) term goes negative at d = 0"),
+        ("nbound3-d", _LOWER, pair_ok, lambda: nbound3() + extra(), True,
+         "needs w + r > 2; " + large_T),
+        ("existence", "sufficient N (existence)", True, existence, False,
+         "a random family exists above this N"),
+        # a (1, r; d)-family is in particular (1, r; 0), so uniform holds for every d
+        ("sperner", on_T, upper and r == 1 and d == 0 and N >= 2, lambda: sperner_T(N), False,
+         "exact maximum"),
+        ("gbound", on_T, upper and r >= 2 and N > r + d * (r + 1), lambda: gbound_T(N, r, d),
+         False, "largest admissible T"),
+        ("2d", on_T, upper and r == 2 and d >= 1, lambda: bound_2d_T(N, d), False,
+         "strict: T < value"),
+        ("uniform", on_T, upper and k is not None, lambda: uniform_T(N, k, r), False,
+         f"k={k}-uniform blocks"),
+        ("drr-rate", on_rate, upper, lambda: drr_rate(r, d / N), True,
+         "rate = log2(T)/N at e = d/N"),
+        ("rate-drr", on_rate, upper and r >= 2, lambda: rate_asymptotic(r, d, N, "drr"), True,
+         ""),
+        ("rate-gbound", on_rate, upper and r >= 2, lambda: rate_asymptotic(r, d, N, "gbound"),
+         True, ""),
+    )
+    entries = []
+    try:
+        for name, direction, holds, formula, asymptotic, note in rows:
+            if not (holds or direction == _LOWER):
+                continue
+            value = formula() if holds else None
+            # ints are exact counting bounds, and isfinite would overflow on them
+            if isinstance(value, float) and not math.isfinite(value):
+                raise OverflowError
+            entries.append(BoundEntry(name, direction, value, asymptotic, note))
+    except OverflowError:
+        # an infinite bound would overstate it, so there is no value to report
+        raise ValueError(
+            f"the bounds at w={w}, r={r}, d={d}, T={T} leave the float range"
+        ) from None
     return BoundReport(w=w, r=r, d=d, T=T, c=c, entries=tuple(entries))

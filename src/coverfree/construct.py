@@ -22,9 +22,10 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations
-from math import comb, factorial, gcd, inf, log, log2
+from math import comb, factorial, gcd, inf, log2
 from typing import Callable, Iterator, Sequence
 
+from .bounds import _density_bits
 from .core import CFFParams, IncidenceMatrix, _from_columns
 from .gf import field
 from .verify import BudgetExceededError, DEFAULT_BUDGET, DEFAULT_TRIALS, check_claim
@@ -485,10 +486,12 @@ def random_cff(
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
     if N is None:
-        x = w**w * r**r / (w + r) ** (w + r)
-        p = 1.0 - x
-        # where p rounds to 1, -log2(p) is x / ln 2 to first order
-        bits = (d + 1) * (x / log(2) if p == 1.0 else -log2(p))
+        # the exponent is defined on valid sides only
+        if w < 1 or r < 1:
+            raise ValueError("w and r must be positive")
+        if d < 0:
+            raise ValueError("d must be non-negative")
+        bits = _density_bits(w, r, d)
         N = _least_count_above((w + r) * log2(T) / bits if bits else inf)
     density = w / (w + r)
     return _verified_attempts(

@@ -16,8 +16,8 @@ import pytest
 
 from coverfree.bounds import (
     drr_rate,
+    full_report,
     gbound_T,
-    lower_bounds_N,
     min_N_bruteforce,
     sperner_T,
     uniform_T,
@@ -148,7 +148,7 @@ def test_criterion_06_bounds_never_contradict_constructions(oa_family):
             ok = ok and claim.T <= uniform_T(claim.N, sizes.pop(), claim.r)
     ok = ok and gbound_T(10, 2, 0) == 121
     ok = ok and uniform_T(12, 4, 3) == 22
-    ok = ok and entries(lower_bounds_N(2, 2, 0, 16))["dfft"].value == 10.0
+    ok = ok and entries(full_report(2, 2, 0, 16))["dfft"].value == 10.0
     _verdict(6, ok, "every constructed family fits under the counting bounds; spot values 121, 22, and 10 reproduced")
 
 

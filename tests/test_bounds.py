@@ -16,10 +16,8 @@ from coverfree.bounds import (
     BoundReport,
     bound_2d_T,
     drr_rate,
-    existence_threshold_N,
     full_report,
     gbound_T,
-    lower_bounds_N,
     min_N_bruteforce,
     rate_asymptotic,
     sperner_T,
@@ -45,6 +43,17 @@ ENTRY_NAMES = {
     "w1", "dfft", "engel1", "engel", "nbound2", "nbound3",
     "1rd", "sw2", "nbound2-d", "nbound3-d",
 }
+LOWER = "lower bound on N"
+
+
+def lower_entries(w, r, d, T):
+    """The lower bounds on N that full_report lists at (w, r, d, T)."""
+    return [e for e in full_report(w, r, d, T).entries if e.direction == LOWER]
+
+
+def existence(w, r, d, T):
+    """The existence threshold full_report lists at (w, r, d, T)."""
+    return entries(full_report(w, r, d, T))["existence"].value
 
 
 @pytest.fixture(autouse=True)
@@ -276,12 +285,12 @@ def test_grid_matches_numpy_reference():
 
 class TestLowerBoundsN:
     def test_reports_every_bound_once(self):
-        names = [e.name for e in lower_bounds_N(2, 2, 0, 16).entries]
+        names = [e.name for e in lower_entries(2, 2, 0, 16)]
         assert len(names) == len(ENTRY_NAMES)
         assert set(names) == ENTRY_NAMES
 
     def test_counting_bound_values(self):
-        rep = entries(lower_bounds_N(2, 2, 0, 16))
+        rep = entries(full_report(2, 2, 0, 16))
         assert rep["dfft"].value == pytest.approx(10.0)
         assert rep["engel1"].value == pytest.approx(3 * log2(14))
         assert rep["engel"].value == pytest.approx(4 * log2(14))
@@ -289,7 +298,7 @@ class TestLowerBoundsN:
         assert rep["nbound2-d"].value == pytest.approx(2.625)
 
     def test_single_w_profile(self):
-        rep = entries(lower_bounds_N(1, 2, 0, 8))
+        rep = entries(full_report(1, 2, 0, 8))
         assert rep["dfft"].value == pytest.approx(4.0)
         assert rep["nbound2"].value == pytest.approx(1.4195919455357793)
         assert rep["w1"].applicable
@@ -303,25 +312,25 @@ class TestLowerBoundsN:
         ],
     )
     def test_applicability_tracks_hypotheses(self, w, r, d, inapplicable):
-        rep = lower_bounds_N(w, r, d, 100)
+        rep = full_report(w, r, d, 100)
         got = {e.name for e in rep.entries if not e.applicable}
         assert got == inapplicable
         for e in rep.entries:
             assert e.applicable == (e.value is not None)
 
     def test_asymptotic_flags(self):
-        rep = lower_bounds_N(1, 3, 2, 100)
+        rep = full_report(1, 3, 2, 100)
         flagged = {e.name for e in rep.entries if e.asymptotic}
         assert flagged == {"engel", "nbound3", "nbound3-d"}
 
     def test_best_skips_asymptotic_entries(self):
-        rep = lower_bounds_N(2, 2, 0, 16)
+        rep = full_report(2, 2, 0, 16)
         # engel (asymptotic) is larger but must not win
         assert entries(rep)["engel"].value > entries(rep)["engel1"].value
         assert rep.best_lower_bound().name == "engel1"
 
     def test_unknown_entry(self):
-        assert "tightest" not in entries(lower_bounds_N(1, 2, 0, 8))
+        assert "tightest" not in entries(full_report(1, 2, 0, 8))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -337,23 +346,24 @@ class TestLowerBoundsN:
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
-            lower_bounds_N(**kwargs)
+            full_report(**kwargs)
 
 
 class TestExistenceThreshold:
     def test_frozen_values(self):
-        assert existence_threshold_N(1, 1, 0, 4) == pytest.approx(7.228262518959627)
-        assert existence_threshold_N(1, 2, 0, 8) == pytest.approx(34.583296720364864)
+        assert existence(1, 1, 0, 4) == pytest.approx(7.228262518959627)
+        assert existence(1, 2, 0, 8) == pytest.approx(34.583296720364864)
+        # from w = r = 27 on, 1 - w^w r^r / (w+r)^(w+r) rounds to 1, and
+        # -log2 of it is taken to first order
+        assert existence(30, 30, 0, 100) == float.fromhex("0x1.144f69ff9ffc4p+68")
 
     def test_separation_upgrade_halves_nothing_for_free(self):
         # the d+1 factor sits in the denominator
-        assert existence_threshold_N(2, 2, 1, 16) == pytest.approx(
-            existence_threshold_N(2, 2, 0, 16) / 2, rel=1e-12
-        )
+        assert existence(2, 2, 1, 16) == pytest.approx(existence(2, 2, 0, 16) / 2, rel=1e-12)
 
     def test_rejects(self):
         with pytest.raises(ValueError):
-            existence_threshold_N(1, 1, 0, 1)
+            full_report(1, 1, 0, 1)
 
 
 def min_N_by_enumeration(w: int, r: int, T: int, cap_N: int) -> int | None:
@@ -546,7 +556,7 @@ def test_no_lower_bound_exceeds_the_least_n():
                 checked += 1
                 violations += [
                     (w, r, T, least, e.name, e.value)
-                    for e in lower_bounds_N(w, r, 0, T).entries
+                    for e in lower_entries(w, r, 0, T)
                     if e.applicable and not e.asymptotic and e.value > least
                 ]
     assert checked == 17
@@ -618,7 +628,7 @@ def beaten_bounds(m, claim):
             for w in range(1, claim.w + 1):
                 beaten |= {
                     (e.name, w, r, d, N, T)
-                    for e in lower_bounds_N(w, r, d, T).entries
+                    for e in lower_entries(w, r, d, T)
                     # float formulas: a bound equal to N may land a rounding above it
                     if e.applicable and not e.asymptotic and e.value > N + 1e-9
                 }
@@ -822,11 +832,6 @@ def test_bounds_past_the_float_range_are_refused(w, r):
     message = f"w={w}, r={r}, d=0, T=2000"
     with pytest.raises(ValueError, match=message):
         full_report(w, r, 0, 2000)
-    if (w, r) != (506, 506):
-        with pytest.raises(ValueError, match=message):
-            lower_bounds_N(w, r, 0, 2000)
-    with pytest.raises(ValueError, match=message):
-        existence_threshold_N(w, r, 0, 2000)
 
 
 # One sha256 over the repr of every report in the grid, or over the

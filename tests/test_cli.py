@@ -144,6 +144,17 @@ class TestConstruct:
         assert out == "" and err.startswith("budget exceeded: the default point count")
         assert len(err.splitlines()) == 1 and not out_file.exists()
 
+    def test_random_default_checks_the_sides_first(self, capsys, tmp_path):
+        # d = -1 would make the density exponent 0: a precondition error, not a budget refusal
+        out_file = tmp_path / "x"
+        rc, out, err = run_cli(
+            capsys, "construct", "--method", "random", "--w", "1", "--r", "1",
+            "--d", "-1", "--T", "5", "--out", str(out_file),
+        )
+        assert rc == 3
+        assert out == "" and err == "error: d must be non-negative\n"
+        assert not out_file.exists()
+
     def test_failed_random_search(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys, "construct", "--method", "random", "--w", "1", "--r", "1",

@@ -566,6 +566,19 @@ class TestRandom:
         with pytest.raises(ValueError):
             random_cff(1, 1, 0, 4, max_attempts=0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 1, 0, 5), "w and r must be positive"),
+            ((1, 0, 0, 5), "w and r must be positive"),
+            # d = -1 would make the exponent 0, not a default past the cap
+            ((1, 1, -1, 5), "d must be non-negative"),
+        ],
+    )
+    def test_default_size_checks_the_sides_first(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_cff(*args)
+
     def test_uniform_variant(self):
         m, claim = random_uniform_cff(2, 1, 1, 4)
         assert claim == CFFParams(w=1, r=1, d=17, N=130, T=4, k=65)
@@ -593,6 +606,12 @@ class TestRandom:
         refusal = "^the default point count .*cap of 1000000$"
         with pytest.raises(BudgetExceededError, match=refusal):
             build(*args)
+
+    def test_default_size_to_first_order(self):
+        # p rounds to 1 from w = r = 27 on, so -log2(p) is taken as x / ln 2
+        refusal = r"^the default point count \(over 3.19e\+20\) exceeds the cap of 1000000$"
+        with pytest.raises(BudgetExceededError, match=refusal):
+            random_cff(30, 30, 0, 100)
 
     def test_default_point_cap_boundary(self, monkeypatch):
         # defaults of 10 points (random) and 65 groups of 2 (uniform)

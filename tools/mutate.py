@@ -113,6 +113,41 @@ MUTANTS = [
     ),
     # BoundReport: each field lands in its own slot
     Mutant("src/coverfree/bounds.py", "update(w=w, r=r,", "update(w=r, r=w,", "tests/test_bounds.py"),
+    # full_report: a lower bound on N whose hypothesis fails is listed with
+    # value None
+    Mutant(
+        "src/coverfree/bounds.py",
+        "if not (holds or direction == _LOWER):",
+        "if not holds:",
+        "tests/test_bounds.py",
+    ),
+    # full_report: a float value past the float range is refused
+    Mutant(
+        "src/coverfree/bounds.py",
+        "isinstance(value, float) and not math.isfinite(value)",
+        "False",
+        "tests/test_bounds.py",
+    ),
+    # the density exponent: -log2(p) is x / ln 2 to first order where p
+    # rounds to 1
+    Mutant("src/coverfree/bounds.py", "x / log(2)", "x * log(2)", "tests/test_bounds.py"),
+    # the min-N oracle: a branch is cut only when its patterns cannot
+    # separate every open pair
+    Mutant(
+        "src/coverfree/bounds.py",
+        "left * most < open_pairs",
+        "left * most <= open_pairs",
+        "tests/test_bounds.py",
+    ),
+    # drr_rate: each level U_j(e) is built once and kept
+    Mutant("src/coverfree/bounds.py", "@lru_cache(maxsize=None)", "@lru_cache(maxsize=0)", "tests/test_bounds.py"),
+    # drr_rate's bisection: a grid point above the level decides at once
+    Mutant(
+        "src/coverfree/bounds.py",
+        "        if f > level:\n            return True\n",
+        "",
+        "tests/test_bounds.py",
+    ),
     # inject_errors: only a count of zero returns the outcome as it is
     Mutant("src/coverfree/grouptest.py", "if not count:", "if count < 2:", "tests/test_grouptest.py"),
     # decode by class: a round with len(classes) - tolerance positive pools
