@@ -6,9 +6,10 @@ lower bounds on the point count N, the existence threshold and, for w = 1
 with N given, the upper bounds on the block count T and on the rate. A
 formula is evaluated only where its hypothesis holds. A lower bound on N
 whose hypothesis fails is listed with value None, and any other row is
-listed only where its hypothesis holds. Where a float value would leave the
-float range, a ValueError naming w, r, d and T is raised instead. Beside the
-survey live the bound functions it calls, an entropy-recurrence rate bound,
+listed only where its hypothesis holds. Each hypothesis is stated once, in
+its row, and the row's formula assumes it. Where a float value would leave
+the float range, a ValueError naming w, r, d and T is raised instead. Beside
+the survey live the entropy-recurrence rate bound its ``drr-rate`` row reads
 and an exact minimum-N search for tiny instances. All logarithms are base 2
 and binomial coefficients are exact big-integer values.
 """
@@ -28,14 +29,9 @@ __all__ = [
     "BoundEntry",
     "BoundReport",
     "DEFAULT_C",
-    "bound_2d_T",
     "drr_rate",
     "full_report",
-    "gbound_T",
     "min_N_bruteforce",
-    "rate_asymptotic",
-    "sperner_T",
-    "uniform_T",
 ]
 
 # Constant in front of the quadratic lower bounds; 1/8 is the best
@@ -43,67 +39,6 @@ __all__ = [
 DEFAULT_C = 0.125
 
 _LOWER = "lower bound on N"
-
-
-# ---------------------------------------------------------------------------
-# upper bounds on T
-
-def sperner_T(N: int) -> int:
-    """Largest T of any (1, 1; 0)-cover-free family on N points: the width
-    C(N, floor(N/2)) of the subset lattice (an antichain is exactly such a
-    family)."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    return comb(N, N // 2)
-
-
-def uniform_T(N: int, k: int, r: int) -> int:
-    """Upper bound on T for k-uniform (1, r; 0)-families on N points:
-    floor(C(N, m) / C(k-1, m-1)) with m = ceil(k/r). Each block owns at
-    least C(k-1, m-1) m-subsets no other block contains, and only C(N, m)
-    m-subsets exist."""
-    if not 1 <= k <= N:
-        raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
-    if r < 1:
-        raise ValueError("r must be positive")
-    m = -(-k // r)
-    return comb(N, m) // comb(k - 1, m - 1)
-
-
-def gbound_T(N: int, r: int, d: int = 0) -> int:
-    """Largest admissible T for a (1, r; d)-family on N points:
-    T <= r + C(N, m) - 1 with m = ceil(2(N - r - d(r+1)) / (r(r+1))).
-
-    Füredi's bound, a theorem for r >= 2 only: at r = 1 it reads T <= N,
-    while Sperner's C(N, floor(N/2)) blocks form a (1, 1; 0)-family. It
-    also needs N > r + d*(r+1), below which it is vacuous. Outside either
-    hypothesis a ValueError is raised.
-    """
-    if r < 2:
-        raise ValueError(f"the bound needs r >= 2, got r={r}")
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    if N <= r + d * (r + 1):
-        raise ValueError(
-            f"bound vacuous: need N > r + d*(r+1), got N={N} <= {r + d * (r + 1)}"
-        )
-    m = -(-2 * (N - r - d * (r + 1)) // (r * (r + 1)))
-    return r + comb(N, m) - 1
-
-
-def bound_2d_T(N: int, d: int) -> int:
-    """Strict upper limit on T for (1, 2; d)-families, d >= 1: with t* the
-    least t satisfying N <= 5t + 2 + d(d-1)/(t+d), every T satisfies
-    T < floor(C(N, t*) / C(2t* + d - 1, t*))."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if N < 1:
-        raise ValueError("N must be positive")
-    t = 1
-    # integer form of N <= 5t + 2 + d(d-1)/(t+d)
-    while (N - 5 * t - 2) * (t + d) > d * (d - 1):
-        t += 1
-    return comb(N, t) // comb(2 * t + d - 1, t)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +112,20 @@ def _sw2(w: int, r: int, d: int, T: int, c: float) -> float:
     return c * 4.0 ** (w - 1) * shrink * (rw * rw / log2(rw) * log2(T - 2 * w) + (d - 1) * rw)
 
 
+def _gbound(N: int, r: int, d: int) -> int:
+    # r >= 2 and N > r + d(r+1), so m >= 1
+    m = -(-2 * (N - r - d * (r + 1)) // (r * (r + 1)))
+    return r + comb(N, m) - 1
+
+
+def _bound_2d(N: int, d: int) -> int:
+    t = 1
+    # integer form of N <= 5t + 2 + d(d-1)/(t+d)
+    while (N - 5 * t - 2) * (t + d) > d * (d - 1):
+        t += 1
+    return comb(N, t) // comb(2 * t + d - 1, t)
+
+
 def _density_bits(w: int, r: int, d: int) -> float:
     """-(d+1) log2(p), where p = 1 - w^w r^r / (w+r)^(w+r) is the chance
     that a point of density w/(w+r) fails to separate a given pair. The
@@ -189,24 +138,7 @@ def _density_bits(w: int, r: int, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# asymptotic and entropy rate bounds
-
-def rate_asymptotic(r: int, d: int, N: int, variant: str = "drr") -> float:
-    """Asymptotic upper bound on the rate log2(T)/N of (1, r; d)-families:
-    ``drr`` gives (2 - d*r/N) log2(r) / r^2, ``gbound`` gives
-    4 (1 - d*r/N) log2(r) / r^2. At d = 0 the second is exactly twice the
-    first."""
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    if d < 0 or N < 1:
-        raise ValueError("need d >= 0 and N >= 1")
-    frac = d * r / N
-    if variant == "drr":
-        return (2.0 - frac) * log2(r) / (r * r)
-    if variant == "gbound":
-        return 4.0 * (1.0 - frac) * log2(r) / (r * r)
-    raise ValueError(f"unknown variant {variant!r}")
-
+# entropy rate bound
 
 def _entropy(x: float) -> float:
     if x <= 0.0 or x >= 1.0:
@@ -322,7 +254,7 @@ def _u(j: int, e: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact minimizer and rate comparison
+# exact minimizer
 
 def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     """Least N <= cap_N admitting a (w, r; 0)-cover-free family with T
@@ -512,21 +444,32 @@ def full_report(
          "needs w + r > 2; " + large_T),
         ("existence", "sufficient N (existence)", True, existence, False,
          "a random family exists above this N"),
-        # a (1, r; d)-family is in particular (1, r; 0), so uniform holds for every d
-        ("sperner", on_T, upper and r == 1 and d == 0 and N >= 2, lambda: sperner_T(N), False,
-         "exact maximum"),
-        ("gbound", on_T, upper and r >= 2 and N > r + d * (r + 1), lambda: gbound_T(N, r, d),
+        # a (1, 1; 0)-family is exactly an antichain, so the most blocks is
+        # the width C(N, floor(N/2)) of the subset lattice
+        ("sperner", on_T, upper and r == 1 and d == 0 and N >= 2, lambda: comb(N, N // 2),
+         False, "exact maximum"),
+        # Füredi: T <= r + C(N, m) - 1 with m = ceil(2(N - r - d(r+1)) / (r(r+1))),
+        # a theorem for r >= 2 only (at r = 1 it reads T <= N, below sperner),
+        # and vacuous unless N > r + d(r+1)
+        ("gbound", on_T, upper and r >= 2 and N > r + d * (r + 1), lambda: _gbound(N, r, d),
          False, "largest admissible T"),
-        ("2d", on_T, upper and r == 2 and d >= 1, lambda: bound_2d_T(N, d), False,
+        # with t* the least t with N <= 5t + 2 + d(d-1)/(t+d), every T is below
+        # C(N, t*) // C(2t* + d - 1, t*)
+        ("2d", on_T, upper and r == 2 and d >= 1, lambda: _bound_2d(N, d), False,
          "strict: T < value"),
-        ("uniform", on_T, upper and k is not None, lambda: uniform_T(N, k, r), False,
+        # with m = ceil(k/r), each block owns at least C(k-1, m-1) m-subsets no
+        # other block contains, out of C(N, m); a (1, r; d)-family is in
+        # particular (1, r; 0), so this holds for every d
+        ("uniform", on_T, upper and k is not None,
+         lambda: comb(N, m := -(-k // r)) // comb(k - 1, m - 1), False,
          f"k={k}-uniform blocks"),
         ("drr-rate", on_rate, upper, lambda: drr_rate(r, d / N), True,
          "rate = log2(T)/N at e = d/N"),
-        ("rate-drr", on_rate, upper and r >= 2, lambda: rate_asymptotic(r, d, N, "drr"), True,
-         ""),
-        ("rate-gbound", on_rate, upper and r >= 2, lambda: rate_asymptotic(r, d, N, "gbound"),
+        # asymptotic rate bounds; at d = 0 the second is exactly twice the first
+        ("rate-drr", on_rate, upper and r >= 2, lambda: (2.0 - d * r / N) * log2(r) / (r * r),
          True, ""),
+        ("rate-gbound", on_rate, upper and r >= 2,
+         lambda: 4.0 * (1.0 - d * r / N) * log2(r) / (r * r), True, ""),
     )
     entries = []
     try:

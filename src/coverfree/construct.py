@@ -537,6 +537,9 @@ def random_uniform_cff(
         raise ValueError("ell must be at least 2 and below 2**32")
     if T < w + r:
         raise ValueError(f"need T >= w + r, got T={T}")
+    # the group count is defined on valid sides only
+    if w < 1 or r < 1:
+        raise ValueError("w and r must be positive")
     p = (ell - 1) ** r / ell ** (w + r - 1)
     bits = (w + r) * log2(T) - log2(factorial(w)) - log2(factorial(r))
     k = _least_count_above((8.0 / p) * bits if p else inf, ell)

@@ -14,14 +14,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from coverfree.bounds import (
-    drr_rate,
-    full_report,
-    gbound_T,
-    min_N_bruteforce,
-    sperner_T,
-    uniform_T,
-)
+from coverfree.bounds import drr_rate, full_report, min_N_bruteforce
 from coverfree.cli import main
 from coverfree.construct import (
     ConstructionFailedError,
@@ -115,7 +108,8 @@ def test_criterion_05_antichain_tightness_against_oracle():
     ok = True
     for N in range(2, 7):
         m, claim = sperner_cff(N)
-        ok = ok and claim.T == comb(N, N // 2) == sperner_T(N)
+        sperner = entries(full_report(1, 1, 0, 2, N=N))["sperner"].value
+        ok = ok and claim.T == comb(N, N // 2) == sperner
         ok = ok and is_cff(m, claim).ok
 
     def least_width(T: int) -> int:
@@ -142,12 +136,14 @@ def test_criterion_06_bounds_never_contradict_constructions(oa_family):
     ok = True
     for fam, claim in families:
         # a (w, r; d) family with spare blocks is in particular (1, r; d)
-        ok = ok and claim.T <= gbound_T(claim.N, claim.r, claim.d)
         sizes = set(block_sizes(fam))
-        if len(sizes) == 1:
-            ok = ok and claim.T <= uniform_T(claim.N, sizes.pop(), claim.r)
-    ok = ok and gbound_T(10, 2, 0) == 121
-    ok = ok and uniform_T(12, 4, 3) == 22
+        k = sizes.pop() if len(sizes) == 1 else None
+        rep = entries(full_report(1, claim.r, claim.d, claim.T, N=claim.N, k=k))
+        ok = ok and claim.T <= rep["gbound"].value
+        if k is not None:
+            ok = ok and claim.T <= rep["uniform"].value
+    ok = ok and entries(full_report(1, 2, 0, 3, N=10))["gbound"].value == 121
+    ok = ok and entries(full_report(1, 3, 0, 4, N=12, k=4))["uniform"].value == 22
     ok = ok and entries(full_report(2, 2, 0, 16))["dfft"].value == 10.0
     _verdict(6, ok, "every constructed family fits under the counting bounds; spot values 121, 22, and 10 reproduced")
 

@@ -14,14 +14,9 @@ from coverfree import bounds
 from coverfree.bounds import (
     BoundEntry,
     BoundReport,
-    bound_2d_T,
     drr_rate,
     full_report,
-    gbound_T,
     min_N_bruteforce,
-    rate_asymptotic,
-    sperner_T,
-    uniform_T,
 )
 from coverfree.cli import _METHODS
 from coverfree.construct import (
@@ -77,67 +72,82 @@ class CallCount:
         return self.fn(*args, **kwargs)
 
 
+def upper_entries(r, d, N, k=None):
+    """The upper bounds on T and on the rate that full_report lists for a
+    (1, r; d)-family on N points, by name; T = r + 1, the least it allows,
+    since no such row reads T."""
+    return {
+        e.name: e
+        for e in full_report(1, r, d, r + 1, N=N, k=k).entries
+        if e.direction.startswith("upper bound on")
+    }
+
+
 class TestCountingBoundsOnT:
+    """The counting bounds on T, each listed exactly on its side of its
+    hypothesis."""
+
     @pytest.mark.parametrize("N,expected", [(2, 2), (4, 6), (5, 10), (6, 20)])
     def test_sperner(self, N, expected):
-        assert sperner_T(N) == expected
+        assert upper_entries(1, 0, N)["sperner"].value == expected
 
     def test_sperner_needs_two_points(self):
-        with pytest.raises(ValueError):
-            sperner_T(1)
+        assert "sperner" not in upper_entries(1, 0, 1)
+        assert upper_entries(1, 0, 2)["sperner"].value == 2
 
     @pytest.mark.parametrize(
         "N,k,r,expected",
         [(12, 4, 3, 22), (5, 5, 1, 1), (16, 4, 2, 40), (36, 6, 3, 126)],
     )
     def test_uniform(self, N, k, r, expected):
-        assert uniform_T(N, k, r) == expected
+        assert upper_entries(r, 0, N, k)["uniform"].value == expected
 
     @pytest.mark.parametrize("N,k,r", [(4, 0, 1), (4, 5, 1), (4, 2, 0)])
     def test_uniform_rejects(self, N, k, r):
+        # the report refuses a k outside 1..N and r < 1 before any row
         with pytest.raises(ValueError):
-            uniform_T(N, k, r)
+            full_report(1, r, 0, r + 1, N=N, k=k)
+
+    def test_uniform_exactly_when_k_given(self):
+        assert "uniform" not in upper_entries(3, 0, 12)
+        assert upper_entries(3, 0, 12, 4)["uniform"].value == 22
 
     def test_gbound(self):
-        assert gbound_T(10, 2, 0) == 121
-        assert gbound_T(20, 2, 1) == 15505
+        assert upper_entries(2, 0, 10)["gbound"].value == 121
+        assert upper_entries(2, 1, 20)["gbound"].value == 15505
 
     def test_gbound_vacuous_region(self):
-        with pytest.raises(ValueError, match="vacuous"):
-            gbound_T(5, 2, 1)
-        with pytest.raises(ValueError):
-            gbound_T(10, 0, 0)
+        for r in (2, 3):
+            for d in (0, 1, 2):
+                edge = r + d * (r + 1)
+                assert "gbound" not in upper_entries(r, d, edge)
+                # m = 1 just above it: T <= r + N - 1
+                assert upper_entries(r, d, edge + 1)["gbound"].value == r + edge
 
     def test_pair_separation(self):
-        assert bound_2d_T(12, 1) == 11
-        assert bound_2d_T(7, 1) == 3
+        assert upper_entries(2, 1, 12)["2d"].value == 11
+        assert upper_entries(2, 1, 7)["2d"].value == 3
 
     def test_pair_separation_rejects(self):
-        with pytest.raises(ValueError):
-            bound_2d_T(12, 0)
-        with pytest.raises(ValueError):
-            bound_2d_T(0, 1)
+        assert "2d" not in upper_entries(2, 0, 12)
+        assert "2d" in upper_entries(2, 1, 12)
 
 
 class TestRateAsymptotic:
     def test_base_point(self):
-        assert rate_asymptotic(2, 0, 10, "drr") == pytest.approx(0.5)
+        assert upper_entries(2, 0, 10)["rate-drr"].value == pytest.approx(0.5)
 
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_variants_differ_by_factor_two_at_d_zero(self, r):
-        drr = rate_asymptotic(r, 0, 100, "drr")
-        assert rate_asymptotic(r, 0, 100, "gbound") == pytest.approx(2 * drr)
+        rep = upper_entries(r, 0, 100)
+        assert rep["rate-gbound"].value == pytest.approx(2 * rep["rate-drr"].value)
 
     def test_vanishes_when_separation_saturates(self):
-        assert rate_asymptotic(2, 5, 10, "gbound") == 0.0
+        assert upper_entries(2, 5, 10)["rate-gbound"].value == 0.0
 
     def test_rejects(self):
-        with pytest.raises(ValueError):
-            rate_asymptotic(1, 0, 10)
-        with pytest.raises(ValueError):
-            rate_asymptotic(2, -1, 10)
-        with pytest.raises(ValueError):
-            rate_asymptotic(2, 0, 10, "fastest")
+        assert not {"rate-drr", "rate-gbound"} & upper_entries(1, 0, 10).keys()
+        assert {"rate-drr", "rate-gbound"} <= upper_entries(2, 0, 10).keys()
 
 
 class TestDrrRate:
@@ -632,17 +642,14 @@ def beaten_bounds(m, claim):
                     # float formulas: a bound equal to N may land a rounding above it
                     if e.applicable and not e.asymptotic and e.value > N + 1e-9
                 }
-            upper = []
-            if r == 1 and d == 0:
-                upper.append(("sperner", sperner_T(N)))
-            if r >= 2 and N > r + d * (r + 1):
-                upper.append(("gbound", gbound_T(N, r, d)))
-            if r == 2 and d >= 1:
+            k = next(iter(sizes)) if len(sizes) == 1 else None
+            beaten |= {
+                (e.name, 1, r, d, N, T)
+                for e in full_report(1, r, d, T, N=N, k=k).entries
+                if e.direction == "upper bound on T"
                 # strict: T < value
-                upper.append(("2d", bound_2d_T(N, d) - 1))
-            if len(sizes) == 1:
-                upper.append(("uniform", uniform_T(N, *sizes, r)))
-            beaten |= {(name, 1, r, d, N, T) for name, value in upper if T > value}
+                and T > e.value - (e.name == "2d")
+            }
     return beaten
 
 
@@ -743,8 +750,6 @@ class TestFullReport:
         rep = entries(full_report(1, 1, 0, 9, N=6))
         assert rep["sperner"].value == 20
         assert "gbound" not in rep
-        with pytest.raises(ValueError, match="r >= 2"):
-            gbound_T(6, 1, 0)
 
     def test_drr_rate_is_a_limit_bound(self):
         # the identity on 5 points is a (1, 2; 0)-family at rate log2(5)/5

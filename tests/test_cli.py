@@ -155,6 +155,16 @@ class TestConstruct:
         assert out == "" and err == "error: d must be non-negative\n"
         assert not out_file.exists()
 
+    def test_random_uniform_checks_the_sides_first(self, capsys, tmp_path):
+        out_file = tmp_path / "x"
+        rc, out, err = run_cli(
+            capsys, "construct", "--method", "random-uniform", "--ell", "2", "--w", "-1",
+            "--r", "1", "--T", "4", "--out", str(out_file),
+        )
+        assert rc == 3
+        assert out == "" and err == "error: w and r must be positive\n"
+        assert not out_file.exists()
+
     def test_failed_random_search(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys, "construct", "--method", "random", "--w", "1", "--r", "1",

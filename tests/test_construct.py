@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverfree import construct
-from coverfree.bounds import sperner_T
+from coverfree.bounds import full_report
 from coverfree.core import CFFParams, IncidenceMatrix
 from coverfree.construct import (
     ConstructionFailedError,
@@ -33,6 +33,7 @@ from coverfree.verify import BudgetExceededError, is_cff, is_k_uniform
 from helpers import (
     block_sizes,
     check_orthogonal_array,
+    entries,
     hash_compose,
     identity,
     is_disjunct,
@@ -227,7 +228,7 @@ class TestSperner:
     def test_middle_layer_family(self, N):
         m, claim = sperner_cff(N)
         assert claim == CFFParams(w=1, r=1, d=0, N=N, T=comb(N, N // 2), k=N // 2)
-        assert claim.T == sperner_T(N)
+        assert claim.T == entries(full_report(1, 1, 0, 2, N=N))["sperner"].value
         assert is_k_uniform(m, N // 2)
         assert is_cff(m, claim).ok
 
@@ -584,6 +585,12 @@ class TestRandom:
         assert claim == CFFParams(w=1, r=1, d=17, N=130, T=4, k=65)
         assert is_k_uniform(m, 65)
         assert is_cff(m, claim).ok
+
+    @pytest.mark.parametrize("w, r", [(-1, 1), (1, -1), (0, 1), (1, 0)])
+    def test_uniform_checks_the_sides_first(self, w, r):
+        # a negative side would reach factorial() before CFFParams checks it
+        with pytest.raises(ValueError, match="^w and r must be positive$"):
+            random_uniform_cff(2, w, r, 4)
 
     def test_uniform_rejects_degenerate_alphabet(self):
         with pytest.raises(ValueError):

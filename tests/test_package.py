@@ -38,7 +38,7 @@ def test_exports_are_the_modules_exports():
     union = set()
     for name in MODULES:
         union |= set(importlib.import_module(f"coverfree.{name}").__all__)
-    assert len(coverfree.__all__) == len(set(coverfree.__all__)) == 49
+    assert len(coverfree.__all__) == len(set(coverfree.__all__)) == 44
     assert set(coverfree.__all__) == union
     assert {"DEFAULT_MAX_BLOCKS", "trivial_cff"} <= union
     for name in coverfree.__all__:

@@ -139,6 +139,40 @@ MUTANTS = [
         "left * most <= open_pairs",
         "tests/test_bounds.py",
     ),
+    # the min-N oracle: the pattern table lists every submask of a pair's
+    # free blocks, not only those above the last one taken
+    Mutant(
+        "src/coverfree/bounds.py",
+        "s = (s - free) & free",
+        "s = ((s - free) & free) | s",
+        "tests/test_bounds.py",
+    ),
+    # gbound: m = ceil(2(N - r - d(r+1)) / (r(r+1))), not the floor
+    Mutant(
+        "src/coverfree/bounds.py",
+        "m = -(-2 * (N - r - d * (r + 1)) // (r * (r + 1)))",
+        "m = 2 * (N - r - d * (r + 1)) // (r * (r + 1))",
+        "tests/test_bounds.py",
+    ),
+    # 2d: t* climbs while the next t gives a larger quotient. Its >= form is
+    # an equivalent mutant: where the two sides are equal, the quotients at
+    # t and t + 1 are equal too, (N - t)(t + d) being (2t + d)(2t + d + 1);
+    # its < and <= forms never stop at N < 7
+    Mutant(
+        "src/coverfree/bounds.py",
+        "* (t + d) > d * (d - 1)",
+        "* (t + d) == d * (d - 1)",
+        "tests/test_bounds.py",
+    ),
+    # uniform: m = ceil(k/r), not the floor
+    Mutant("src/coverfree/bounds.py", "m := -(-k // r)", "m := k // r", "tests/test_bounds.py"),
+    # rate-gbound: 4 (1 - dr/N) log2(r) / r^2, twice rate-drr at d = 0
+    Mutant(
+        "src/coverfree/bounds.py",
+        "4.0 * (1.0 - d * r / N)",
+        "2.0 * (1.0 - d * r / N)",
+        "tests/test_bounds.py",
+    ),
     # drr_rate: each level U_j(e) is built once and kept
     Mutant("src/coverfree/bounds.py", "@lru_cache(maxsize=None)", "@lru_cache(maxsize=0)", "tests/test_bounds.py"),
     # drr_rate's bisection: a grid point above the level decides at once
@@ -168,6 +202,14 @@ MUTANTS = [
     ),
     # _positions: a byte's bit positions run 0 to 7
     Mutant("src/coverfree/grouptest.py", "in range(8) if byte", "in range(7) if byte", "tests/test_grouptest.py"),
+    # decode without classes: tolerance + 1 groups of negative pools, so
+    # one of them holds none of a block's errors
+    Mutant(
+        "src/coverfree/grouptest.py",
+        "min(tolerance, len(pools)) + 1",
+        "min(tolerance, len(pools))",
+        "tests/test_grouptest.py",
+    ),
     # decode without classes: the filter is given up only when its
     # candidates would cost more than the counters; only the row-read pins
     # see it given up at once
