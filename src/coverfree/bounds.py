@@ -278,12 +278,14 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
 
     For N = 1, 2, ... a depth-first search takes the lowest pair no chosen
     pattern separates yet and branches on each pattern that separates it,
-    in ascending order; some pattern of every cover does, so no cover is
-    lost. A branch is cut when the patterns left, times the most pairs any
-    one pattern separates, are fewer than the open pairs. The chosen
-    patterns are the columns of the family, which is built from them and
-    confirmed by one ``is_cff`` call before N is returned (ArithmeticError
-    if it is rejected). Nothing is kept between calls.
+    those that separate the most pairs first; some pattern of every cover
+    does, so no cover is lost whatever the order. A branch is cut when the
+    patterns left, times the most pairs any one pattern separates, are
+    fewer than the open pairs. The chosen patterns are the columns of the
+    family, which is built from them and confirmed by one ``is_cff`` call
+    before N is returned (ArithmeticError if it is rejected). Only the
+    pattern table is kept between calls: every call runs the search and the
+    confirming ``is_cff`` again.
     """
     if w < 0 or r < 0:
         raise ValueError("w and r must be non-negative")
@@ -303,13 +305,17 @@ def min_N_bruteforce(w: int, r: int, T: int, cap_N: int = 8) -> int | None:
     return None
 
 
-def _pattern_table(w: int, r: int, T: int) -> tuple[list[list[int]], list[int], int]:
+@lru_cache(maxsize=None)
+def _pattern_table(
+    w: int, r: int, T: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
     """(patterns, separates, most) for the pairs (B, A) of w and r of the T
     blocks, numbered k = 0, 1, ... with B in lexicographic order and A
-    within it: ``patterns[k]`` lists the patterns that separate pair k in
-    ascending order, bit k of ``separates[p]`` is set when pattern p
-    separates pair k, and ``most`` is the most pairs one pattern
-    separates."""
+    within it: ``patterns[k]`` lists the patterns that separate pair k, those
+    that separate the most pairs first and ties in ascending order, bit k of
+    ``separates[p]`` is set when pattern p separates pair k, and ``most`` is
+    the most pairs one pattern separates. Built once per (w, r, T) and kept
+    for the life of the process, as tuples that no caller can change."""
     every = (1 << T) - 1
     blocks = [1 << i for i in range(T)]
     separates = [0] * (1 << T)
@@ -319,7 +325,8 @@ def _pattern_table(w: int, r: int, T: int) -> tuple[list[list[int]], list[int], 
         for a in combinations([x for x in blocks if not x & b_mask], r):
             free = every ^ b_mask ^ sum(a)
             bit = 1 << len(patterns)
-            # the submasks s of free in ascending order, so b | s ascends too
+            # the submasks s of free in ascending order, so b | s ascends too,
+            # and patterns that separate as many pairs stay in that order
             own, s = [], 0
             while True:
                 p = b_mask | s
@@ -329,17 +336,21 @@ def _pattern_table(w: int, r: int, T: int) -> tuple[list[list[int]], list[int], 
                     break
                 s = (s - free) & free
             patterns.append(own)
+    # the densest patterns first, so a search finds its covers sooner
+    patterns = tuple(
+        tuple(sorted(own, key=lambda p: separates[p].bit_count(), reverse=True)) for own in patterns
+    )
     # a pattern of j blocks separates the pairs with B inside it and A outside
     most = max(comb(j, w) * comb(T - j, r) for j in range(T + 1))
-    return patterns, separates, most
+    return patterns, tuple(separates), most
 
 
 def _cover(
     open_pairs: int,
     left: int,
     most: int,
-    patterns: list[list[int]],
-    separates: list[int],
+    patterns: tuple[tuple[int, ...], ...],
+    separates: tuple[int, ...],
     chosen: list[int],
 ) -> bool:
     """Whether ``left`` more patterns separate every pair in the bit set

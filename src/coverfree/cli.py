@@ -2,8 +2,9 @@
 
 Subcommands: ``construct`` (build, check, and write a matrix file),
 ``verify`` (re-check a file's claim or measure its best r), ``bounds``
-(evaluate the size bounds at a parameter point), ``simulate`` (Monte-Carlo
-group-testing rounds on a file), ``oracle`` (tiny exhaustive minimizer).
+(evaluate the size bounds at a parameter point), ``simulate`` (check a
+file's claim, then run Monte-Carlo group-testing rounds on it), ``oracle``
+(tiny exhaustive minimizer).
 
 Exit status: 0 success, 1 a property check failed (witness on stderr),
 2 bad usage, 3 precondition violation, 4 evaluation budget exceeded.
@@ -289,6 +290,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     m, header = read_matrix_file(args.file)
     if header is None:
         raise UsageError("file carries no claim; simulate needs the claimed r and d")
+    # the rounds are decoded under the header's r and d, so a claim that
+    # does not hold runs no round
+    if not _report(check_claim(m, header), DEFAULT_TRIALS):
+        return EXIT_CHECK_FAILED
     stats = simulate(
         m,
         header.r,
@@ -412,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the entries as CSV")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo group testing on a matrix file")
+    p = sub.add_parser(
+        "simulate", help="check a file's claim, then run Monte-Carlo group testing on it"
+    )
     p.add_argument("file")
     p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)

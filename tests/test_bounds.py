@@ -485,8 +485,8 @@ class TestMinNBruteforce:
     def test_matches_row_search_at_five_blocks(self, w, r, cap_N):
         assert min_N_bruteforce(w, r, 5, cap_N) == min_N_by_rows(w, r, 5, cap_N)
 
-    # without the counting cut the search visits 1817 and 27 nodes
-    @pytest.mark.parametrize("w,r,T,nodes", [(2, 1, 5, 57), (2, 2, 4, 12)])
+    # without the counting cut the search visits 1364 and 27 nodes
+    @pytest.mark.parametrize("w,r,T,nodes", [(2, 1, 5, 52), (2, 2, 4, 12)])
     def test_cover_search_nodes_are_pinned(self, monkeypatch, w, r, T, nodes):
         cover = CallCount(bounds._cover)
         monkeypatch.setattr(bounds, "_cover", cover)
@@ -494,12 +494,12 @@ class TestMinNBruteforce:
         assert cover.calls == nodes
 
     # the oracle points of the explore benchmark's pool, (w, r, T, cap_N),
-    # with the least N each returns and the nodes its search visits, 496 in all
+    # with the least N each returns and the nodes its search visits, 250 in all
     EXPLORE_ORACLE = [
-        (1, 1, 3, 8, 3, 6), (1, 1, 4, 8, 4, 20), (1, 1, 5, 8, 4, 406),
+        (1, 1, 3, 8, 3, 6), (1, 1, 4, 8, 4, 22), (1, 1, 5, 8, 4, 162),
         (1, 2, 3, 8, 3, 6), (1, 2, 4, 8, 4, 8), (1, 2, 5, 8, 5, 10),
         (1, 2, 5, 4, None, 4), (1, 3, 4, 8, 4, 8), (1, 3, 5, 8, 5, 10),
-        (2, 1, 3, 8, 3, 6), (2, 1, 4, 8, 4, 12),
+        (2, 1, 3, 8, 3, 6), (2, 1, 4, 8, 4, 8),
     ]
 
     @pytest.mark.parametrize("w,r,T,cap_N,least,nodes", EXPLORE_ORACLE)
@@ -508,7 +508,7 @@ class TestMinNBruteforce:
         monkeypatch.setattr(bounds, "_cover", cover)
         assert min_N_bruteforce(w, r, T, cap_N) == least
         assert cover.calls == nodes
-        # a second identical call finds nothing kept from the first
+        # only the pattern table is kept: a second identical call searches again
         assert min_N_bruteforce(w, r, T, cap_N) == least
         assert cover.calls == 2 * nodes
 
@@ -518,12 +518,23 @@ class TestMinNBruteforce:
     def test_pattern_table_matches_per_pattern_reference(self, w, r, T):
         patterns, separates, most = bounds._pattern_table(w, r, T)
         options, reference_most = pattern_table_by_patterns(w, r, T)
-        assert [[(p, separates[p]) for p in own] for own in patterns] == options
+        densest_first = [sorted(own, key=lambda ps: -ps[1].bit_count()) for own in options]
+        assert [[(p, separates[p]) for p in own] for own in patterns] == densest_first
         assert most == reference_most
         # no incidence outside the pairs' own lists
         assert sum(s.bit_count() for s in separates) == sum(map(len, options))
-        # the search branches in this order, so the node pins rest on it
-        assert all(own == sorted(set(own)) for own in patterns)
+        # the search branches in this order, so the node pins rest on it: the
+        # patterns that separate the most pairs first, ties in ascending order
+        assert all(
+            list(own) == sorted(set(own), key=lambda p: (-separates[p].bit_count(), p))
+            for own in patterns
+        )
+
+    def test_pattern_table_is_built_once_and_kept_immutable(self):
+        patterns, separates, most = table = bounds._pattern_table(1, 1, 5)
+        assert bounds._pattern_table(1, 1, 5) is table
+        assert type(patterns) is tuple and all(type(own) is tuple for own in patterns)
+        assert type(separates) is tuple
 
     def test_confirm_catches_a_bad_cover(self, monkeypatch):
         # every point in blocks 1 and 2 only: no point separates a pair

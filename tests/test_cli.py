@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from coverfree import cli
 from coverfree.cli import build_parser, main
 from coverfree.core import CFFParams, read_matrix_file, write_matrix_file
 from coverfree.construct import rs_cff
@@ -594,8 +595,31 @@ class TestSimulate:
         write_matrix_file(path, m, claim)
         rc, out, _ = run_cli(capsys, "simulate", path, "--trials", "25")
         assert rc == 0
+        # the claim is proven before the first round
+        assert out.splitlines()[0] == "check exhaustive ok"
         assert "rate=1.0000" in out
         assert "false_positives 0" in out
+
+    def test_a_refuted_claim_runs_no_round(self, capsys, tmp_path, monkeypatch):
+        # a (1, 2; 0) family, T = 125, whose header is edited to claim r = 5
+        path = tmp_path / "rs562.cff"
+        rc, _, _ = run_cli(
+            capsys, "construct", "--method", "rs", "--q", "5", "--n", "6", "--r", "2",
+            "--out", str(path),
+        )
+        assert rc == 0
+        text = path.read_text()
+        assert text.startswith("CFF 30 125 1 2 0\n")
+        path.write_text(text.replace("CFF 30 125 1 2 0\n", "CFF 30 125 1 5 0\n", 1))
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran under a refuted claim")
+
+        monkeypatch.setattr(cli, "simulate", no_round)
+        rc, out, err = run_cli(capsys, "simulate", str(path), "--trials", "2000", "--seed", "1")
+        assert rc == 1
+        assert out == "check exhaustive FAILED\n"
+        assert err == "witness: intersect blocks {0}, subtract blocks {5,6,7,8,9}, residual 0\n"
 
     def test_unclaimed_file(self, capsys, tmp_path):
         m, _ = rs_cff(3, 4, 3)

@@ -283,6 +283,24 @@ class TestDecodeWork:
         # one row check a block
         assert rows.reads == 49
 
+    def test_groups_stop_at_the_pool_count(self, monkeypatch):
+        # ten defectives leave 22 negative pools, so tolerance 23 passes
+        # every block; of the 23 groups the first is empty, its candidates
+        # are all 49 blocks, and the counters take over with one plane a
+        # group: 23 planes, not tolerance + 1
+        m = rs_cff(7, 8, 2, 4)[0].replicate_points(2)
+        o = encode(m, set(range(0, 49, 5)))
+        assert m.num_points - o.outcomes.bit_count() == 22
+        levels, real = [], grouptest._reach
+
+        def reach(columns, level):
+            levels.append(level)
+            return real(columns, level)
+
+        monkeypatch.setattr(grouptest, "_reach", reach)
+        assert decode(m, o, 23) == set(range(49)) == decode_by_rows(m, o, 23)
+        assert levels == [23]
+
     @pytest.mark.parametrize(
         "count, reads",
         [

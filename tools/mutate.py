@@ -83,6 +83,14 @@ MUTANTS = [
         "m.rows)) <= 9",
         "tests/test_verify.py",
     ),
+    # the colex walk: the j - 1 blocks below p gain at most best[p - 1]
+    # each; best[p] also counts block p, which the branch has taken
+    Mutant(
+        "src/coverfree/verify.py",
+        "(j - 1) * best[p - 1]",
+        "(j - 1) * best[p]",
+        "tests/test_verify.py",
+    ),
     # the map check: an image out of point order is sorted highest first
     Mutant(
         "src/coverfree/verify.py",
@@ -147,6 +155,21 @@ MUTANTS = [
         "s = ((s - free) & free) | s",
         "tests/test_bounds.py",
     ),
+    # the min-N oracle: each pair's patterns that separate the most pairs
+    # come first; only the node pins and the table's order see the other
+    Mutant(
+        "src/coverfree/bounds.py",
+        "separates[p].bit_count(), reverse=True",
+        "separates[p].bit_count()",
+        "tests/test_bounds.py",
+    ),
+    # the min-N oracle: the pattern table is built once per (w, r, T)
+    Mutant(
+        "src/coverfree/bounds.py",
+        "@lru_cache(maxsize=None)\ndef _pattern_table(",
+        "@lru_cache(maxsize=0)\ndef _pattern_table(",
+        "tests/test_bounds.py",
+    ),
     # gbound: m = ceil(2(N - r - d(r+1)) / (r(r+1))), not the floor
     Mutant(
         "src/coverfree/bounds.py",
@@ -174,7 +197,12 @@ MUTANTS = [
         "tests/test_bounds.py",
     ),
     # drr_rate: each level U_j(e) is built once and kept
-    Mutant("src/coverfree/bounds.py", "@lru_cache(maxsize=None)", "@lru_cache(maxsize=0)", "tests/test_bounds.py"),
+    Mutant(
+        "src/coverfree/bounds.py",
+        "@lru_cache(maxsize=None)\ndef _u(",
+        "@lru_cache(maxsize=0)\ndef _u(",
+        "tests/test_bounds.py",
+    ),
     # drr_rate's bisection: a grid point above the level decides at once
     Mutant(
         "src/coverfree/bounds.py",
@@ -208,6 +236,15 @@ MUTANTS = [
         "src/coverfree/grouptest.py",
         "min(tolerance, len(pools)) + 1",
         "min(tolerance, len(pools))",
+        "tests/test_grouptest.py",
+    ),
+    # decode without classes: no block is in more than len(pools) negative
+    # pools, so len(pools) + 1 groups (or counter planes) are enough at any
+    # higher tolerance; only the planes handed to the counters see more
+    Mutant(
+        "src/coverfree/grouptest.py",
+        "min(tolerance, len(pools)) + 1",
+        "tolerance + 1",
         "tests/test_grouptest.py",
     ),
     # decode without classes: the filter is given up only when its
